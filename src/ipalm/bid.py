@@ -18,6 +18,8 @@ from .imageops import (
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
+    centered_kernel_spectrum,
+    centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
     phi_grad,
@@ -90,15 +92,22 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     Image block: the penalty's curvature is at most ``2*theta`` per
     direction, giving ``2*theta*sum_p ||D_p||^2 + lam*max_w |bhat(w)|^2``.
     Kernel block: the term is quadratic in b, so the modulus is the exact
-    operator norm of the restricted normal operator (power iteration).
+    operator norm of the restricted normal operator (power iteration).  In
+    the DFT domain that operator multiplies the kernel spectrum by
+    ``lam*|uhat|^2``, computed once per call, so each power step costs one
+    forward and one inverse transform.
     """
     if block == 0:
         bhat_sq = np.abs(np.fft.fft2(b, s=u.shape)) ** 2
         return 2.0 * params.theta * _DIFF_NORM_SQ_BOUND + params.lam * float(bhat_sq.max())
     if block == 1:
 
+        u_hat = np.fft.rfft2(u)
+        weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
+
         def normal_op(k):
-            return params.lam * centered_corr_kernel(centered_conv(u, k), u, b.shape)
+            spec = centered_kernel_spectrum(k, u.shape) * weight
+            return centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
 
         return max(operator_norm(normal_op, b.shape), 1e-12)
     raise ValueError(f"block index must be 0 or 1, got {block}")

@@ -19,7 +19,14 @@ import os
 import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
-from .imageops import centered_conv, centered_corr_image, centered_corr_kernel, write_pgm
+from .imageops import (
+    centered_conv,
+    centered_corr_image,
+    centered_corr_kernel,
+    centered_kernel_spectrum,
+    centered_kernel_window,
+    write_pgm,
+)
 from .prox import prox_filter_constraint, prox_l1
 
 
@@ -82,11 +89,9 @@ def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
 def _fourier_energy(stack: np.ndarray, shape) -> float:
     """max over frequencies of ``sum_j |hat(stack_j)|^2``; the exact modulus
     of the linear map paired with this stack (upper bound once the other
-    side is support-restricted)."""
-    acc = np.zeros(shape)
-    for j in range(stack.shape[0]):
-        acc += np.abs(np.fft.fft2(stack[j], s=shape)) ** 2
-    return float(acc.max())
+    side is support-restricted).  For real input the maximum over the half
+    spectrum equals the maximum over the full spectrum."""
+    return float((np.abs(np.fft.rfft2(stack, s=shape)) ** 2).sum(axis=0).max())
 
 
 def make_convlasso_problem(
@@ -94,7 +99,13 @@ def make_convlasso_problem(
     exact_lipschitz: bool = False,
 ) -> ProblemSpec:
     """ProblemSpec over the free slots: block 0 = filter stack (p-1, l, l),
-    block 1 = coefficient stack (p-1, m, n)."""
+    block 1 = coefficient stack (p-1, m, n).
+
+    The data term lives in the DFT domain: the residual spectrum is
+    ``base_hat + sum_j D_j V_j`` (one batched transform per stack), ``H`` is
+    taken from it by Parseval and each partial gradient is one batched
+    inverse transform.
+    """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"image must be 2-D, got ndim={f.ndim}")
@@ -107,19 +118,26 @@ def make_convlasso_problem(
     if sigma_l is None:
         sigma_l = l / 4.0
     g = gaussian_filter(l, sigma_l)
-    base = centered_conv(f, g)  # fixed pair's contribution to the residual
+    # fixed pair's contribution to the residual, minus the image
+    base_hat = np.fft.rfft2(centered_conv(f, g) - f)
     fixed_l1 = float(np.abs(f).sum())
+    # Parseval on the half spectrum: columns other than DC and (for even
+    # width) Nyquist stand for a conjugate pair
+    m, n = f.shape
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    weights *= 0.5 / (m * n)
 
-    def _residual(x: BlockVector) -> np.ndarray:
-        out = base - f
-        d_free, v_free = x[0], x[1]
-        for j in range(p - 1):
-            out = out + centered_conv(v_free[j], d_free[j])
-        return out
+    def _spectra(x: BlockVector):
+        d_hat = centered_kernel_spectrum(x[0], f.shape)
+        v_hat = np.fft.rfft2(x[1])
+        return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
     def eval_H(x: BlockVector) -> float:
-        r = _residual(x)
-        return 0.5 * float(np.vdot(r, r).real)
+        r_hat = _spectra(x)[2]
+        return float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
 
     def eval_F(x: BlockVector) -> float:
         d_free, v_free = x[0], x[1]
@@ -130,17 +148,11 @@ def make_convlasso_problem(
         return eval_H(x) + lam * (fixed_l1 + float(np.abs(v_free).sum()))
 
     def partial_grad(i: int, x: BlockVector) -> np.ndarray:
-        r = _residual(x)
-        d_free, v_free = x[0], x[1]
+        d_hat, v_hat, r_hat = _spectra(x)
         if i == 0:
-            out = np.empty_like(d_free)
-            for j in range(p - 1):
-                out[j] = centered_corr_kernel(r, v_free[j], (l, l))
-            return out
-        out = np.empty_like(v_free)
-        for j in range(p - 1):
-            out[j] = centered_corr_image(r, d_free[j])
-        return out
+            full = np.fft.irfft2(r_hat * np.conj(v_hat), s=f.shape)
+            return centered_kernel_window(full, (l, l))
+        return np.fft.irfft2(r_hat * np.conj(d_hat), s=f.shape)
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:
         if i == 0:
@@ -155,8 +167,7 @@ def make_convlasso_problem(
 
         def lipschitz(i: int, x: BlockVector) -> float:
             stack = x[1] if i == 0 else x[0]
-            shape = f.shape
-            return max(_fourier_energy(stack, shape), 1e-12)
+            return max(_fourier_energy(stack, f.shape), 1e-12)
 
     return ProblemSpec(
         num_blocks=2,

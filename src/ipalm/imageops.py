@@ -1,5 +1,12 @@
 """Image-domain primitives: directional differences, robust edge penalty,
-circular convolution/correlation, and 8-bit PGM I/O."""
+circular convolution/correlation, and 8-bit PGM I/O.
+
+Centred convolutions run in the DFT domain on pre-rolled kernel spectra:
+``centered_kernel_spectrum`` transforms a kernel, or a whole stack of them,
+zero-padded with its center entry rolled to the origin, so a convolution is
+one pointwise product and an adjoint the product with the conjugate;
+``centered_kernel_window`` reads a kernel-side adjoint back out of a
+full-size correlation."""
 
 from __future__ import annotations
 
@@ -155,30 +162,80 @@ def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -
 # Centered-kernel views: odd-sized kernels whose entry (n1//2, n2//2) acts as
 # the zero shift.  A kernel with its mass at the window center then blurs
 # without translating, which is the natural convention for blur kernels and
-# dictionary filters.  Implemented by pre/post rolling around the plain
-# corner-anchored circular convolution.
+# dictionary filters.  The FFT path folds the centring into the kernel
+# spectrum and the kernel window; the ``method="direct"`` loops roll around
+# the corner-anchored references instead and serve as test oracles.
 
 
 def _center(shape):
     return shape[0] // 2, shape[1] // 2
 
 
+def _window_index(shape, full_shape):
+    """Index of the centred ``shape`` window inside a ``full_shape`` array:
+    kernel entry ``(k, l)`` sits at the shift ``(k - n1//2, l - n2//2)``
+    modulo the image size."""
+    c1, c2 = _center(shape)
+    rows = (np.arange(shape[0]) - c1) % full_shape[0]
+    cols = (np.arange(shape[1]) - c2) % full_shape[1]
+    return ..., rows[:, None], cols
+
+
+def centered_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
+    """``rfft2`` of the centred kernel ``b`` (or a stack of kernels along
+    leading axes) zero-padded to the image ``shape``, center entry at the
+    origin."""
+    b = np.asarray(b, dtype=np.float64)
+    _check_kernel_fits(shape, b.shape[-2:])
+    padded = np.zeros(b.shape[:-2] + tuple(shape))
+    padded[_window_index(b.shape[-2:], shape)] = b
+    return np.fft.rfft2(padded)
+
+
+def centered_kernel_window(full: np.ndarray, shape) -> np.ndarray:
+    """The centred kernel window of ``shape`` read out of a full-size
+    correlation (or a stack of them along leading axes)."""
+    return full[_window_index(shape, full.shape[-2:])]
+
+
+def _check_method(method: str) -> None:
+    if method not in ("fft", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def centered_conv(u: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
     """Circular convolution with the kernel anchored at its center entry."""
-    c1, c2 = _center(np.shape(b))
-    return circ_conv(np.roll(u, (-c1, -c2), axis=(0, 1)), b, method=method)
+    _check_method(method)
+    u = np.asarray(u, dtype=np.float64)
+    if method == "direct":
+        c1, c2 = _center(np.shape(b))
+        return circ_conv_direct(np.roll(u, (-c1, -c2), axis=(0, 1)), b)
+    spec = np.fft.rfft2(u) * centered_kernel_spectrum(b, u.shape)
+    return np.fft.irfft2(spec, s=u.shape)
 
 
 def centered_corr_image(r: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
     """Adjoint of ``u -> centered_conv(u, b)`` applied to ``r``."""
-    c1, c2 = _center(np.shape(b))
-    return np.roll(circ_corr_image(r, b, method=method), (c1, c2), axis=(0, 1))
+    _check_method(method)
+    r = np.asarray(r, dtype=np.float64)
+    if method == "direct":
+        c1, c2 = _center(np.shape(b))
+        return np.roll(circ_corr_image(r, b, method="direct"), (c1, c2), axis=(0, 1))
+    spec = np.fft.rfft2(r) * np.conj(centered_kernel_spectrum(b, r.shape))
+    return np.fft.irfft2(spec, s=r.shape)
 
 
 def centered_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -> np.ndarray:
     """Adjoint of ``b -> centered_conv(u, b)`` applied to ``r``."""
-    c1, c2 = _center(shape)
-    return circ_corr_kernel(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape, method=method)
+    _check_method(method)
+    r = np.asarray(r, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    if method == "direct":
+        c1, c2 = _center(shape)
+        return circ_corr_kernel(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape, method="direct")
+    _check_kernel_fits(u.shape, shape)
+    full = np.fft.irfft2(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), s=u.shape)
+    return centered_kernel_window(full, shape)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -66,7 +66,6 @@ class TraceRow:
     block_deltas: tuple
     step_norm: float
     seconds: float
-    bt_tested: Optional[tuple] = None
 
 
 def _fmt(v) -> str:
@@ -122,19 +121,15 @@ class SolverTrace:
     def to_csv(self, path) -> None:
         """Write the trace in the fixed column layout, 17 significant digits.
 
-        The layout expands per-block columns for two blocks; traces with a
-        different block count expand the same groups to their block count.
+        Per-block column groups expand to the trace's block count; for two
+        blocks the header is ``TRACE_COLUMNS``.
         """
         nb = len(self.rows[0].block_deltas) if self.rows else 2
-        if nb == 2:
-            header = TRACE_COLUMNS
-        else:
-            groups = ["delta", "L", "tau", "alpha", "beta"]
-            cols = ["k", "F", "Psi"]
-            for g in groups:
-                cols += [f"{g}{i + 1}" for i in range(nb)]
-            cols += ["step_norm", "seconds"]
-            header = ",".join(cols)
+        cols = ["k", "F", "Psi"]
+        for g in ("delta", "L", "tau", "alpha", "beta"):
+            cols += [f"{g}{i + 1}" for i in range(nb)]
+        cols += ["step_norm", "seconds"]
+        header = ",".join(cols)
         lines = [header]
         for r in self.rows:
             cells = [str(r.k), _fmt(r.F), _fmt(r.Psi)]
@@ -221,7 +216,6 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     x_cur, x_prev = state.x_cur, state.x_prev
     mixed_blocks = list(x_cur.blocks)
     alphas, betas, taus, deltas_used, Ls = [], [], [], [], []
-    bt_tested: list = []
 
     for i in range(problem.num_blocks):
         kind = state.kinds[i]
@@ -244,7 +238,6 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
             tau, delta = _step_params(kind, alpha, beta, L, const_delta)
             tau = tau * scale
             x_new = problem.prox(i, tau, y - grad / tau)
-            tested = None
         else:
 
             def candidate(L_test, _y=y, _grad=grad, _i=i, _kind=kind, _a=alpha, _b=beta):
@@ -257,7 +250,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
                 parts[_i] = block_value
                 return problem.eval_H(BlockVector(parts))
 
-            L, x_new, tested = backtrack_L(h_eval, grad, z, candidate, bt_state)
+            L, x_new, _ = backtrack_L(h_eval, grad, z, candidate, bt_state)
             tau, delta = _step_params(kind, alpha, beta, L, const_delta)
             tau = tau * scale
 
@@ -271,8 +264,6 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         taus.append(tau)
         deltas_used.append(delta)
         Ls.append(L)
-        if tested is not None:
-            bt_tested.extend(tested)
 
     x_next = BlockVector(mixed_blocks)
     bdeltas = step_deltas(x_next, x_cur)
@@ -319,7 +310,7 @@ def make_state(
     """Assemble a fresh solver state with the first step inertia-free
     (the predecessor of the starting point is the starting point itself)."""
     nb = len(x0)
-    if isinstance(kinds, (StaticConvex, Dynamic)) or not isinstance(kinds, (tuple, list)):
+    if not isinstance(kinds, (tuple, list)):
         kinds = (kinds,) * nb
     bt = None
     if backtracking:

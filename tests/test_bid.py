@@ -13,7 +13,8 @@ from ipalm.bid import (
     make_bid_problem,
 )
 from ipalm.config import RunConfig, block_kinds
-from ipalm.imageops import centered_conv
+from ipalm.imageops import centered_conv, centered_corr_kernel
+from ipalm.lipschitz import operator_norm
 from ipalm.solver import make_state, run_state
 from ipalm.synthetic import synth_bid
 
@@ -118,6 +119,23 @@ def test_lipschitz_bounds_dominate_observed_curvature():
         g1 = bid_grad_b(u, b1, f, params)
         d = b2 - b1
         assert h2 <= h1 + float(np.vdot(g1, d)) + 0.5 * L * float(np.vdot(d, d)) + 1e-8
+
+
+def test_kernel_modulus_equals_norm_of_composed_normal_operator():
+    # the cached Fourier normal operator against the composition of the
+    # centred convolution and its kernel-side adjoint
+    rng = np.random.default_rng(89)
+    params = BidParams(lam=100.0, theta=10.0, kernel_shape=(3, 5))
+    for shape in ((12, 9), (11, 14)):
+        u = rng.uniform(0, 1, shape)
+        b = rng.uniform(0, 1, (3, 5))
+        b /= b.sum()
+
+        def composed(k):
+            return params.lam * centered_corr_kernel(centered_conv(u, k), u, b.shape)
+
+        ref = operator_norm(composed, b.shape)
+        assert abs(bid_lipschitz(1, u, b, params) - ref) <= 1e-9 * ref
 
 
 def test_make_problem_validates_observation():

@@ -14,6 +14,7 @@ from ipalm.convlasso import (
     init_convlasso,
     make_convlasso_problem,
 )
+from ipalm.prox import prox_filter_constraint
 from ipalm.solver import make_state, run, run_state
 from ipalm.synthetic import synth_convlasso
 
@@ -139,6 +140,57 @@ def test_problem_gradients_match_finite_differences():
             fd = (plus - minus) / (2 * h)
             dot = float(np.vdot(grad, e).real)
             assert abs(fd - dot) <= max(1e-5 * abs(dot), 1e-7)
+
+
+def _random_feasible_point(rng, shape, p, l):
+    d = np.stack([prox_filter_constraint(rng.standard_normal((l, l))) for _ in range(p - 1)])
+    return BlockVector([d, rng.standard_normal((p - 1,) + shape)])
+
+
+@pytest.mark.parametrize("shape", [(10, 7), (9, 12)])
+def test_problem_oracles_match_loop_references(shape):
+    # the Fourier-domain oracles against the per-filter reference functions;
+    # odd and even widths exercise the Parseval weights of the half spectrum
+    rng = np.random.default_rng(102)
+    f = rng.uniform(0, 1, shape)
+    p, l, lam = 5, 3, 0.2
+    problem = make_convlasso_problem(f, p=p, l=l, lam=lam)
+    x = _random_feasible_point(rng, shape, p, l)
+    d, v = assemble_stacks(x, f, gaussian_filter(l, l / 4.0))
+    ref = convlasso_objective(d, v, f, lam=lam)
+    assert abs(problem.eval_F(x) - ref) <= 1e-12 * abs(ref)
+    gd, gv = convlasso_grads(d, v, f)
+    for got, want in ((problem.partial_grad(0, x), gd[1:]), (problem.partial_grad(1, x), gv[1:])):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_exact_moduli_satisfy_descent_lemma():
+    rng = np.random.default_rng(103)
+    f = rng.uniform(0, 1, (10, 7))
+    p, l = 4, 3
+    problem = make_convlasso_problem(f, p=p, l=l, lam=0.2, exact_lipschitz=True)
+    for i in range(2):
+        for _ in range(25):
+            x1 = _random_feasible_point(rng, f.shape, p, l)
+            x2 = x1.with_block(i, _random_feasible_point(rng, f.shape, p, l)[i])
+            L = problem.lipschitz(i, x1)  # depends only on the other block
+            h1, h2 = problem.eval_H(x1), problem.eval_H(x2)
+            g1 = problem.partial_grad(i, x1)
+            step = x2[i] - x1[i]
+            bound = h1 + float(np.vdot(g1, step)) + 0.5 * L * float(np.vdot(step, step))
+            assert h2 <= bound + 1e-10 * (1.0 + abs(bound))
+
+
+def test_exact_lipschitz_mode_descends_with_zero_inertia():
+    inst = synth_convlasso(seed=104)
+    problem = make_convlasso_problem(inst["f"], p=5, l=3, lam=0.05, exact_lipschitz=True)
+    x0 = init_convlasso(inst["f"], p=5, l=3, seed=104)
+    state = make_state(problem, x0, block_kinds(problem, RunConfig(schedule="static-c")))
+    run_state(state, problem, iters=30, tol=0.0)
+    F = state.trace.f_values()
+    assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
+    assert F[-1] < F[0]
 
 
 def test_huge_l1_weight_collapses_free_coefficients():

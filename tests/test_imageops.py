@@ -8,6 +8,11 @@ from ipalm.imageops import (
     circ_conv_fft,
     circ_corr_image,
     circ_corr_kernel,
+    centered_conv,
+    centered_corr_image,
+    centered_corr_kernel,
+    centered_kernel_spectrum,
+    centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
     phi_grad,
@@ -159,6 +164,78 @@ def test_adjoint_kernel_view():
         circ_corr_kernel(v, u, b.shape, method="direct"),
         atol=1e-10,
     )
+
+
+def test_centered_views_match_direct_on_non_square_shapes():
+    # odd non-square kernel on a non-square image: a swapped axis or a flipped
+    # roll sign in the pre-rolled spectrum or the kernel window shows here
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal((9, 7))
+    r = rng.standard_normal((9, 7))
+    b = rng.standard_normal((3, 5))
+    assert np.allclose(centered_conv(u, b), centered_conv(u, b, method="direct"), atol=1e-12)
+    assert np.allclose(
+        centered_corr_image(r, b), centered_corr_image(r, b, method="direct"), atol=1e-12
+    )
+    assert np.allclose(
+        centered_corr_kernel(r, u, b.shape),
+        centered_corr_kernel(r, u, b.shape, method="direct"),
+        atol=1e-12,
+    )
+
+
+def test_centered_conv_shift_convention():
+    # the center entry is the zero shift; one row below it shifts the image
+    # down by one row, one column right of it shifts it right by one column
+    rng = np.random.default_rng(42)
+    u = rng.standard_normal((9, 7))
+    b = np.zeros((3, 5))
+    b[2, 2] = 1.0
+    assert np.allclose(centered_conv(u, b), np.roll(u, 1, axis=0), atol=1e-12)
+    b = np.zeros((3, 5))
+    b[1, 3] = 1.0
+    assert np.allclose(centered_conv(u, b), np.roll(u, 1, axis=1), atol=1e-12)
+
+
+def test_stacked_kernel_spectrum_and_window_match_per_slice_direct():
+    rng = np.random.default_rng(43)
+    u = rng.standard_normal((9, 7))
+    stack = rng.standard_normal((4, 3, 5))
+    spec = centered_kernel_spectrum(stack, u.shape)
+    assert spec.shape == (4, 9, 4)
+    convs = np.fft.irfft2(np.fft.rfft2(u) * spec, s=u.shape)
+    rs = rng.standard_normal((4, 9, 7))
+    fulls = np.fft.irfft2(np.fft.rfft2(rs) * np.conj(np.fft.rfft2(u)), s=u.shape)
+    windows = centered_kernel_window(fulls, (3, 5))
+    assert windows.shape == (4, 3, 5)
+    for j in range(4):
+        assert np.allclose(convs[j], centered_conv(u, stack[j], method="direct"), atol=1e-12)
+        assert np.allclose(
+            windows[j], centered_corr_kernel(rs[j], u, (3, 5), method="direct"), atol=1e-12
+        )
+
+
+def test_centered_adjoint_identities():
+    # <conv(u, b), v> == <u, corr_image(v, b)> == <b, corr_kernel(v, u)>
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        u = rng.standard_normal((9, 7))
+        b = rng.standard_normal((3, 5))
+        v = rng.standard_normal((9, 7))
+        lhs = float(np.vdot(centered_conv(u, b), v))
+        via_image = float(np.vdot(u, centered_corr_image(v, b)))
+        via_kernel = float(np.vdot(b, centered_corr_kernel(v, u, b.shape)))
+        assert abs(lhs - via_image) <= 1e-10 * (1.0 + abs(lhs))
+        assert abs(lhs - via_kernel) <= 1e-10 * (1.0 + abs(lhs))
+
+
+def test_centered_views_reject_oversized_kernel_and_unknown_method():
+    with pytest.raises(ValueError):
+        centered_conv(np.zeros((2, 5)), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        centered_corr_kernel(np.zeros((5, 2)), np.zeros((5, 2)), (3, 3))
+    with pytest.raises(ValueError):
+        centered_corr_image(np.zeros((5, 5)), np.zeros((3, 3)), method="dft")
 
 
 def test_pgm_round_trip(tmp_path):
