@@ -97,6 +97,11 @@ def _pad_kernel(b: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+def _check_method(method: str) -> None:
+    if method not in ("fft", "direct"):
+        raise ValueError(f"unknown method {method!r}")
+
+
 def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reference O(M*N) loop for the 2D circular convolution ``u * b``:
     ``(u*b)[i,j] = sum_{k,l} b[k,l] * u[(i-k) mod m1, (j-l) mod m2]``."""
@@ -120,16 +125,14 @@ def circ_conv_fft(u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def circ_conv(u: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
     """2D modulo circular convolution of an image with a smaller kernel."""
-    if method == "fft":
-        return circ_conv_fft(u, b)
-    if method == "direct":
-        return circ_conv_direct(u, b)
-    raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
+    return circ_conv_direct(u, b) if method == "direct" else circ_conv_fft(u, b)
 
 
 def circ_corr_image(r: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
     """Adjoint of ``u -> u * b`` applied to ``r`` (full-size correlation):
     ``out[i,j] = sum_{k,l} b[k,l] * r[(i+k) mod m1, (j+l) mod m2]``."""
+    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_kernel_fits(r.shape, b.shape)
@@ -146,6 +149,7 @@ def circ_corr_image(r: np.ndarray, b: np.ndarray, method: str = "fft") -> np.nda
 def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -> np.ndarray:
     """Adjoint of ``b -> u * b`` applied to ``r``, restricted to the kernel
     support: ``out[k,l] = sum_{i,j} r[i,j] * u[(i-k) mod m1, (j-l) mod m2]``."""
+    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     _check_kernel_fits(u.shape, shape)
@@ -196,11 +200,6 @@ def centered_kernel_window(full: np.ndarray, shape) -> np.ndarray:
     """The centred kernel window of ``shape`` read out of a full-size
     correlation (or a stack of them along leading axes)."""
     return full[_window_index(shape, full.shape[-2:])]
-
-
-def _check_method(method: str) -> None:
-    if method not in ("fft", "direct"):
-        raise ValueError(f"unknown method {method!r}")
 
 
 def centered_conv(u: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:

@@ -131,9 +131,9 @@ def test_criterion_4_plain_loop_recovery_bitwise():
     B = x0[0].copy()
     C = x0[1].copy()
     for _ in range(10):
-        L1 = max(spectral_norm(C @ C.T, max_iter=100000), 1e-12)
+        L1 = max(spectral_norm(C @ C.T), 1e-12)
         B = prox_l0_nonneg_cols(B - ((B @ C - A) @ C.T) / L1, 2)
-        L2 = max(spectral_norm(B.T @ B, max_iter=100000), 1e-12)
+        L2 = max(spectral_norm(B.T @ B), 1e-12)
         C = prox_nonneg(C - (B.T @ (B @ C - A)) / (L2 / 2.0))
 
     ok = np.array_equal(state.x_cur[0], B) and np.array_equal(state.x_cur[1], C)

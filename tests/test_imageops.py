@@ -236,6 +236,10 @@ def test_centered_views_reject_oversized_kernel_and_unknown_method():
         centered_corr_kernel(np.zeros((5, 2)), np.zeros((5, 2)), (3, 3))
     with pytest.raises(ValueError):
         centered_corr_image(np.zeros((5, 5)), np.zeros((3, 3)), method="dft")
+    with pytest.raises(ValueError):
+        circ_corr_image(np.zeros((5, 5)), np.zeros((3, 3)), method="bogus")
+    with pytest.raises(ValueError):
+        circ_corr_kernel(np.zeros((5, 5)), np.zeros((5, 5)), (3, 3), method="bogus")
 
 
 def test_pgm_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ipalm.lipschitz import (
+    SAFEGUARD,
     BacktrackState,
     EstimationError,
     backtrack_L,
@@ -9,7 +10,6 @@ from ipalm.lipschitz import (
     spectral_norm,
 )
 
-SAFEGUARD = 1.0 + 10.0 * 1e-9  # default tolerance's safeguard factor
 
 
 def test_spectral_norm_identity():
@@ -42,9 +42,31 @@ def test_spectral_norm_rejects_nonsquare():
         spectral_norm(np.zeros((2, 3)))
 
 
-def test_spectral_norm_reports_nonconvergence():
+def test_spectral_norm_rotated_matrix():
+    # the all-ones vector is the bottom eigenvector here (eigenvalues 4 and
+    # 1), where a power iteration started from it stalls at 1
+    assert spectral_norm(np.array([[2.5, -1.5], [-1.5, 2.5]])) >= 4.0
+
+
+def test_spectral_norm_near_degenerate_gram():
+    lam = 1.0
+    Q, _ = np.linalg.qr(np.random.default_rng(24).standard_normal((3, 3)))
+    gram = Q @ np.diag([lam, lam - 1e-10, 0.3]) @ Q.T
+    est = spectral_norm(gram)
+    assert lam <= est <= lam * (1.0 + 2e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_norm_rejects_non_finite(bad):
+    M = np.eye(3)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(EstimationError):
+        spectral_norm(M)
+
+
+def test_operator_norm_reports_nonconvergence():
     with pytest.raises(EstimationError) as err:
-        spectral_norm(np.diag([4.0, 1.0]), tol=1e-9, max_iter=2)
+        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,), max_iter=2)
     assert np.isfinite(err.value.gap)
 
 
