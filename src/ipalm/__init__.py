@@ -4,10 +4,8 @@ convolutional dictionary-learning instances plus a verification battery."""
 
 from .blockmodel import (
     BlockVector,
-    InertialParams,
     ProblemSpec,
     ShapeMismatchError,
-    block_axpy,
     extrapolate,
     step_deltas,
 )
@@ -30,7 +28,6 @@ from .solver import (
     SolverState,
     SolverTrace,
     ipalm_iterate,
-    lyapunov_psi,
     make_state,
     run,
     run_state,
@@ -43,7 +40,6 @@ __all__ = [
     "DivergenceError",
     "Dynamic",
     "EstimationError",
-    "InertialParams",
     "ParameterDomainError",
     "ProblemSpec",
     "RunConfig",
@@ -54,7 +50,6 @@ __all__ = [
     "StaticConvex",
     "StaticNonconvex",
     "backtrack_L",
-    "block_axpy",
     "block_kinds",
     "delta_star",
     "dynamic_coeff",
@@ -62,7 +57,6 @@ __all__ = [
     "ipalm_iterate",
     "descent_coefficients",
     "load_config",
-    "lyapunov_psi",
     "make_state",
     "run",
     "run_state",

@@ -37,9 +37,12 @@ class DataError(ValueError):
 class BidParams:
     """Model weights and kernel geometry.
 
-    ``kernel_step_scale`` slows the kernel block down by taking a larger
-    step parameter (always sound: larger tau is always admissible); it
-    discourages the trivial identity-kernel solution.
+    ``kernel_step_scale`` is the preset multiplier for the kernel block's
+    step parameter.  It does nothing by itself: it acts only when the caller
+    passes it to the solver as ``step_scale[1]``, as the CLI does unless the
+    run sets ``step_scale``.  A larger tau slows the kernel block down (always
+    sound: larger tau is always admissible) and discourages the trivial
+    identity-kernel solution.
     """
 
     lam: float = 1e6
@@ -75,10 +78,6 @@ def bid_grad_u(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -
 def bid_grad_b(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> np.ndarray:
     resid = centered_conv(u, b) - f
     return params.lam * centered_corr_kernel(resid, u, b.shape)
-
-
-def bid_grads(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams):
-    return bid_grad_u(u, b, f, params), bid_grad_b(u, b, f, params)
 
 
 # sum of squared operator norms of the directional differences; each is a
@@ -118,8 +117,9 @@ def make_bid_problem(
 ) -> ProblemSpec:
     """ProblemSpec with block 0 = image (box [0,1]) and block 1 = kernel
     (unit simplex).  Both nonsmooth terms are convex, so both blocks use the
-    tighter convex step rule; the kernel block's tau is further multiplied by
-    ``kernel_step_scale`` through the solver's per-block step scaling."""
+    tighter convex step rule.  The problem does not scale the kernel block's
+    tau: pass ``(1.0, params.kernel_step_scale)`` as the run's ``step_scale``
+    for that."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise DataError(f"observed image must be 2-D, got ndim={f.ndim}")

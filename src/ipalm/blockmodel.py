@@ -53,17 +53,11 @@ class BlockVector:
         parts[i] = value
         return BlockVector(parts)
 
-    def scale(self, a: float) -> "BlockVector":
-        return BlockVector([a * b for b in self._blocks])
-
     def norm_sq(self) -> float:
         return float(sum(np.vdot(b, b).real for b in self._blocks))
 
     def block_norms_sq(self) -> np.ndarray:
         return np.array([float(np.vdot(b, b).real) for b in self._blocks])
-
-    def allfinite(self) -> bool:
-        return all(np.isfinite(b).all() for b in self._blocks)
 
     def __repr__(self) -> str:
         return f"BlockVector(shapes={self.shapes})"
@@ -72,12 +66,6 @@ class BlockVector:
 def _check_compatible(x: BlockVector, y: BlockVector) -> None:
     if x.shapes != y.shapes:
         raise ShapeMismatchError(f"shapes {x.shapes} vs {y.shapes}")
-
-
-def block_axpy(a: float, x: BlockVector, y: BlockVector) -> BlockVector:
-    """Return ``a*x + y`` blockwise."""
-    _check_compatible(x, y)
-    return BlockVector([a * xb + yb for xb, yb in zip(x.blocks, y.blocks)])
 
 
 def extrapolate(
@@ -156,29 +144,3 @@ class ProblemSpec:
 
     def is_convex(self, i: int) -> bool:
         return bool(self.convex[i])
-
-
-@dataclass(frozen=True)
-class InertialParams:
-    """Per-block extrapolation and step parameters for one iteration."""
-
-    alpha: tuple
-    beta: tuple
-    tau: tuple
-    delta: tuple
-    L: tuple
-
-    def __post_init__(self):
-        n = len(self.alpha)
-        for name in ("beta", "tau", "delta", "L"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} must have {n} entries")
-        for a in self.alpha:
-            if not 0.0 <= a < 1.0:
-                raise ValueError(f"alpha must lie in [0, 1), got {a}")
-        for b in self.beta:
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"beta must lie in [0, 1], got {b}")
-        for t in self.tau:
-            if not t > 0:
-                raise ValueError(f"tau must be positive, got {t}")

@@ -13,11 +13,16 @@ Subcommands
     any check reports a violation.
 ``synth``
     Generate the synthetic desk instances (with ground truth) as files.
+
+Exit status 2 reports a configuration, usage or input error, 3 a solver
+failure (divergence or an exhausted modulus estimate).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +31,19 @@ from . import bid as bid_mod
 from . import convlasso as cl_mod
 from . import nmf as nmf_mod
 from . import synthetic, verify
-from .config import SCHEDULES, ConfigError, RunConfig, config_defaults_help, load_config
+from .config import (
+    FILE_KEYS,
+    SCHEDULES,
+    ConfigError,
+    RunConfig,
+    config_defaults_help,
+    float_tuple,
+    int_tuple,
+    load_config,
+)
 from .imageops import read_pgm, write_pgm
-from .solver import run
+from .lipschitz import EstimationError
+from .solver import DivergenceError, run
 
 
 def _fmt17(v) -> str:
@@ -56,45 +71,20 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                     help="estimate Lipschitz moduli by backtracking (default)")
     bt.add_argument("--exact-lipschitz", dest="backtrack", action="store_false",
                     help="use the problem's closed-form moduli")
-    p.add_argument("--kernel-step-scale", type=float, default=None,
-                   help="extra step-parameter multiplier for the kernel block "
-                        "(bid presets default to 5)")
+    p.add_argument("--step-scale", type=float_tuple, default=None,
+                   help="per-block step-parameter multipliers >= 1, e.g. 1,5 "
+                        "(default: all ones; bid presets 1,5)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--jobs", type=int, default=None, help="concurrent sweep cells")
     p.add_argument("--config", default=None,
                    help=f"key=value config file; defaults: {config_defaults_help()}")
 
 
-def _config_from_args(args, kernel_default: float = 1.0) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
-    file_keys = getattr(cfg, "explicit_keys", frozenset())
-    overrides = {
-        key: value
-        for key, value in dict(
-            schedule=args.schedule,
-            alpha_bar=args.alpha_bar,
-            beta_bar=args.beta_bar,
-            epsilon=args.epsilon,
-            iters=args.iters,
-            tol=args.tol,
-            seed=args.seed,
-            backtrack=args.backtrack,
-            out=args.out,
-            jobs=args.jobs,
-        ).items()
-        if value is not None
-    }
-    if args.kernel_step_scale is not None:
-        overrides["kernel_step_scale"] = args.kernel_step_scale
-    elif "kernel_step_scale" not in file_keys:
-        overrides["kernel_step_scale"] = kernel_default
-    for key, val in overrides.items():
-        setattr(cfg, key, val)
-    cfg.__post_init__()
-    return cfg
+def _config_from_args(args) -> RunConfig:
+    """The run flags laid over the ``--config`` file over the defaults; every
+    run flag sets the file key of the same name."""
+    flags = {key: value for key, value in vars(args).items() if key in FILE_KEYS}
+    return load_config(args.config, **flags)
 
 
 def _write_trace(trace, cfg, label: str) -> None:
@@ -136,69 +126,55 @@ def _write_checkpoints(labeled_traces, checkpoints, path) -> None:
     print(f"checkpoint table written to {path}")
 
 
-def _load_nmf(args):
+def _load_nmf(args, seed):
     if args.data:
         A = nmf_mod.load_matrix_csv(args.data)
         shape = None
     elif args.pgm_dir:
         A, shape = nmf_mod.load_pgm_dir(args.pgm_dir)
     else:
-        A = synthetic.synth_nmf(seed=args.seed)["A"]
+        A = synthetic.synth_nmf(seed=seed)["A"]
         shape = None
     return A, shape
 
 
-def _drive(problem, x0, cfg):
-    """One solver run keeping the final iterate (traces store scalars only)."""
-    from .config import block_kinds
-    from .solver import make_state, run_state
-
-    state = make_state(
-        problem, x0, block_kinds(problem, cfg),
-        backtracking=cfg.backtrack, bt_growth=cfg.bt_growth, bt_shrink=cfg.bt_shrink,
-        bt_max_rounds=cfg.bt_max_rounds, bt_L0=cfg.bt_l0,
-        step_scale=cfg.resolved_step_scale(problem.num_blocks),
-        constant_delta=cfg.constant_delta,
-    )
-    state.trace.meta.update({"schedule": cfg.schedule, "seed": cfg.seed,
-                             "problem": problem.name})
-    run_state(state, problem, cfg.iters, cfg.tol)
-    return state.trace, state.x_cur
-
-
 def cmd_nmf(args) -> int:
     cfg = _config_from_args(args)
-    A, image_shape = _load_nmf(args)
+    A, image_shape = _load_nmf(args, cfg.seed)
     m = A.shape[0]
     s = args.s_count if args.s_count is not None else max(1, round(args.s_percent / 100.0 * m))
     problem = nmf_mod.make_nmf_problem(A, r=args.rank, s=s)
     x0 = nmf_mod.init_nmf(A, r=args.rank, s=s, seed=cfg.seed)
-    trace, final = _drive(problem, x0, cfg)
-    _write_trace(trace, cfg, "nmf")
+    state = run(problem, x0, cfg)
+    _write_trace(state.trace, cfg, "nmf")
     if cfg.out and image_shape is not None:
-        nmf_mod.dump_basis_pgm(final[0], image_shape, os.path.join(cfg.out, "basis"))
+        nmf_mod.dump_basis_pgm(state.x_cur[0], image_shape, os.path.join(cfg.out, "basis"))
     return 0
 
 
+def _solve_bid(f, params, cfg):
+    """Solve the BID model; unless the run sets ``step_scale``, the kernel
+    block's tau takes the ``params.kernel_step_scale`` preset."""
+    problem = bid_mod.make_bid_problem(f, params, exact_lipschitz=not cfg.backtrack)
+    x0 = bid_mod.init_bid(f, params)
+    if cfg.step_scale is None:
+        cfg = dataclasses.replace(cfg, step_scale=(1.0, params.kernel_step_scale))
+    return run(problem, x0, cfg)
+
+
 def cmd_bid(args) -> int:
-    cfg = _config_from_args(args, kernel_default=5.0)
+    cfg = _config_from_args(args)
     if args.image:
         f = read_pgm(args.image)
     else:
-        f = synthetic.synth_bid(seed=args.seed)["f"]
+        f = synthetic.synth_bid(seed=cfg.seed)["f"]
     ks = args.kernel_size
-    params = bid_mod.BidParams(
-        lam=args.lam, theta=args.theta, kernel_shape=(ks, ks),
-        kernel_step_scale=cfg.kernel_step_scale,
-    )
-    problem = bid_mod.make_bid_problem(f, params, exact_lipschitz=not cfg.backtrack)
-    cfg.step_scale = (1.0, params.kernel_step_scale)
-    x0 = bid_mod.init_bid(f, params)
-    trace, final = _drive(problem, x0, cfg)
-    _write_trace(trace, cfg, "bid")
+    params = bid_mod.BidParams(lam=args.lam, theta=args.theta, kernel_shape=(ks, ks))
+    state = _solve_bid(f, params, cfg)
+    _write_trace(state.trace, cfg, "bid")
     if cfg.out:
-        write_pgm(os.path.join(cfg.out, "bid_image.pgm"), final[0])
-        write_pgm(os.path.join(cfg.out, "bid_kernel.pgm"), final[1])
+        write_pgm(os.path.join(cfg.out, "bid_image.pgm"), state.x_cur[0])
+        write_pgm(os.path.join(cfg.out, "bid_kernel.pgm"), state.x_cur[1])
     return 0
 
 
@@ -207,64 +183,52 @@ def cmd_convlasso(args) -> int:
     if args.image:
         f = read_pgm(args.image)
     else:
-        f = synthetic.synth_convlasso(seed=args.seed)["f"]
+        f = synthetic.synth_convlasso(seed=cfg.seed)["f"]
     problem = cl_mod.make_convlasso_problem(
         f, p=args.filters, l=args.filter_size, lam=args.lasso_weight,
         exact_lipschitz=not cfg.backtrack,
     )
     x0 = cl_mod.init_convlasso(f, p=args.filters, l=args.filter_size, seed=cfg.seed)
-    trace, final = _drive(problem, x0, cfg)
-    _write_trace(trace, cfg, "convlasso")
+    state = run(problem, x0, cfg)
+    _write_trace(state.trace, cfg, "convlasso")
     if cfg.out:
         g = cl_mod.gaussian_filter(args.filter_size, args.filter_size / 4.0)
-        cl_mod.dump_outputs(final, f, g, cfg.out)
+        cl_mod.dump_outputs(state.x_cur, f, g, cfg.out)
     return 0
 
 
-def _sweep_cell(problem_kind, alpha, schedule, args):
-    """One sweep cell, isolated so cells can run concurrently."""
-    ns = argparse.Namespace(**vars(args))
-    ns.schedule = schedule
-    ns.alpha_bar = alpha
-    ns.beta_bar = alpha
-    cfg = _config_from_args(ns, kernel_default=5.0 if problem_kind == "bid" else 1.0)
-    cfg.out = None
+def _sweep_cell(problem_kind, cfg):
+    """One sweep cell's trace, isolated so cells can run concurrently."""
+    if problem_kind == "bid":
+        inst = synthetic.synth_bid(seed=cfg.seed)
+        return _solve_bid(inst["f"], bid_mod.BidParams(kernel_shape=(7, 7)), cfg).trace
     if problem_kind == "nmf":
         inst = synthetic.synth_nmf(seed=cfg.seed)
         problem = nmf_mod.make_nmf_problem(inst["A"], r=3, s=2)
         x0 = nmf_mod.init_nmf(inst["A"], r=3, s=2, seed=cfg.seed)
-    elif problem_kind == "bid":
-        inst = synthetic.synth_bid(seed=cfg.seed)
-        params = bid_mod.BidParams(kernel_shape=(7, 7), kernel_step_scale=cfg.kernel_step_scale)
-        problem = bid_mod.make_bid_problem(inst["f"], params, exact_lipschitz=not cfg.backtrack)
-        cfg.step_scale = (1.0, params.kernel_step_scale)
-        x0 = bid_mod.init_bid(inst["f"], params)
     else:
         inst = synthetic.synth_convlasso(seed=cfg.seed)
         problem = cl_mod.make_convlasso_problem(
             inst["f"], p=8, l=5, lam=0.2, exact_lipschitz=not cfg.backtrack
         )
         x0 = cl_mod.init_convlasso(inst["f"], p=8, l=5, seed=cfg.seed)
-    label = "dynamic" if schedule == "dynamic" else f"alpha=beta={alpha:g}"
-    return label, run(problem, x0, cfg)
+    return run(problem, x0, cfg).trace
 
 
 def cmd_sweep(args) -> int:
+    cfg = _config_from_args(args)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
-    cells = [(args.problem, a, args.schedule, args) for a in alphas]
+    cells = [dataclasses.replace(cfg, alpha_bar=a, beta_bar=a) for a in alphas]
     if args.include_dynamic:
-        cells.append((args.problem, 0.0, "dynamic", args))
-    jobs = max(1, args.jobs or 1)
-    if jobs == 1:
-        results = [_sweep_cell(*cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
-            results = [f.result() for f in futures]  # grid order preserved
-    checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
-    out_dir = args.out or "."
+        cells.append(dataclasses.replace(cfg, schedule="dynamic", alpha_bar=0.0, beta_bar=0.0))
+    with ThreadPoolExecutor(max_workers=max(1, cfg.jobs)) as pool:
+        traces = list(pool.map(functools.partial(_sweep_cell, args.problem), cells))
+    labels = ["dynamic" if c.schedule == "dynamic" else f"alpha=beta={c.alpha_bar:g}"
+              for c in cells]
+    out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_checkpoints(results, checkpoints, os.path.join(out_dir, "sweep_checkpoints.csv"))
+    _write_checkpoints(zip(labels, traces), cfg.checkpoints,
+                       os.path.join(out_dir, "sweep_checkpoints.csv"))
     return 0
 
 
@@ -339,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha=beta settings")
     p.add_argument("--include-dynamic", action="store_true",
                    help="append a dynamic-schedule row")
-    p.add_argument("--checkpoints", default="100,500,1000,5000",
-                   help="comma-separated checkpoint iteration counts")
+    p.add_argument("--checkpoints", type=int_tuple, default=None,
+                   help="comma-separated checkpoint iteration counts "
+                        "(default 100,500,1000,5000)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification battery")
@@ -367,6 +332,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (EstimationError, DivergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .schedules import Dynamic, StaticConvex, StaticNonconvex
@@ -40,8 +40,7 @@ class RunConfig:
     bt_shrink: float = 0.5
     bt_max_rounds: int = 60
     bt_l0: float = 1.0
-    kernel_step_scale: float = 1.0
-    step_scale: Optional[tuple] = None  # per-block tau multipliers, overrides
+    step_scale: Optional[tuple] = None  # per-block tau multipliers; None: all ones
     constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights
     checkpoints: tuple = (100, 500, 1000, 5000)
     out: Optional[str] = None
@@ -54,15 +53,6 @@ class RunConfig:
             )
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.kernel_step_scale < 1.0:
-            raise ConfigError(
-                f"kernel_step_scale must be >= 1, got {self.kernel_step_scale}"
-            )
-
-    def resolved_step_scale(self, num_blocks: int) -> tuple:
-        if self.step_scale is not None:
-            return tuple(self.step_scale)
-        return (1.0,) * num_blocks
 
 
 def block_kinds(problem, config: RunConfig) -> tuple:
@@ -84,8 +74,25 @@ def block_kinds(problem, config: RunConfig) -> tuple:
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-# keys settable from a config file, with their coercions
-_FILE_KEYS = {
+
+def _parse_bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOL_WORDS[word]
+
+
+def int_tuple(raw: str) -> tuple:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def float_tuple(raw: str) -> tuple:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+# keys settable from a config file, with their parsers; each CLI run flag
+# sets the key of the same name
+FILE_KEYS = {
     "schedule": str,
     "alpha_bar": float,
     "beta_bar": float,
@@ -93,39 +100,19 @@ _FILE_KEYS = {
     "iters": int,
     "tol": float,
     "seed": int,
-    "backtrack": "bool",
+    "backtrack": _parse_bool,
     "bt_growth": float,
     "bt_shrink": float,
     "bt_max_rounds": int,
     "bt_l0": float,
-    "kernel_step_scale": float,
-    "checkpoints": "int_list",
+    "step_scale": float_tuple,
+    "checkpoints": int_tuple,
     "out": str,
     "jobs": int,
 }
 
 
-def _coerce(key: str, raw: str, lineno: int):
-    kind = _FILE_KEYS[key]
-    try:
-        if kind == "bool":
-            word = raw.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOL_WORDS[word]
-        if kind == "int_list":
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-
-
-def load_config(path) -> RunConfig:
-    """Parse a ``key=value`` file (one per line, ``#`` comments) into a RunConfig.
-
-    Unknown keys are rejected; malformed lines report their line number.
-    An empty file yields all defaults.
-    """
+def _read_file(path) -> dict:
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -135,14 +122,32 @@ def load_config(path) -> RunConfig:
             if "=" not in stripped:
                 raise ConfigError(f"line {lineno}: expected key=value, got {line.rstrip()!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _FILE_KEYS:
-                known = ", ".join(sorted(_FILE_KEYS))
+            if key not in FILE_KEYS:
+                known = ", ".join(sorted(FILE_KEYS))
                 raise ConfigError(f"line {lineno}: unknown key {key!r} (known: {known})")
-            values[key] = _coerce(key, raw, lineno)
-    cfg = RunConfig(**values)
-    # which keys the file actually set, so callers can layer precedence
-    cfg.explicit_keys = frozenset(values)
-    return cfg
+            try:
+                values[key] = FILE_KEYS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    return values
+
+
+def load_config(path=None, **overrides) -> RunConfig:
+    """Build a RunConfig from a ``key=value`` file with ``overrides`` on top.
+
+    The file holds one key per line with ``#`` comments; unknown keys are
+    rejected, malformed lines report their line number, and an empty file
+    yields all defaults.  Every override that is not ``None`` replaces the
+    file's value (the CLI passes its flags here); keys set by neither keep
+    the RunConfig defaults.
+    """
+    values = {} if path is None else _read_file(path)
+    for key, value in overrides.items():
+        if key not in FILE_KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        if value is not None:
+            values[key] = value
+    return RunConfig(**values)
 
 
 def config_defaults_help() -> str:
@@ -150,6 +155,6 @@ def config_defaults_help() -> str:
     default = RunConfig()
     lines = []
     for f in fields(RunConfig):
-        if f.name in _FILE_KEYS:
+        if f.name in FILE_KEYS:
             lines.append(f"{f.name}={getattr(default, f.name)}")
     return "; ".join(lines)

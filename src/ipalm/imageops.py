@@ -97,25 +97,9 @@ def _pad_kernel(b: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _check_method(method: str) -> None:
-    if method not in ("fft", "direct"):
-        raise ValueError(f"unknown method {method!r}")
-
-
-def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference O(M*N) loop for the 2D circular convolution ``u * b``:
+def circ_conv(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2D modulo circular convolution of an image with a smaller kernel:
     ``(u*b)[i,j] = sum_{k,l} b[k,l] * u[(i-k) mod m1, (j-l) mod m2]``."""
-    u = np.asarray(u, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_kernel_fits(u.shape, b.shape)
-    out = np.zeros_like(u)
-    for k in range(b.shape[0]):
-        for l in range(b.shape[1]):
-            out += b[k, l] * np.roll(u, (k, l), axis=(0, 1))
-    return out
-
-
-def circ_conv_fft(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_kernel_fits(u.shape, b.shape)
@@ -123,42 +107,22 @@ def circ_conv_fft(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(np.fft.rfft2(u) * B, s=u.shape)
 
 
-def circ_conv(u: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
-    """2D modulo circular convolution of an image with a smaller kernel."""
-    _check_method(method)
-    return circ_conv_direct(u, b) if method == "direct" else circ_conv_fft(u, b)
-
-
-def circ_corr_image(r: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
+def circ_corr_image(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Adjoint of ``u -> u * b`` applied to ``r`` (full-size correlation):
     ``out[i,j] = sum_{k,l} b[k,l] * r[(i+k) mod m1, (j+l) mod m2]``."""
-    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_kernel_fits(r.shape, b.shape)
-    if method == "direct":
-        out = np.zeros_like(r)
-        for k in range(b.shape[0]):
-            for l in range(b.shape[1]):
-                out += b[k, l] * np.roll(r, (-k, -l), axis=(0, 1))
-        return out
     B = np.fft.rfft2(_pad_kernel(b, r.shape))
     return np.fft.irfft2(np.fft.rfft2(r) * np.conj(B), s=r.shape)
 
 
-def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -> np.ndarray:
+def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
     """Adjoint of ``b -> u * b`` applied to ``r``, restricted to the kernel
     support: ``out[k,l] = sum_{i,j} r[i,j] * u[(i-k) mod m1, (j-l) mod m2]``."""
-    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     _check_kernel_fits(u.shape, shape)
-    if method == "direct":
-        out = np.zeros(shape)
-        for k in range(shape[0]):
-            for l in range(shape[1]):
-                out[k, l] = float(np.vdot(r, np.roll(u, (k, l), axis=(0, 1))))
-        return out
     full = np.fft.irfft2(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), s=u.shape)
     return full[: shape[0], : shape[1]].copy()
 
@@ -166,20 +130,15 @@ def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -
 # Centered-kernel views: odd-sized kernels whose entry (n1//2, n2//2) acts as
 # the zero shift.  A kernel with its mass at the window center then blurs
 # without translating, which is the natural convention for blur kernels and
-# dictionary filters.  The FFT path folds the centring into the kernel
-# spectrum and the kernel window; the ``method="direct"`` loops roll around
-# the corner-anchored references instead and serve as test oracles.
-
-
-def _center(shape):
-    return shape[0] // 2, shape[1] // 2
+# dictionary filters.  The centring is folded into the kernel spectrum and
+# the kernel window.
 
 
 def _window_index(shape, full_shape):
     """Index of the centred ``shape`` window inside a ``full_shape`` array:
     kernel entry ``(k, l)`` sits at the shift ``(k - n1//2, l - n2//2)``
     modulo the image size."""
-    c1, c2 = _center(shape)
+    c1, c2 = shape[0] // 2, shape[1] // 2
     rows = (np.arange(shape[0]) - c1) % full_shape[0]
     cols = (np.arange(shape[1]) - c2) % full_shape[1]
     return ..., rows[:, None], cols
@@ -202,36 +161,24 @@ def centered_kernel_window(full: np.ndarray, shape) -> np.ndarray:
     return full[_window_index(shape, full.shape[-2:])]
 
 
-def centered_conv(u: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
+def centered_conv(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Circular convolution with the kernel anchored at its center entry."""
-    _check_method(method)
     u = np.asarray(u, dtype=np.float64)
-    if method == "direct":
-        c1, c2 = _center(np.shape(b))
-        return circ_conv_direct(np.roll(u, (-c1, -c2), axis=(0, 1)), b)
     spec = np.fft.rfft2(u) * centered_kernel_spectrum(b, u.shape)
     return np.fft.irfft2(spec, s=u.shape)
 
 
-def centered_corr_image(r: np.ndarray, b: np.ndarray, method: str = "fft") -> np.ndarray:
+def centered_corr_image(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Adjoint of ``u -> centered_conv(u, b)`` applied to ``r``."""
-    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
-    if method == "direct":
-        c1, c2 = _center(np.shape(b))
-        return np.roll(circ_corr_image(r, b, method="direct"), (c1, c2), axis=(0, 1))
     spec = np.fft.rfft2(r) * np.conj(centered_kernel_spectrum(b, r.shape))
     return np.fft.irfft2(spec, s=r.shape)
 
 
-def centered_corr_kernel(r: np.ndarray, u: np.ndarray, shape, method: str = "fft") -> np.ndarray:
+def centered_corr_kernel(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
     """Adjoint of ``b -> centered_conv(u, b)`` applied to ``r``."""
-    _check_method(method)
     r = np.asarray(r, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if method == "direct":
-        c1, c2 = _center(shape)
-        return circ_corr_kernel(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape, method="direct")
     _check_kernel_fits(u.shape, shape)
     full = np.fft.irfft2(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), s=u.shape)
     return centered_kernel_window(full, shape)

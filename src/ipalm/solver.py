@@ -19,13 +19,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .blockmodel import (
-    BlockVector,
-    InertialParams,
-    ProblemSpec,
-    extrapolate,
-    step_deltas,
-)
+from .blockmodel import BlockVector, ProblemSpec, extrapolate, step_deltas
+from .config import block_kinds
 from .lipschitz import BacktrackState, backtrack_L
 from .schedules import (
     Dynamic,
@@ -109,15 +104,6 @@ class SolverTrace:
             raise ValueError("trace holds no Lipschitz records")
         return np.max(np.array(vals), axis=0)
 
-    def params_at(self, k: int) -> InertialParams:
-        """Validated per-block parameters of iteration ``k >= 1``."""
-        row = self.rows[k]
-        if row.alpha is None:
-            raise ValueError(f"row {k} records no iteration parameters")
-        return InertialParams(
-            alpha=row.alpha, beta=row.beta, tau=row.tau, delta=row.delta, L=row.L
-        )
-
     def to_csv(self, path) -> None:
         """Write the trace in the fixed column layout, 17 significant digits.
 
@@ -162,24 +148,15 @@ class SolverState:
         nb = len(self.x_cur)
         if self.step_scale is None:
             self.step_scale = (1.0,) * nb
+        for name in ("step_scale", "constant_delta"):
+            value = getattr(self, name)
+            if value is not None and len(value) != nb:
+                raise ValueError(f"{name} needs one entry per block ({nb}), got {value}")
         for c in self.step_scale:
             if c < 1.0:
                 raise ValueError(f"step scale must be >= 1, got {c}")
         if len(self.kinds) != nb:
             raise ValueError("one schedule kind per block required")
-
-
-def lyapunov_psi(
-    x_cur: BlockVector,
-    x_prev: BlockVector,
-    delta: Sequence[float],
-    problem: ProblemSpec,
-) -> float:
-    """``F(x_cur) + sum_i (delta_i/2)*||x_cur_i - x_prev_i||^2``."""
-    d = np.asarray(delta, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("step weights must be >= 0")
-    return float(problem.eval_F(x_cur)) + float(d @ step_deltas(x_cur, x_prev))
 
 
 def _step_params(kind: ScheduleKind, alpha, beta, L, const_delta):
@@ -355,21 +332,22 @@ def run_state(state: SolverState, problem: ProblemSpec, iters: int, tol: float) 
     return state.trace
 
 
-def run(problem: ProblemSpec, x0: BlockVector, config) -> SolverTrace:
-    """Run the solver as described by a ``RunConfig``; see `ipalm.config`."""
-    from .config import block_kinds  # local import: config depends on solver types
+def run(problem: ProblemSpec, x0: BlockVector, config) -> SolverState:
+    """Run the solver as described by a ``RunConfig`` (see `ipalm.config`).
 
-    kinds = block_kinds(problem, config)
+    Returns the finished state: the trace is ``.trace`` and the final
+    iterate ``.x_cur``.
+    """
     state = make_state(
         problem,
         x0,
-        kinds,
+        block_kinds(problem, config),
         backtracking=config.backtrack,
         bt_growth=config.bt_growth,
         bt_shrink=config.bt_shrink,
         bt_max_rounds=config.bt_max_rounds,
         bt_L0=config.bt_l0,
-        step_scale=config.resolved_step_scale(len(x0)),
+        step_scale=config.step_scale,
         constant_delta=config.constant_delta,
     )
     state.trace.meta.update(
@@ -382,4 +360,5 @@ def run(problem: ProblemSpec, x0: BlockVector, config) -> SolverTrace:
             "problem": problem.name,
         }
     )
-    return run_state(state, problem, config.iters, config.tol)
+    run_state(state, problem, config.iters, config.tol)
+    return state

@@ -312,7 +312,7 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
             trace = run(problem, x0, RunConfig(
                 schedule="static-c", alpha_bar=abar, beta_bar=bbar, epsilon=eps,
                 iters=iters, tol=0.0, backtrack=False, constant_delta=deltas,
-                step_scale=step_scale))
+                step_scale=step_scale)).trace
             realized = trace.max_block_L()
             if lam_plus is not None and (realized <= lam_plus).all():
                 break

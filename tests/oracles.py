@@ -1,0 +1,131 @@
+"""Test oracles and helpers that only the tests use.
+
+The convolution loops are O(M*N) references for the FFT views in
+`ipalm.imageops`; the centred loops roll around the corner-anchored ones.
+The rest are small block-vector, Lyapunov and trace helpers checked against
+the solver's own records.
+"""
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from ipalm.bid import bid_grad_b, bid_grad_u
+from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, step_deltas
+from ipalm.imageops import _check_kernel_fits
+
+
+def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2D circular convolution ``u * b``:
+    ``(u*b)[i,j] = sum_{k,l} b[k,l] * u[(i-k) mod m1, (j-l) mod m2]``."""
+    u = np.asarray(u, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    _check_kernel_fits(u.shape, b.shape)
+    out = np.zeros_like(u)
+    for k in range(b.shape[0]):
+        for l in range(b.shape[1]):
+            out += b[k, l] * np.roll(u, (k, l), axis=(0, 1))
+    return out
+
+
+def circ_corr_image_direct(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[i,j] = sum_{k,l} b[k,l] * r[(i+k) mod m1, (j+l) mod m2]``."""
+    r = np.asarray(r, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    _check_kernel_fits(r.shape, b.shape)
+    out = np.zeros_like(r)
+    for k in range(b.shape[0]):
+        for l in range(b.shape[1]):
+            out += b[k, l] * np.roll(r, (-k, -l), axis=(0, 1))
+    return out
+
+
+def circ_corr_kernel_direct(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
+    """``out[k,l] = sum_{i,j} r[i,j] * u[(i-k) mod m1, (j-l) mod m2]``."""
+    r = np.asarray(r, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    _check_kernel_fits(u.shape, shape)
+    out = np.zeros(shape)
+    for k in range(shape[0]):
+        for l in range(shape[1]):
+            out[k, l] = float(np.vdot(r, np.roll(u, (k, l), axis=(0, 1))))
+    return out
+
+
+def _center(shape):
+    return shape[0] // 2, shape[1] // 2
+
+
+def centered_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c1, c2 = _center(np.shape(b))
+    return circ_conv_direct(np.roll(u, (-c1, -c2), axis=(0, 1)), b)
+
+
+def centered_corr_image_direct(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c1, c2 = _center(np.shape(b))
+    return np.roll(circ_corr_image_direct(r, b), (c1, c2), axis=(0, 1))
+
+
+def centered_corr_kernel_direct(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
+    c1, c2 = _center(shape)
+    return circ_corr_kernel_direct(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape)
+
+
+def block_axpy(a: float, x: BlockVector, y: BlockVector) -> BlockVector:
+    """Return ``a*x + y`` blockwise."""
+    if x.shapes != y.shapes:
+        raise ShapeMismatchError(f"shapes {x.shapes} vs {y.shapes}")
+    return BlockVector([a * xb + yb for xb, yb in zip(x.blocks, y.blocks)])
+
+
+def lyapunov_psi(
+    x_cur: BlockVector,
+    x_prev: BlockVector,
+    delta: Sequence[float],
+    problem: ProblemSpec,
+) -> float:
+    """``F(x_cur) + sum_i (delta_i/2)*||x_cur_i - x_prev_i||^2``."""
+    d = np.asarray(delta, dtype=np.float64)
+    if (d < 0).any():
+        raise ValueError("step weights must be >= 0")
+    return float(problem.eval_F(x_cur)) + float(d @ step_deltas(x_cur, x_prev))
+
+
+@dataclass(frozen=True)
+class InertialParams:
+    """Per-block extrapolation and step parameters for one iteration."""
+
+    alpha: tuple
+    beta: tuple
+    tau: tuple
+    delta: tuple
+    L: tuple
+
+    def __post_init__(self):
+        n = len(self.alpha)
+        for name in ("beta", "tau", "delta", "L"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} must have {n} entries")
+        for a in self.alpha:
+            if not 0.0 <= a < 1.0:
+                raise ValueError(f"alpha must lie in [0, 1), got {a}")
+        for b in self.beta:
+            if not 0.0 <= b <= 1.0:
+                raise ValueError(f"beta must lie in [0, 1], got {b}")
+        for t in self.tau:
+            if not t > 0:
+                raise ValueError(f"tau must be positive, got {t}")
+
+
+def params_at(trace, k: int) -> InertialParams:
+    """Validated per-block parameters of iteration ``k >= 1`` of a trace."""
+    row = trace.rows[k]
+    if row.alpha is None:
+        raise ValueError(f"row {k} records no iteration parameters")
+    return InertialParams(alpha=row.alpha, beta=row.beta, tau=row.tau, delta=row.delta, L=row.L)
+
+
+def bid_grads(u, b, f, params):
+    """Both BID partial gradients at ``(u, b)``."""
+    return bid_grad_u(u, b, f, params), bid_grad_b(u, b, f, params)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from oracles import bid_grads
 
 from ipalm.bid import (
     BidParams,
     DataError,
     bid_grad_b,
     bid_grad_u,
-    bid_grads,
     bid_lipschitz,
     bid_smooth,
     init_bid,

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from oracles import InertialParams, block_axpy
 
 from ipalm.blockmodel import (
     BlockVector,
-    InertialParams,
     ShapeMismatchError,
-    block_axpy,
     extrapolate,
     step_deltas,
 )

@@ -231,22 +231,19 @@ def test_objective_decomposition_recomputed_independently():
     lam = 0.05
     problem = make_convlasso_problem(f, p=4, l=3, lam=lam)
     x0 = init_convlasso(f, p=4, l=3, seed=99)
-    trace = run(problem, x0, RunConfig(schedule="static-c", alpha_bar=0.2,
+    state = run(problem, x0, RunConfig(schedule="static-c", alpha_bar=0.2,
                                        beta_bar=0.2, iters=15, tol=0.0))
-    state = make_state(problem, x0, block_kinds(problem, RunConfig(
-        schedule="static-c", alpha_bar=0.2, beta_bar=0.2)), backtracking=True)
-    run_state(state, problem, iters=15, tol=0.0)
     g = gaussian_filter(3, 0.75)
     d, v = assemble_stacks(state.x_cur, f, g)
     direct = convlasso_objective(d, v, f, lam=lam, g=g)
-    assert abs(trace.rows[-1].F - direct) <= 1e-10 * (1.0 + abs(direct))
+    assert abs(state.trace.rows[-1].F - direct) <= 1e-10 * (1.0 + abs(direct))
 
 
 def test_objective_strictly_decreases_without_inertia():
     inst = synth_convlasso(seed=100)
     problem = make_convlasso_problem(inst["f"], p=8, l=5, lam=0.05)
     x0 = init_convlasso(inst["f"], p=8, l=5, seed=100)
-    trace = run(problem, x0, RunConfig(schedule="static-c", iters=60, tol=0.0))
+    trace = run(problem, x0, RunConfig(schedule="static-c", iters=60, tol=0.0)).trace
     F = trace.f_values()
     assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
     assert F[-1] < F[0]

@@ -62,25 +62,105 @@ def test_config_rejects_unknown_schedule():
         RunConfig(schedule="warp")
 
 
-def test_cli_precedence_flag_over_file_over_default(tmp_path):
-    from ipalm.cli import _config_from_args, build_parser
+def test_cli_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
+    from ipalm import cli
 
     path = tmp_path / "run.cfg"
-    path.write_text("iters=250\nalpha_bar=0.3\nkernel_step_scale=2\n")
-    parser = build_parser()
+    path.write_text("iters=250\nalpha_bar=0.3\nstep_scale=1,2\n")
+    parser = cli.build_parser()
     # flag beats file; file beats built-in default; untouched keys keep defaults
-    args = parser.parse_args(["nmf", "--config", str(path), "--alpha-bar", "0.1"])
-    cfg = _config_from_args(args)
+    args = parser.parse_args(["nmf", "--config", str(path), "--alpha-bar", "0.1",
+                              "--step-scale", "1,3"])
+    cfg = cli._config_from_args(args)
     assert cfg.alpha_bar == 0.1  # flag wins
+    assert cfg.step_scale == (1.0, 3.0)  # flag wins
     assert cfg.iters == 250  # file wins over the built-in 1000
     assert cfg.tol == RunConfig().tol  # untouched default
-    assert cfg.kernel_step_scale == 2.0  # file value survives the preset
-    args = parser.parse_args(["bid", "--config", str(path)])
-    cfg = _config_from_args(args, kernel_default=5.0)
-    assert cfg.kernel_step_scale == 2.0  # file beats the bid preset default
-    args = parser.parse_args(["bid"])
-    cfg = _config_from_args(args, kernel_default=5.0)
-    assert cfg.kernel_step_scale == 5.0  # preset applies when nothing is set
+
+    # the step scale a bid run hands the solver
+    seen = []
+    real_run = cli.run
+
+    def spy(problem, x0, config):
+        seen.append(config.step_scale)
+        return real_run(problem, x0, config)
+
+    monkeypatch.setattr(cli, "run", spy)
+    bid = ["bid", "--kernel-size", "3", "--iters", "1", "--tol", "0"]
+    assert cli.main(bid + ["--config", str(path), "--step-scale", "1,3"]) == 0
+    assert cli.main(bid + ["--config", str(path)]) == 0
+    assert cli.main(bid) == 0
+    assert seen[0] == (1.0, 3.0)  # flag beats file
+    assert seen[1] == (1.0, 2.0)  # file beats the bid preset
+    assert seen[2] == (1.0, 5.0)  # preset applies when nothing is set
+
+
+def test_every_run_flag_sets_the_file_key_of_the_same_name(tmp_path):
+    import argparse
+
+    from ipalm.cli import _add_run_options, _config_from_args
+    from ipalm.config import FILE_KEYS
+
+    samples = {
+        "schedule": "static-nc", "alpha_bar": "0.3", "beta_bar": "0.2", "epsilon": "0.1",
+        "iters": "7", "tol": "0.001", "seed": "3", "step_scale": "1,5",
+        "out": "somewhere", "jobs": "3",
+    }
+    parser = argparse.ArgumentParser()
+    _add_run_options(parser)
+    flags = [a for a in parser._actions if a.option_strings and a.dest not in ("help", "config")]
+    assert {a.dest for a in flags} == set(samples) | {"backtrack"}
+    default = RunConfig()
+    for action in flags:
+        key = action.dest
+        assert key in FILE_KEYS
+        if action.nargs == 0:  # --backtrack / --exact-lipschitz
+            argv, raw = [action.option_strings[0]], str(action.const)
+        else:
+            argv, raw = [action.option_strings[0], samples[key]], samples[key]
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key}={raw}\n")
+        by_flag = _config_from_args(parser.parse_args(argv))
+        by_file = _config_from_args(parser.parse_args(["--config", str(path)]))
+        assert getattr(by_flag, key) == getattr(by_file, key)
+        if key != "backtrack":  # --backtrack restates the default
+            assert getattr(by_flag, key) != getattr(default, key)
+        assert by_flag == by_file
+
+
+def test_bid_preset_scale_equals_explicit_step_scale_bitwise(tmp_path):
+    from ipalm.bid import BidParams, init_bid, make_bid_problem
+    from ipalm.solver import run
+    from ipalm.synthetic import synth_bid
+
+    out = tmp_path / "bid"
+    assert main(["bid", "--kernel-size", "3", "--iters", "5", "--tol", "0", "--seed", "1",
+                 "--out", str(out)]) == 0
+    lines = (out / "bid_trace.csv").read_text().strip().split("\n")
+    F_cli = [float(line.split(",")[1]) for line in lines[1:]]
+
+    f = synth_bid(seed=1)["f"]
+    params = BidParams(kernel_shape=(3, 3))
+    state = run(make_bid_problem(f, params), init_bid(f, params),
+                RunConfig(iters=5, tol=0.0, seed=1, step_scale=(1.0, 5.0)))
+    assert F_cli == state.trace.f_values().tolist()
+
+
+def test_cli_rejects_step_scale_of_wrong_length(capsys):
+    rc = main(["bid", "--kernel-size", "3", "--iters", "1", "--step-scale", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("bt_max_rounds=1\nbt_l0=1e-12\n")
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--iters", "3", "--config", str(path),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +268,33 @@ def test_cli_sweep_emits_grid_ordered_table(tmp_path):
         assert float(cells[4]) >= 0.0
 
 
+def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, monkeypatch):
+    from ipalm import cli
+
+    workers = []
+
+    class Pool(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"out={tmp_path / 'sw'}\ncheckpoints=1,2\niters=3\njobs=2\n")
+    assert main(["sweep", "--alphas", "0,0.2", "--config", str(path)]) == 0
+    lines = (tmp_path / "sw" / "sweep_checkpoints.csv").read_text().strip().split("\n")
+    assert lines[0] == "setting,K1,K2,time_s"
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[1] != "" and cells[2] != ""
+    assert workers == [2]
+    # the flag overrides the file
+    assert main(["sweep", "--alphas", "0", "--config", str(path), "--checkpoints", "3"]) == 0
+    lines = (tmp_path / "sw" / "sweep_checkpoints.csv").read_text().strip().split("\n")
+    assert lines[0] == "setting,K3,time_s"
+    assert lines[1].split(",")[1] != ""
+
+
 def test_cli_sweep_dynamic_row(tmp_path):
     out = tmp_path / "sweep"
     rc = main([
@@ -234,6 +341,21 @@ def test_cli_config_file_feeds_run(tmp_path):
                "--tol", "0", "--exact-lipschitz", "--config", str(cfg),
                "--out", str(out)])
     assert rc == 0
+
+
+def test_cli_config_seed_reaches_the_synthetic_instance(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    common = ["nmf", "--rank", "3", "--s-count", "2", "--iters", "2", "--tol", "0",
+              "--exact-lipschitz"]
+    assert main(common + ["--seed", "3", "--out", str(tmp_path / "flag")]) == 0
+    assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+
+    def F_column(run_dir):
+        lines = (run_dir / "nmf_trace.csv").read_text().strip().split("\n")
+        return [line.split(",")[1] for line in lines[1:]]
+
+    assert F_column(tmp_path / "flag") == F_column(tmp_path / "file")
 
 
 def test_cli_usage_error_exit_code(tmp_path):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from oracles import (
+    centered_conv_direct,
+    centered_corr_image_direct,
+    centered_corr_kernel_direct,
+    circ_conv_direct,
+    circ_corr_image_direct,
+    circ_corr_kernel_direct,
+)
 
 from ipalm.imageops import (
     DIRECTIONS,
     circ_conv,
-    circ_conv_direct,
-    circ_conv_fft,
     circ_corr_image,
     circ_corr_kernel,
     centered_conv,
@@ -95,8 +101,8 @@ def test_circ_conv_identity_kernel():
     u = rng.standard_normal((8, 8))
     b = np.zeros((3, 3))
     b[0, 0] = 1.0
-    for method in ("direct", "fft"):
-        assert np.allclose(circ_conv(u, b, method=method), u, atol=1e-12)
+    assert np.allclose(circ_conv_direct(u, b), u, atol=1e-12)
+    assert np.allclose(circ_conv(u, b), u, atol=1e-12)
 
 
 def test_circ_conv_mass_preservation():
@@ -114,7 +120,7 @@ def test_circ_conv_direct_vs_fft_many():
         u = rng.standard_normal((8, 8))
         b = rng.standard_normal((3, 3))
         d = circ_conv_direct(u, b)
-        f = circ_conv_fft(u, b)
+        f = circ_conv(u, b)
         assert np.abs(d - f).max() <= 1e-10 * (1.0 + np.abs(d).max())
 
 
@@ -146,7 +152,7 @@ def test_adjoint_image_view():
     rhs = float(np.vdot(u, circ_corr_image(v, b)))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
     assert np.allclose(
-        circ_corr_image(v, b), circ_corr_image(v, b, method="direct"), atol=1e-12
+        circ_corr_image(v, b), circ_corr_image_direct(v, b), atol=1e-12
     )
 
 
@@ -161,7 +167,7 @@ def test_adjoint_kernel_view():
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
     assert np.allclose(
         circ_corr_kernel(v, u, b.shape),
-        circ_corr_kernel(v, u, b.shape, method="direct"),
+        circ_corr_kernel_direct(v, u, b.shape),
         atol=1e-10,
     )
 
@@ -173,13 +179,11 @@ def test_centered_views_match_direct_on_non_square_shapes():
     u = rng.standard_normal((9, 7))
     r = rng.standard_normal((9, 7))
     b = rng.standard_normal((3, 5))
-    assert np.allclose(centered_conv(u, b), centered_conv(u, b, method="direct"), atol=1e-12)
-    assert np.allclose(
-        centered_corr_image(r, b), centered_corr_image(r, b, method="direct"), atol=1e-12
-    )
+    assert np.allclose(centered_conv(u, b), centered_conv_direct(u, b), atol=1e-12)
+    assert np.allclose(centered_corr_image(r, b), centered_corr_image_direct(r, b), atol=1e-12)
     assert np.allclose(
         centered_corr_kernel(r, u, b.shape),
-        centered_corr_kernel(r, u, b.shape, method="direct"),
+        centered_corr_kernel_direct(r, u, b.shape),
         atol=1e-12,
     )
 
@@ -209,10 +213,8 @@ def test_stacked_kernel_spectrum_and_window_match_per_slice_direct():
     windows = centered_kernel_window(fulls, (3, 5))
     assert windows.shape == (4, 3, 5)
     for j in range(4):
-        assert np.allclose(convs[j], centered_conv(u, stack[j], method="direct"), atol=1e-12)
-        assert np.allclose(
-            windows[j], centered_corr_kernel(rs[j], u, (3, 5), method="direct"), atol=1e-12
-        )
+        assert np.allclose(convs[j], centered_conv_direct(u, stack[j]), atol=1e-12)
+        assert np.allclose(windows[j], centered_corr_kernel_direct(rs[j], u, (3, 5)), atol=1e-12)
 
 
 def test_centered_adjoint_identities():
@@ -229,17 +231,11 @@ def test_centered_adjoint_identities():
         assert abs(lhs - via_kernel) <= 1e-10 * (1.0 + abs(lhs))
 
 
-def test_centered_views_reject_oversized_kernel_and_unknown_method():
+def test_centered_views_reject_oversized_kernel():
     with pytest.raises(ValueError):
         centered_conv(np.zeros((2, 5)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         centered_corr_kernel(np.zeros((5, 2)), np.zeros((5, 2)), (3, 3))
-    with pytest.raises(ValueError):
-        centered_corr_image(np.zeros((5, 5)), np.zeros((3, 3)), method="dft")
-    with pytest.raises(ValueError):
-        circ_corr_image(np.zeros((5, 5)), np.zeros((3, 3)), method="bogus")
-    with pytest.raises(ValueError):
-        circ_corr_kernel(np.zeros((5, 5)), np.zeros((5, 5)), (3, 3), method="bogus")
 
 
 def test_pgm_round_trip(tmp_path):

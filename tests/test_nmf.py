@@ -107,7 +107,7 @@ def test_rank_one_instance_solved_to_machine_precision():
     problem = make_nmf_problem(A, r=1, s=6)
     x0 = init_nmf(A, r=1, s=6, seed=65)
     trace = run(problem, x0, RunConfig(schedule="dynamic", iters=3000, tol=0.0,
-                                       backtrack=False))
+                                       backtrack=False)).trace
     assert trace.rows[-1].F < 1e-10
 
 
@@ -130,7 +130,7 @@ def test_palm_descent_objective_nonincreasing():
     problem = make_nmf_problem(A, r=3, s=10)
     x0 = init_nmf(A, r=3, s=10, seed=67)
     trace = run(problem, x0, RunConfig(schedule="static-c", iters=200, tol=0.0,
-                                       backtrack=False))
+                                       backtrack=False)).trace
     F = trace.f_values()
     assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import lyapunov_psi, params_at
 
 from ipalm.blockmodel import BlockVector, ProblemSpec, extrapolate
 from ipalm.config import RunConfig
@@ -11,7 +12,6 @@ from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
 from ipalm.schedules import Dynamic, StaticNonconvex
 from ipalm.solver import (
     DivergenceError,
-    lyapunov_psi,
     make_state,
     run,
     run_state,
@@ -73,11 +73,7 @@ def test_palm_recovery_bitwise():
     x0 = init_nmf(A, r=3, s=2, seed=3)
     cfg = RunConfig(schedule="static-c", alpha_bar=0.0, beta_bar=0.0,
                     iters=10, tol=0.0, backtrack=False)
-    run(problem, x0, cfg)  # trace only; recover the point via a state
-    from ipalm.config import block_kinds
-
-    state = make_state(problem, x0, block_kinds(problem, cfg))
-    run_state(state, problem, iters=10, tol=0.0)
+    state = run(problem, x0, cfg)
     B_ref, C_ref = reference_palm_nmf(A, x0[0], x0[1], s=2, iters=10)
     assert np.array_equal(state.x_cur[0], B_ref)
     assert np.array_equal(state.x_cur[1], C_ref)
@@ -105,13 +101,29 @@ def test_run_rejects_zero_budget():
         RunConfig(iters=0)
 
 
+def test_per_block_tuples_must_match_the_block_count():
+    inst = synth_nmf(seed=3)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
+    kinds = StaticNonconvex(0.0, 0.0)
+    for bad in ((1.0,), (1.0, 1.0, 9.0)):
+        with pytest.raises(ValueError, match="step_scale"):
+            make_state(problem, x0, kinds, step_scale=bad)
+        with pytest.raises(ValueError, match="constant_delta"):
+            make_state(problem, x0, kinds, constant_delta=bad)
+    with pytest.raises(ValueError, match="step_scale"):
+        run(problem, x0, RunConfig(iters=1, backtrack=False, step_scale=(1.0,)))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        make_state(problem, x0, kinds, step_scale=(1.0, 0.5))
+
+
 def test_run_infinite_tol_stops_after_one_iteration():
     problem = one_block_quadratic()
     x0 = BlockVector([np.ones(4)])
     trace = run(
         problem, x0,
         RunConfig(schedule="static-nc", iters=500, tol=math.inf, backtrack=False),
-    )
+    ).trace
     assert len(trace) == 2  # initial row + one iteration
 
 
@@ -121,8 +133,8 @@ def test_run_determinism_bitwise():
     x0 = init_nmf(inst["A"], r=3, s=2, seed=5)
     cfg = RunConfig(schedule="static-c", alpha_bar=0.2, beta_bar=0.2,
                     iters=40, tol=0.0, backtrack=False, seed=5)
-    t1 = run(problem, x0, cfg)
-    t2 = run(problem, x0, cfg)
+    t1 = run(problem, x0, cfg).trace
+    t2 = run(problem, x0, cfg).trace
     # every numeric column identical; wall time is the only nondeterminism
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.F == r2.F and r1.Psi == r2.Psi
@@ -171,7 +183,7 @@ def test_trace_csv_format(tmp_path):
     problem = make_nmf_problem(inst["A"], r=3, s=2)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=6)
     trace = run(problem, x0, RunConfig(schedule="static-c", alpha_bar=0.2,
-                                       beta_bar=0.2, iters=5, tol=0.0, backtrack=False))
+                                       beta_bar=0.2, iters=5, tol=0.0, backtrack=False)).trace
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().split("\n")
@@ -184,7 +196,7 @@ def test_trace_csv_format(tmp_path):
 
     # dynamic runs have no step weights, hence empty Psi and delta cells
     tr_dyn = run(problem, x0, RunConfig(schedule="dynamic", iters=3, tol=0.0,
-                                        backtrack=False))
+                                        backtrack=False)).trace
     p2 = tmp_path / "dyn.csv"
     tr_dyn.to_csv(p2)
     cells = p2.read_text().strip().split("\n")[2].split(",")
@@ -198,12 +210,12 @@ def test_trace_params_accessor():
     x0 = init_nmf(inst["A"], r=3, s=2, seed=9)
     trace = run(problem, x0, RunConfig(schedule="static-c", alpha_bar=0.2,
                                        beta_bar=0.2, iters=3, tol=0.0,
-                                       backtrack=False))
-    params = trace.params_at(1)
+                                       backtrack=False)).trace
+    params = params_at(trace, 1)
     assert params.alpha == (0.2, 0.2) and params.beta == (0.2, 0.2)
     assert all(t > 0 for t in params.tau)
     with pytest.raises(ValueError):
-        trace.params_at(0)  # the initial row has no step parameters
+        params_at(trace, 0)  # the initial row has no step parameters
 
 
 def test_feasibility_maintained_throughout_run():
@@ -285,8 +297,8 @@ def test_dynamic_sweep_matches_reference():
     assert np.array_equal(state.x_cur[0], B_ref)
     assert np.array_equal(state.x_cur[1], C_ref)
     # the recorded coefficients follow (k-1)/(k+2)
-    assert state.trace.params_at(2).alpha == (0.25, 0.25)
-    assert state.trace.params_at(3).alpha == (0.4, 0.4)
+    assert params_at(state.trace, 2).alpha == (0.25, 0.25)
+    assert params_at(state.trace, 3).alpha == (0.4, 0.4)
 
 
 def test_square_summable_steps_on_bid_desk_instance():
@@ -303,7 +315,7 @@ def test_square_summable_steps_on_bid_desk_instance():
     cfg = RunConfig(schedule="static-c", alpha_bar=0.2, beta_bar=0.2, epsilon=0.05,
                     iters=2500, tol=1e-9, backtrack=True, bt_shrink=0.9,
                     step_scale=(1.0, 5.0))
-    trace = run(problem, x0, cfg)
+    trace = run(problem, x0, cfg).trace
     d_tot = trace.block_delta_matrix().sum(axis=1)
     running = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]
     assert np.isfinite(running.sum())

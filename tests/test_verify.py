@@ -86,7 +86,7 @@ def _c1_setup(seed, lipschitz_scale=1.0, iters=200):
             )
         trace = run(problem, x0, RunConfig(
             schedule="static-c", alpha_bar=abar, beta_bar=bbar, epsilon=eps,
-            iters=iters, tol=0.0, backtrack=False, constant_delta=deltas))
+            iters=iters, tol=0.0, backtrack=False, constant_delta=deltas)).trace
         realized = trace.max_block_L()
         if lam_plus is not None and (realized <= lam_plus).all():
             break
@@ -105,7 +105,7 @@ def test_c1_descent_zero_weights_reduce_to_monotone_objective():
     problem = make_nmf_problem(inst["A"], r=3, s=2)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=5)
     trace = run(problem, x0, RunConfig(schedule="static-c", iters=100, tol=0.0,
-                                       backtrack=False))
+                                       backtrack=False)).trace
     assert check_c1_descent(trace, (0.0, 0.0), 0.0).ok
 
 
@@ -129,7 +129,7 @@ def test_c1_descent_detects_understepped_run():
     eps, abar, bbar = 0.05, 0.2, 0.2
     trace = run(broken, x0, RunConfig(schedule="static-c", alpha_bar=abar,
                                       beta_bar=bbar, epsilon=eps, iters=200,
-                                      tol=0.0, backtrack=False))
+                                      tol=0.0, backtrack=False)).trace
     lam_plus = trace.max_block_L()
     deltas = (
         delta_star(abar, bbar, eps, float(lam_plus[0]), convex=False),
