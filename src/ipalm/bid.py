@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
-from .imageops import (
+from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_* here
     DIRECTIONS,
     centered_conv,
     centered_corr_image,
@@ -24,6 +24,7 @@ from .imageops import (
     dir_grad_adjoint,
     phi_grad,
     phi_value,
+    remember_last,
 )
 from .lipschitz import operator_norm
 from .prox import prox_box01, prox_simplex
@@ -60,10 +61,29 @@ class BidParams:
             raise ValueError("kernel_step_scale must be >= 1")
 
 
+def edge_penalty(u: np.ndarray, theta: float) -> float:
+    """Robust penalty on the eight directional differences of the image."""
+    return sum(phi_value(dir_grad(u, p), theta) for p in range(1, 9))
+
+
+# During a line search one block stays fixed, and the smooth term and the
+# gradients see it again and again: the image's edge penalty and spectrum
+# while the kernel moves, the kernel's spectrum while the image moves.
+_edge_penalty = remember_last(edge_penalty)
+_image_spectrum = remember_last(np.fft.rfft2)
+_kernel_spectrum = remember_last(centered_kernel_spectrum)
+
+
+def _residual(u, b, f):
+    """``centered_conv(u, b) - f`` from the remembered spectra."""
+    spec = _image_spectrum(u) * _kernel_spectrum(b, u.shape)
+    return np.fft.irfft2(spec, s=u.shape) - f
+
+
 def bid_smooth(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> float:
     """Smooth coupling term: edge penalty plus data fidelity."""
-    reg = sum(phi_value(dir_grad(u, p), params.theta) for p in range(1, 9))
-    resid = centered_conv(u, b) - f
+    reg = _edge_penalty(u, params.theta)
+    resid = _residual(u, b, f)
     return reg + 0.5 * params.lam * float(np.vdot(resid, resid).real)
 
 
@@ -71,13 +91,15 @@ def bid_grad_u(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -
     grad = np.zeros_like(u)
     for p in range(1, 9):
         grad += dir_grad_adjoint(phi_grad(dir_grad(u, p), params.theta), p)
-    resid = centered_conv(u, b) - f
-    return grad + params.lam * centered_corr_image(resid, b)
+    # centered_corr_image(resid, b)
+    spec = np.fft.rfft2(_residual(u, b, f)) * np.conj(_kernel_spectrum(b, u.shape))
+    return grad + params.lam * np.fft.irfft2(spec, s=u.shape)
 
 
 def bid_grad_b(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> np.ndarray:
-    resid = centered_conv(u, b) - f
-    return params.lam * centered_corr_kernel(resid, u, b.shape)
+    # centered_corr_kernel(resid, u, b.shape)
+    spec = np.fft.rfft2(_residual(u, b, f)) * np.conj(_image_spectrum(u))
+    return params.lam * centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
 
 
 # sum of squared operator norms of the directional differences; each is a
@@ -101,7 +123,7 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
         return 2.0 * params.theta * _DIFF_NORM_SQ_BOUND + params.lam * float(bhat_sq.max())
     if block == 1:
 
-        u_hat = np.fft.rfft2(u)
+        u_hat = _image_spectrum(u)
         weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
 
         def normal_op(k):

@@ -75,7 +75,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help="per-block step-parameter multipliers >= 1, e.g. 1,5 "
                         "(default: all ones; bid presets 1,5)")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent sweep cells")
     p.add_argument("--config", default=None,
                    help=f"key=value config file; defaults: {config_defaults_help()}")
 
@@ -303,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha=beta settings")
     p.add_argument("--include-dynamic", action="store_true",
                    help="append a dynamic-schedule row")
+    p.add_argument("--jobs", type=int, default=None, help="concurrent sweep cells (default 1)")
     p.add_argument("--checkpoints", type=int_tuple, default=None,
                    help="comma-separated checkpoint iteration counts "
                         "(default 100,500,1000,5000)")

@@ -25,6 +25,7 @@ from .imageops import (
     centered_corr_kernel,
     centered_kernel_spectrum,
     centered_kernel_window,
+    remember_last,
     write_pgm,
 )
 from .prox import prox_filter_constraint, prox_l1
@@ -86,6 +87,12 @@ def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
     return gd, gv
 
 
+# a line search moves one stack and holds the other, whose spectrum every
+# candidate reuses
+_filter_spectra = remember_last(centered_kernel_spectrum)
+_coef_spectra = remember_last(np.fft.rfft2)
+
+
 def _fourier_energy(stack: np.ndarray, shape) -> float:
     """max over frequencies of ``sum_j |hat(stack_j)|^2``; the exact modulus
     of the linear map paired with this stack (upper bound once the other
@@ -131,8 +138,8 @@ def make_convlasso_problem(
     weights *= 0.5 / (m * n)
 
     def _spectra(x: BlockVector):
-        d_hat = centered_kernel_spectrum(x[0], f.shape)
-        v_hat = np.fft.rfft2(x[1])
+        d_hat = _filter_spectra(x[0], f.shape)
+        v_hat = _coef_spectra(x[1])
         return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
     def eval_H(x: BlockVector) -> float:

@@ -6,11 +6,17 @@ Centred convolutions run in the DFT domain on pre-rolled kernel spectra:
 zero-padded with its center entry rolled to the origin, so a convolution is
 one pointwise product and an adjoint the product with the conjugate;
 ``centered_kernel_window`` reads a kernel-side adjoint back out of a
-full-size correlation."""
+full-size correlation.
+
+``remember_last`` gives a pure array function a one-entry memory per
+thread, so an oracle that sees the same operand again (the block a line
+search holds fixed) reuses its transform instead of recomputing it."""
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -84,6 +90,39 @@ def phi_grad(x: np.ndarray, theta: float) -> np.ndarray:
         raise ValueError(f"theta must be positive, got {theta}")
     x = np.asarray(x, dtype=np.float64)
     return 2.0 * theta * x / (1.0 + theta * x * x)
+
+
+def _memo_key(arg):
+    if isinstance(arg, np.ndarray):
+        return arg.shape, arg.dtype.str, arg.tobytes()
+    return type(arg), arg
+
+
+def remember_last(fn):
+    """``fn``, a pure function of arrays and plain values, with a memory of
+    its last call: one slot per thread, shared by all callers.
+
+    A call whose positional arguments equal the remembered ones returns the
+    remembered result; any other call runs ``fn`` and takes the slot.
+    Arrays compare by shape, dtype and bytes (so ``-0.0`` and ``0.0`` differ
+    and a hit is bitwise what a fresh call returns), other values by type
+    and ``==``.  The key is a copy, so an argument mutated in place misses;
+    array results come back read-only, so no caller can alter the slot.
+    """
+    slot = threading.local()
+
+    @functools.wraps(fn)
+    def remembered(*args):
+        key = tuple(_memo_key(a) for a in args)
+        if getattr(slot, "key", None) == key:
+            return slot.result
+        result = fn(*args)
+        if isinstance(result, np.ndarray):
+            result.flags.writeable = False
+        slot.key, slot.result = key, result
+        return result
+
+    return remembered
 
 
 def _check_kernel_fits(u_shape, b_shape):
@@ -185,7 +224,11 @@ def centered_corr_kernel(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM (P5) image as floats in [0, 1]."""
+    """Read a binary 8-bit PGM (P5) image as floats in [0, 1].
+
+    A malformed header, a width or height below 1, a raster shorter than
+    the header declares or a sample above ``maxval`` raises ``ValueError``
+    naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = []
@@ -203,11 +246,20 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(data[start:pos])
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image size must be positive, got {width}x{height}")
     if not 0 < maxval <= 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
     pos += 1  # single whitespace after maxval
+    if len(data) - pos < width * height:
+        raise ValueError(f"{path}: raster shorter than the declared {width}x{height}")
     raster = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    if raster.max() > maxval:
+        raise ValueError(f"{path}: sample above maxval {maxval}")
     img = raster.reshape(height, width).astype(np.float64)
     return img / maxval
 

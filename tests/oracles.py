@@ -2,10 +2,14 @@
 
 The convolution loops are O(M*N) references for the FFT views in
 `ipalm.imageops`; the centred loops roll around the corner-anchored ones.
+The BID references recompute the smooth term and its gradients from the
+centred views with no remembered spectra; ``in_fresh_thread`` evaluates any
+oracle from scratch, in a thread whose memo slots are empty.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,7 +17,16 @@ import numpy as np
 
 from ipalm.bid import bid_grad_b, bid_grad_u
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, step_deltas
-from ipalm.imageops import _check_kernel_fits
+from ipalm.imageops import (
+    _check_kernel_fits,
+    centered_conv,
+    centered_corr_image,
+    centered_corr_kernel,
+    dir_grad,
+    dir_grad_adjoint,
+    phi_grad,
+    phi_value,
+)
 
 
 def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,3 +142,29 @@ def params_at(trace, k: int) -> InertialParams:
 def bid_grads(u, b, f, params):
     """Both BID partial gradients at ``(u, b)``."""
     return bid_grad_u(u, b, f, params), bid_grad_b(u, b, f, params)
+
+
+def bid_smooth_ref(u, b, f, params):
+    """BID smooth term, every part computed afresh."""
+    reg = sum(phi_value(dir_grad(u, p), params.theta) for p in range(1, 9))
+    resid = centered_conv(u, b) - f
+    return reg + 0.5 * params.lam * float(np.vdot(resid, resid).real)
+
+
+def bid_grad_u_ref(u, b, f, params):
+    grad = np.zeros_like(u)
+    for p in range(1, 9):
+        grad += dir_grad_adjoint(phi_grad(dir_grad(u, p), params.theta), p)
+    resid = centered_conv(u, b) - f
+    return grad + params.lam * centered_corr_image(resid, b)
+
+
+def bid_grad_b_ref(u, b, f, params):
+    resid = centered_conv(u, b) - f
+    return params.lam * centered_corr_kernel(resid, u, b.shape)
+
+
+def in_fresh_thread(fn, *args):
+    """``fn(*args)`` run in a new thread, so every memo slot starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)

@@ -104,7 +104,7 @@ def test_every_run_flag_sets_the_file_key_of_the_same_name(tmp_path):
     samples = {
         "schedule": "static-nc", "alpha_bar": "0.3", "beta_bar": "0.2", "epsilon": "0.1",
         "iters": "7", "tol": "0.001", "seed": "3", "step_scale": "1,5",
-        "out": "somewhere", "jobs": "3",
+        "out": "somewhere",
     }
     parser = argparse.ArgumentParser()
     _add_run_options(parser)
@@ -293,6 +293,32 @@ def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, monkeypa
     lines = (tmp_path / "sw" / "sweep_checkpoints.csv").read_text().strip().split("\n")
     assert lines[0] == "setting,K3,time_s"
     assert lines[1].split(",")[1] != ""
+
+
+@pytest.mark.parametrize("problem", ["bid", "convlasso"])
+def test_cli_sweep_cells_match_across_job_counts(tmp_path, problem):
+    """Concurrent cells share the oracles' per-thread spectrum memos; every
+    checkpoint cell must match a one-worker run byte for byte."""
+    tables = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main([
+            "sweep", "--problem", problem, "--alphas", "0,0.2,0.4", "--iters", "6",
+            "--tol", "0", "--checkpoints", "1,3,6", "--out", str(out), "--jobs", jobs,
+        ])
+        assert rc == 0
+        lines = (out / "sweep_checkpoints.csv").read_text().strip().split("\n")
+        assert len(lines) == 4 and lines[0].endswith(",time_s")
+        tables.append([line.rsplit(",", 1)[0] for line in lines])  # drop time_s
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["nmf", "bid", "convlasso"])
+def test_cli_jobs_is_a_sweep_only_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--iters", "2", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_cli_sweep_dynamic_row(tmp_path):

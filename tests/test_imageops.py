@@ -264,3 +264,22 @@ def test_pgm_reads_comments(tmp_path):
     img = read_pgm(path)
     assert img.shape == (2, 2)
     assert img[1, 1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P5\n-4 4\n255\n" + bytes(16), "image size must be positive"),
+        (b"P5\n0 0\n255\n", "image size must be positive"),
+        (b"P5\n4 4\n255\n" + bytes(15), "raster shorter"),
+        (b"P5\n2 x\n255\n" + bytes(4), "malformed PGM header"),
+        (b"P5\n2 2\n100\n" + bytes([0, 1, 2, 101]), "sample above maxval"),
+    ],
+    ids=["negative-width", "zero-size", "short-raster", "non-numeric", "sample-above-maxval"],
+)
+def test_pgm_rejects_malformed_file_naming_it(tmp_path, content, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=message) as err:
+        read_pgm(path)
+    assert str(path) in str(err.value)

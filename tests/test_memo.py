@@ -1,0 +1,241 @@
+"""The one-entry memos behind the BID and convlasso oracles: keys by value,
+read-only results, per-thread slots, and oracles that stay bitwise equal to
+a computation from scratch."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from ipalm import bid, convlasso, synthetic
+from ipalm.blockmodel import BlockVector
+from ipalm.imageops import remember_last
+
+from oracles import (
+    bid_grad_b_ref,
+    bid_grad_u_ref,
+    bid_smooth_ref,
+    in_fresh_thread,
+)
+
+
+def counted(fn):
+    calls = []
+
+    def inner(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return inner, calls
+
+
+def bits(value):
+    return np.asarray(value).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# remember_last
+
+
+def test_remember_last_hits_only_on_equal_arguments():
+    fn, calls = counted(lambda a, k: a * k)
+    memo = remember_last(fn)
+    a = np.arange(6.0).reshape(2, 3)
+    first = memo(a, 2.0)
+    assert memo(a.copy(), 2.0) is first  # equal by value, not identity
+    assert len(calls) == 1
+    memo(a, 3.0)  # every argument is part of the key
+    memo(a.reshape(3, 2), 3.0)  # so is the shape
+    memo(a.astype(np.float32), 3.0)  # and the dtype
+    memo(a, 3)  # and the type of a plain value
+    assert len(calls) == 5
+
+
+def test_remember_last_sees_in_place_mutation():
+    memo = remember_last(lambda a: a.sum())
+    a = np.ones((4, 4))
+    assert memo(a) == 16.0
+    a[1, 2] = 5.0
+    assert memo(a) == 20.0
+
+
+def test_remember_last_keys_on_bits():
+    fn, calls = counted(lambda a: np.copysign(1.0, a))
+    memo = remember_last(fn)
+    assert memo(np.array([0.0]))[0] == 1.0
+    assert memo(np.array([-0.0]))[0] == -1.0  # equal values, other bits
+    assert len(calls) == 2
+
+
+def test_remember_last_returns_read_only_arrays():
+    memo = remember_last(lambda a: a + 1.0)
+    out = memo(np.zeros(3))
+    with pytest.raises(ValueError):
+        out[0] = 7.0
+    assert memo(np.zeros(3))[0] == 1.0
+
+
+def test_remember_last_keeps_one_slot_per_thread():
+    fn, calls = counted(lambda a: a * 2.0)
+    memo = remember_last(fn)
+    a = np.arange(3.0)
+    memo(a)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(memo(np.arange(1.0, 4.0))))
+    worker.start()
+    worker.join()
+    assert np.array_equal(seen[0], [2.0, 4.0, 6.0])
+    memo(a)  # the other thread's call did not evict this thread's slot
+    assert len(calls) == 2
+
+
+def test_remember_last_under_thread_switching_stress():
+    """More threads than cores, switching every microsecond, each repeating
+    and changing its arguments out of phase with the others over one pool:
+    every result must belong to its own arguments."""
+    memo = remember_last(lambda a, k: a * k)
+    pool = [np.full(64, 1.0), np.full(64, 3.0)]
+    errors = []
+
+    def worker(seed):
+        for step in range(3000):
+            a = pool[(step // 2 + seed) % 2]
+            k = float((step // 4 + seed) % 2 + 1)
+            if not np.array_equal(memo(a, k), a * k):
+                errors.append((seed, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+# ---------------------------------------------------------------------------
+# BID
+
+
+def bid_case(theta=1e4, seed=0):
+    f = synthetic.synth_bid(size=24, kernel=5, seed=seed)["f"]
+    params = bid.BidParams(theta=theta, kernel_shape=(5, 5))
+    return f, params, bid.make_bid_problem(f, params), bid.init_bid(f, params)
+
+
+def test_bid_eval_H_sees_blocks_mutated_in_place():
+    f, params, problem, x = bid_case()
+    u, b = x[0].copy(), x[1].copy()
+    x = BlockVector([u, b])  # holds these arrays as they are
+    problem.eval_H(x)
+    u[3:6, 4:9] = 0.25
+    assert bits(problem.eval_H(x)) == bits(bid_smooth_ref(u, b, f, params))
+    b[...] = np.eye(5) / 5.0
+    assert bits(problem.eval_H(x)) == bits(bid_smooth_ref(u, b, f, params))
+
+
+def test_bid_problems_with_different_theta_do_not_share_a_penalty():
+    f, p1, problem1, x = bid_case(theta=1e4)
+    _, p2, problem2, _ = bid_case(theta=3e2)
+    for _ in range(3):
+        for params, problem in ((p1, problem1), (p2, problem2)):
+            got = problem.eval_H(x)
+            assert bits(got) == bits(bid_smooth_ref(x[0], x[1], f, params))
+
+
+def test_bid_remembered_spectra_are_read_only():
+    _, _, problem, x = bid_case()
+    problem.eval_H(x)
+    for spectrum in (bid._image_spectrum(x[0]), bid._kernel_spectrum(x[1], x[0].shape)):
+        assert not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0, 0] = 0.0
+
+
+def bid_line_search_points(x, rng):
+    """Oracle arguments in the order a backtracking sweep makes them: each
+    block moves through a few candidates while the other stays put."""
+    u, b = x[0], x[1]
+    points = []
+    for _ in range(2):
+        points += [(u, b)] * 2  # gradient, then h at the base point
+        for _ in range(3):
+            points.append((np.clip(u + 0.05 * rng.normal(size=u.shape), 0, 1), b))
+        u = points[-1][0]
+        points += [(u, b)] * 2
+        for _ in range(3):
+            cand = np.abs(b + 0.01 * rng.normal(size=b.shape))
+            points.append((u, cand / cand.sum()))
+        b = points[-1][1]
+    return points
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_bid_oracles_match_unmemoized_references_bitwise(exact):
+    f, params, problem, x = bid_case(seed=3)
+    rng = np.random.default_rng(5)
+    for u, b in bid_line_search_points(x, rng):
+        xb = BlockVector([u, b])
+        assert bits(bid.bid_smooth(u, b, f, params)) == bits(bid_smooth_ref(u, b, f, params))
+        assert bits(problem.eval_H(xb)) == bits(bid_smooth_ref(u, b, f, params))
+        assert bits(problem.partial_grad(0, xb)) == bits(bid_grad_u_ref(u, b, f, params))
+        assert bits(problem.partial_grad(1, xb)) == bits(bid_grad_b_ref(u, b, f, params))
+        if exact:
+            exact_problem = bid.make_bid_problem(f, params, exact_lipschitz=True)
+            got = exact_problem.lipschitz(1, xb)
+            assert got == in_fresh_thread(exact_problem.lipschitz, 1, xb)
+
+
+# ---------------------------------------------------------------------------
+# convlasso
+
+
+def convlasso_case():
+    f = synthetic.synth_convlasso(size=12, seed=0)["f"]
+    problem = convlasso.make_convlasso_problem(f, p=4, l=3, lam=0.05)
+    x = convlasso.init_convlasso(f, p=4, l=3, seed=1)
+    rng = np.random.default_rng(2)
+    return problem, BlockVector([x[0], 0.1 * rng.normal(size=x[1].shape)])
+
+
+def test_convlasso_eval_H_sees_blocks_mutated_in_place():
+    problem, x = convlasso_case()
+    x = BlockVector([x[0].copy(), x[1].copy()])
+    problem.eval_H(x)
+    x[1][0, 2:5, 3] = 0.7
+    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+    x[0][1] = -x[0][1]
+    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+
+
+def test_convlasso_remembered_spectra_are_read_only():
+    problem, x = convlasso_case()
+    problem.eval_H(x)
+    for spectrum in (convlasso._filter_spectra(x[0], x[1].shape[1:]),
+                     convlasso._coef_spectra(x[1])):
+        assert not spectrum.flags.writeable
+
+
+def test_convlasso_oracles_match_fresh_evaluations_bitwise():
+    problem, x = convlasso_case()
+    rng = np.random.default_rng(9)
+    d, v = x[0], x[1]
+    points = []
+    for _ in range(2):
+        points += [(d, v)] * 2
+        points += [(d + 0.1 * rng.normal(size=d.shape), v) for _ in range(3)]
+        d = points[-1][0]
+        points += [(d, v)] * 2
+        points += [(d, v + 0.1 * rng.normal(size=v.shape)) for _ in range(3)]
+        v = points[-1][1]
+    for d, v in points:
+        xb = BlockVector([d, v])
+        for oracle, args in ((problem.eval_H, (xb,)), (problem.partial_grad, (0, xb)),
+                             (problem.partial_grad, (1, xb))):
+            assert bits(oracle(*args)) == bits(in_fresh_thread(oracle, *args))
