@@ -134,14 +134,13 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     raise ValueError(f"block index must be 0 or 1, got {block}")
 
 
-def make_bid_problem(
-    f: np.ndarray, params: BidParams, exact_lipschitz: bool = False
-) -> ProblemSpec:
+def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     """ProblemSpec with block 0 = image (box [0,1]) and block 1 = kernel
     (unit simplex).  Both nonsmooth terms are convex, so both blocks use the
     tighter convex step rule.  The problem does not scale the kernel block's
     tau: pass ``(1.0, params.kernel_step_scale)`` as the run's ``step_scale``
-    for that."""
+    for that.  ``lipschitz`` holds the closed-form moduli of
+    ``bid_lipschitz``."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise DataError(f"observed image must be 2-D, got ndim={f.ndim}")
@@ -172,11 +171,8 @@ def make_bid_problem(
             return prox_box01(p)
         return prox_simplex(p)
 
-    lipschitz = None
-    if exact_lipschitz:
-
-        def lipschitz(i: int, x: BlockVector) -> float:
-            return bid_lipschitz(i, x[0], x[1], params)
+    def lipschitz(i: int, x: BlockVector) -> float:
+        return bid_lipschitz(i, x[0], x[1], params)
 
     return ProblemSpec(
         num_blocks=2,

@@ -124,7 +124,9 @@ class ProblemSpec:
     lipschitz : callable or None
         ``lipschitz(i, x)`` -> partial Lipschitz modulus of ``grad_i H`` with
         the other blocks fixed at ``x``.  ``None`` means no closed form is
-        available and the solver must estimate it by backtracking.
+        available, so the problem runs only with backtracking.  A problem
+        that has one always sets it; the run, not the problem, picks exact
+        moduli or backtracking (``RunConfig.backtrack``).
     """
 
     num_blocks: int

@@ -154,7 +154,7 @@ def cmd_nmf(args) -> int:
 def _solve_bid(f, params, cfg):
     """Solve the BID model; unless the run sets ``step_scale``, the kernel
     block's tau takes the ``params.kernel_step_scale`` preset."""
-    problem = bid_mod.make_bid_problem(f, params, exact_lipschitz=not cfg.backtrack)
+    problem = bid_mod.make_bid_problem(f, params)
     x0 = bid_mod.init_bid(f, params)
     if cfg.step_scale is None:
         cfg = dataclasses.replace(cfg, step_scale=(1.0, params.kernel_step_scale))
@@ -184,8 +184,7 @@ def cmd_convlasso(args) -> int:
     else:
         f = synthetic.synth_convlasso(seed=cfg.seed)["f"]
     problem = cl_mod.make_convlasso_problem(
-        f, p=args.filters, l=args.filter_size, lam=args.lasso_weight,
-        exact_lipschitz=not cfg.backtrack,
+        f, p=args.filters, l=args.filter_size, lam=args.lasso_weight
     )
     x0 = cl_mod.init_convlasso(f, p=args.filters, l=args.filter_size, seed=cfg.seed)
     state = run(problem, x0, cfg)
@@ -207,9 +206,7 @@ def _sweep_cell(problem_kind, cfg):
         x0 = nmf_mod.init_nmf(inst["A"], r=3, s=2, seed=cfg.seed)
     else:
         inst = synthetic.synth_convlasso(seed=cfg.seed)
-        problem = cl_mod.make_convlasso_problem(
-            inst["f"], p=8, l=5, lam=0.2, exact_lipschitz=not cfg.backtrack
-        )
+        problem = cl_mod.make_convlasso_problem(inst["f"], p=8, l=5, lam=0.2)
         x0 = cl_mod.init_convlasso(inst["f"], p=8, l=5, seed=cfg.seed)
     return run(problem, x0, cfg).trace
 

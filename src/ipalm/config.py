@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .lipschitz import BacktrackState
 from .schedules import Dynamic, StaticConvex, StaticNonconvex
 
 SCHEDULES = ("static-nc", "static-c", "dynamic")
@@ -35,11 +36,11 @@ class RunConfig:
     iters: int = 1000
     tol: float = 1e-9
     seed: int = 0
-    backtrack: bool = True
-    bt_growth: float = 2.0
-    bt_shrink: float = 0.5
-    bt_max_rounds: int = 60
-    bt_l0: float = 1.0
+    backtrack: bool = True  # False: every block takes the problem's closed-form moduli
+    bt_growth: float = BacktrackState.growth
+    bt_shrink: float = BacktrackState.shrink
+    bt_max_rounds: int = BacktrackState.max_rounds
+    bt_l0: float = BacktrackState.L_current
     step_scale: Optional[tuple] = None  # per-block tau multipliers; None: all ones
     constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights
     checkpoints: tuple = (100, 500, 1000, 5000)

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
-from .imageops import (
+from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_* here
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
@@ -29,10 +29,6 @@ from .imageops import (
     write_pgm,
 )
 from .prox import prox_filter_constraint, prox_l1
-
-
-class ContractError(ValueError):
-    """A pinned slot (fixed filter or fixed coefficient image) was mutated."""
 
 
 def gaussian_filter(l: int, sigma: float) -> np.ndarray:
@@ -45,46 +41,6 @@ def gaussian_filter(l: int, sigma: float) -> np.ndarray:
     gx = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
     g = np.outer(gx, gx)
     return g / g.sum()
-
-
-def convlasso_residual(d: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    out = -np.asarray(f, dtype=np.float64)
-    for j in range(d.shape[0]):
-        out = out + centered_conv(v[j], d[j])
-    return out
-
-
-def convlasso_objective(
-    d: np.ndarray, v: np.ndarray, f: np.ndarray, lam: float, g: np.ndarray = None
-) -> float:
-    """Full objective on complete stacks (fixed slot included).
-
-    When the fixed filter ``g`` is supplied the pinned slots are checked:
-    ``d[0]`` must equal ``g`` and ``v[0]`` must equal ``f`` exactly.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if g is not None:
-        if not np.array_equal(d[0], g):
-            raise ContractError("fixed filter slot was mutated")
-        if not np.array_equal(v[0], f):
-            raise ContractError("fixed coefficient slot was mutated")
-    r = convlasso_residual(d, v, f)
-    return lam * float(np.abs(v).sum()) + 0.5 * float(np.vdot(r, r).real)
-
-
-def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
-    """Gradients of the smooth part on complete stacks; pinned slots get zero."""
-    d = np.asarray(d, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    r = convlasso_residual(d, v, f)
-    gd = np.zeros_like(d)
-    gv = np.zeros_like(v)
-    for j in range(1, d.shape[0]):
-        gv[j] = centered_corr_image(r, d[j])
-        gd[j] = centered_corr_kernel(r, v[j], d[j].shape)
-    return gd, gv
 
 
 # a line search moves one stack and holds the other, whose spectrum every
@@ -102,8 +58,7 @@ def _fourier_energy(stack: np.ndarray, shape) -> float:
 
 
 def make_convlasso_problem(
-    f: np.ndarray, p: int, l: int, lam: float, sigma_l: float = None,
-    exact_lipschitz: bool = False,
+    f: np.ndarray, p: int, l: int, lam: float, sigma_l: float = None
 ) -> ProblemSpec:
     """ProblemSpec over the free slots: block 0 = filter stack (p-1, l, l),
     block 1 = coefficient stack (p-1, m, n).
@@ -111,7 +66,8 @@ def make_convlasso_problem(
     The data term lives in the DFT domain: the residual spectrum is
     ``base_hat + sum_j D_j V_j`` (one batched transform per stack), ``H`` is
     taken from it by Parseval and each partial gradient is one batched
-    inverse transform.
+    inverse transform.  ``lipschitz`` is the Fourier energy of the other
+    block's stack.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
@@ -169,12 +125,9 @@ def make_convlasso_problem(
             return out
         return prox_l1(q, lam / t)
 
-    lipschitz = None
-    if exact_lipschitz:
-
-        def lipschitz(i: int, x: BlockVector) -> float:
-            stack = x[1] if i == 0 else x[0]
-            return max(_fourier_energy(stack, f.shape), 1e-12)
+    def lipschitz(i: int, x: BlockVector) -> float:
+        stack = x[1] if i == 0 else x[0]
+        return max(_fourier_energy(stack, f.shape), 1e-12)
 
     return ProblemSpec(
         num_blocks=2,

@@ -138,7 +138,7 @@ class SolverState:
     x_prev: BlockVector
     k: int
     kinds: tuple
-    backtrack: Optional[tuple] = None  # per-block BacktrackState or None
+    backtrack: Optional[tuple] = None  # None: exact moduli; else one BacktrackState per block
     step_scale: Optional[tuple] = None  # per-block tau multiplier >= 1
     constant_delta: Optional[tuple] = None  # per-block constant step weight
     trace: SolverTrace = field(default_factory=SolverTrace)
@@ -148,7 +148,7 @@ class SolverState:
         nb = len(self.x_cur)
         if self.step_scale is None:
             self.step_scale = (1.0,) * nb
-        for name in ("step_scale", "constant_delta"):
+        for name in ("backtrack", "step_scale", "constant_delta"):
             value = getattr(self, name)
             if value is not None and len(value) != nb:
                 raise ValueError(f"{name} needs one entry per block ({nb}), got {value}")
@@ -161,7 +161,7 @@ class SolverState:
 
 def _step_params(kind: ScheduleKind, alpha, beta, L, const_delta):
     """(tau, delta) honoring a constant step weight when one is pinned."""
-    if const_delta is not None and not isinstance(kind, Dynamic):
+    if const_delta is not None:
         tau = tau_for_delta(
             alpha, beta, const_delta, L, kind.eps, convex=isinstance(kind, StaticConvex)
         )
@@ -193,6 +193,20 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     x_cur, x_prev = state.x_cur, state.x_prev
     mixed_blocks = list(x_cur.blocks)
     alphas, betas, taus, deltas_used, Ls = [], [], [], [], []
+    tau = delta = None
+
+    # step and h_eval act on the block the loop below is at
+    def step(L):
+        """The prox point for modulus ``L``; sets the block's tau and delta."""
+        nonlocal tau, delta
+        tau, delta = _step_params(kind, alpha, beta, L, const_delta)
+        tau *= scale
+        return problem.prox(i, tau, y - grad / tau)
+
+    def h_eval(block_value):
+        parts = list(mixed_blocks)
+        parts[i] = block_value
+        return problem.eval_H(BlockVector(parts))
 
     for i in range(problem.num_blocks):
         kind = state.kinds[i]
@@ -204,32 +218,13 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         grad = problem.partial_grad(i, mixed)
         scale = state.step_scale[i]
         const_delta = None if state.constant_delta is None else state.constant_delta[i]
-
-        bt_state = None if state.backtrack is None else state.backtrack[i]
-        if bt_state is None:
-            if problem.lipschitz is None:
-                raise ValueError(
-                    f"block {i}: no exact Lipschitz rule and no backtracking state"
-                )
+        if state.backtrack is None:
             L = float(problem.lipschitz(i, mixed))
-            tau, delta = _step_params(kind, alpha, beta, L, const_delta)
-            tau = tau * scale
-            x_new = problem.prox(i, tau, y - grad / tau)
+            x_new = step(L)
         else:
-
-            def candidate(L_test, _y=y, _grad=grad, _i=i, _kind=kind, _a=alpha, _b=beta):
-                t, _ = _step_params(_kind, _a, _b, L_test, const_delta)
-                t = t * scale
-                return problem.prox(_i, t, _y - _grad / t)
-
-            def h_eval(block_value, _i=i, _mixed_blocks=mixed_blocks):
-                parts = list(_mixed_blocks)
-                parts[_i] = block_value
-                return problem.eval_H(BlockVector(parts))
-
-            L, x_new, _ = backtrack_L(h_eval, grad, z, candidate, bt_state)
-            tau, delta = _step_params(kind, alpha, beta, L, const_delta)
-            tau = tau * scale
+            # the accepted modulus is the last one tested, so tau and delta
+            # are the accepted step's
+            L, x_new, _ = backtrack_L(h_eval, grad, z, step, state.backtrack[i])
 
         if not np.isfinite(x_new).all():
             raise DivergenceError(
@@ -277,18 +272,36 @@ def make_state(
     x0: BlockVector,
     kinds,
     backtracking: bool = False,
-    bt_growth: float = 2.0,
-    bt_shrink: float = 0.5,
-    bt_max_rounds: int = 60,
-    bt_L0: float = 1.0,
+    bt_growth: float = BacktrackState.growth,
+    bt_shrink: float = BacktrackState.shrink,
+    bt_max_rounds: int = BacktrackState.max_rounds,
+    bt_L0: float = BacktrackState.L_current,
     step_scale=None,
     constant_delta=None,
 ) -> SolverState:
     """Assemble a fresh solver state with the first step inertia-free
-    (the predecessor of the starting point is the starting point itself)."""
+    (the predecessor of the starting point is the starting point itself).
+
+    ``backtracking`` picks the moduli source for every block: descent-lemma
+    backtracking, or the problem's closed-form ``lipschitz``.
+    """
     nb = len(x0)
+    if nb != problem.num_blocks:
+        raise ValueError(
+            f"{problem.name}: x0 has {nb} blocks, the problem {problem.num_blocks}"
+        )
+    if not backtracking and problem.lipschitz is None:
+        raise ValueError(
+            f"{problem.name}: no closed-form Lipschitz moduli; run with backtracking"
+        )
     if not isinstance(kinds, (tuple, list)):
         kinds = (kinds,) * nb
+    heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
+    if constant_delta is not None and heuristic:
+        raise ValueError(
+            f"{problem.name}: constant_delta needs static schedules; the dynamic "
+            f"schedule sets no step weights"
+        )
     bt = None
     if backtracking:
         bt = tuple(
@@ -310,8 +323,8 @@ def make_state(
         constant_delta=None if constant_delta is None else tuple(constant_delta),
     )
     state.trace.rows.append(initial_trace_row(problem, x0))
-    state.trace.meta["heuristic"] = any(isinstance(kd, Dynamic) for kd in state.kinds)
-    if state.trace.meta["heuristic"]:
+    state.trace.meta["heuristic"] = heuristic
+    if heuristic:
         state.trace.meta["mode_note"] = (
             "heuristic mode: dynamic coefficients lie outside the descent theory"
         )

@@ -327,8 +327,7 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
                            "c1_descent_nmf"))
     bid_desk = synthetic.synth_bid(size=32, kernel=5, seed=seed)
     bid_desk_params = bid.BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5))
-    bid_c1_problem = bid.make_bid_problem(bid_desk["f"], bid_desk_params,
-                                          exact_lipschitz=True)
+    bid_c1_problem = bid.make_bid_problem(bid_desk["f"], bid_desk_params)
     reports.append(renamed(
         c1_for(bid_c1_problem, bid.init_bid(bid_desk["f"], bid_desk_params),
                (True, True), iters=200, step_scale=(1.0, 5.0)),

@@ -3,7 +3,8 @@
 The convolution loops are O(M*N) references for the FFT views in
 `ipalm.imageops`; the centred loops roll around the corner-anchored ones.
 The BID references recompute the smooth term and its gradients from the
-centred views with no remembered spectra; ``in_fresh_thread`` evaluates any
+centred views with no remembered spectra, and the convlasso references do
+the same filter by filter on complete stacks; ``in_fresh_thread`` evaluates any
 oracle from scratch, in a thread whose memo slots are empty.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records.
@@ -162,6 +163,51 @@ def bid_grad_u_ref(u, b, f, params):
 def bid_grad_b_ref(u, b, f, params):
     resid = centered_conv(u, b) - f
     return params.lam * centered_corr_kernel(resid, u, b.shape)
+
+
+class ContractError(ValueError):
+    """A pinned slot (fixed filter or fixed coefficient image) was mutated."""
+
+
+def convlasso_residual(d: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    out = -np.asarray(f, dtype=np.float64)
+    for j in range(d.shape[0]):
+        out = out + centered_conv(v[j], d[j])
+    return out
+
+
+def convlasso_objective(
+    d: np.ndarray, v: np.ndarray, f: np.ndarray, lam: float, g: np.ndarray = None
+) -> float:
+    """Full convlasso objective on complete stacks (fixed slot included).
+
+    When the fixed filter ``g`` is supplied the pinned slots are checked:
+    ``d[0]`` must equal ``g`` and ``v[0]`` must equal ``f`` exactly.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    if g is not None:
+        if not np.array_equal(d[0], g):
+            raise ContractError("fixed filter slot was mutated")
+        if not np.array_equal(v[0], f):
+            raise ContractError("fixed coefficient slot was mutated")
+    r = convlasso_residual(d, v, f)
+    return lam * float(np.abs(v).sum()) + 0.5 * float(np.vdot(r, r).real)
+
+
+def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
+    """Gradients of the convlasso smooth part on complete stacks; pinned
+    slots get zero."""
+    d = np.asarray(d, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    r = convlasso_residual(d, v, f)
+    gd = np.zeros_like(d)
+    gv = np.zeros_like(v)
+    for j in range(1, d.shape[0]):
+        gv[j] = centered_corr_image(r, d[j])
+        gd[j] = centered_corr_kernel(r, v[j], d[j].shape)
+    return gd, gv
 
 
 def in_fresh_thread(fn, *args):

@@ -43,7 +43,7 @@ def nmf_case():
 def bid_case():
     f = synthetic.synth_bid(size=16, kernel=3, seed=0)["f"]
     params = bid.BidParams(kernel_shape=(3, 3))
-    return bid.make_bid_problem(f, params, exact_lipschitz=True), bid.init_bid(f, params), False
+    return bid.make_bid_problem(f, params), bid.init_bid(f, params), False
 
 
 def convlasso_case():
@@ -79,3 +79,29 @@ def test_traced_two_sweep_solve_counts_each_layer(prefix):
     assert tracer.calls[f"{prefix}.grad"] == 4
     assert tracer.calls["prox"] >= 4
     assert tracer.calls[modulus_layer] == modulus_calls
+
+
+def test_backtracking_bid_call_pattern_matches_the_pinned_counts():
+    """The call pattern `benchmarks/check_determinism.py` pins for criterion
+    9, on a short solve: every backtracking call evaluates h once at its base
+    point and once per tested modulus, and the objective is evaluated once
+    per sweep plus once for F_0."""
+    f = synthetic.synth_bid(size=16, kernel=3, seed=1)["f"]
+    params = bid.BidParams(kernel_shape=(3, 3))
+    tracer = Tracer()
+    problem = instrument_problem(bid.make_bid_problem(f, params), tracer, "bid")
+    cfg = RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4)
+    with instrument_modules(tracer):
+        state = ipalm.solver.make_state(
+            problem, bid.init_bid(f, params), block_kinds(problem, cfg),
+            backtracking=True, step_scale=(1.0, 5.0),
+        )
+        ipalm.solver.run_state(state, problem, 6, 0.0)
+    sweeps = tracer.calls["solver.iterate"]
+    assert sweeps == 6
+    assert tracer.calls["lipschitz.backtrack"] == 2 * sweeps
+    assert tracer.calls["bid.eval_H"] == (
+        tracer.calls["lipschitz.backtrack"] + tracer.extra["lipschitz.backtrack"]
+    )
+    assert tracer.calls["bid.eval_F"] == sweeps + 1
+    assert tracer.calls["lipschitz.modulus"] == 0

@@ -188,7 +188,7 @@ def test_iterates_stay_feasible():
 def test_exact_lipschitz_mode_runs_and_descends_with_zero_inertia():
     inst = synth_bid(size=16, kernel=3, seed=88)
     params = BidParams(kernel_shape=(3, 3), kernel_step_scale=1.0)
-    problem = make_bid_problem(inst["f"], params, exact_lipschitz=True)
+    problem = make_bid_problem(inst["f"], params)
     x0 = init_bid(inst["f"], params)
     state = make_state(problem, x0, block_kinds(problem, RunConfig(schedule="static-c")))
     run_state(state, problem, iters=40, tol=0.0)

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
+from oracles import ContractError, convlasso_grads, convlasso_objective, convlasso_residual
 
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import (
-    ContractError,
     assemble_stacks,
-    convlasso_grads,
-    convlasso_objective,
-    convlasso_residual,
     dump_outputs,
     gaussian_filter,
     init_convlasso,
@@ -169,7 +166,7 @@ def test_exact_moduli_satisfy_descent_lemma():
     rng = np.random.default_rng(103)
     f = rng.uniform(0, 1, (10, 7))
     p, l = 4, 3
-    problem = make_convlasso_problem(f, p=p, l=l, lam=0.2, exact_lipschitz=True)
+    problem = make_convlasso_problem(f, p=p, l=l, lam=0.2)
     for i in range(2):
         for _ in range(25):
             x1 = _random_feasible_point(rng, f.shape, p, l)
@@ -184,7 +181,7 @@ def test_exact_moduli_satisfy_descent_lemma():
 
 def test_exact_lipschitz_mode_descends_with_zero_inertia():
     inst = synth_convlasso(seed=104)
-    problem = make_convlasso_problem(inst["f"], p=5, l=3, lam=0.05, exact_lipschitz=True)
+    problem = make_convlasso_problem(inst["f"], p=5, l=3, lam=0.05)
     x0 = init_convlasso(inst["f"], p=5, l=3, seed=104)
     state = make_state(problem, x0, block_kinds(problem, RunConfig(schedule="static-c")))
     run_state(state, problem, iters=30, tol=0.0)

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from oracles import lyapunov_psi, params_at
 
+from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, extrapolate
 from ipalm.config import RunConfig
+from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.lipschitz import spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
@@ -17,7 +20,7 @@ from ipalm.solver import (
     run_state,
     TRACE_COLUMNS,
 )
-from ipalm.synthetic import synth_nmf
+from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 
 def one_block_quadratic():
@@ -115,6 +118,59 @@ def test_per_block_tuples_must_match_the_block_count():
         run(problem, x0, RunConfig(iters=1, backtrack=False, step_scale=(1.0,)))
     with pytest.raises(ValueError, match="must be >= 1"):
         make_state(problem, x0, kinds, step_scale=(1.0, 0.5))
+
+
+def _unevaluated(problem):
+    """The problem with an objective that fails the test if it is called."""
+
+    def eval_F(x):
+        raise AssertionError("F_0 evaluated before the state was checked")
+
+    return dataclasses.replace(problem, eval_F=eval_F)
+
+
+def test_make_state_rejects_a_block_count_mismatch_naming_the_problem():
+    problem = _unevaluated(one_block_quadratic())
+    x0 = BlockVector([np.ones(2), np.ones(3)])
+    with pytest.raises(ValueError, match="quadratic: x0 has 2 blocks, the problem 1"):
+        make_state(problem, x0, StaticNonconvex(0.0, 0.0))
+
+
+def test_make_state_rejects_exact_mode_without_moduli_naming_the_problem():
+    no_moduli = dataclasses.replace(one_block_quadratic(), lipschitz=None)
+    x0 = BlockVector([np.ones(2)])
+    with pytest.raises(ValueError, match="quadratic: no closed-form Lipschitz moduli"):
+        make_state(_unevaluated(no_moduli), x0, StaticNonconvex(0.0, 0.0))
+    # backtracking needs no closed form
+    make_state(no_moduli, x0, StaticNonconvex(0.0, 0.0), backtracking=True)
+
+
+def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_problem():
+    problem = _unevaluated(one_block_quadratic())
+    x0 = BlockVector([np.ones(2)])
+    with pytest.raises(ValueError, match="quadratic: constant_delta needs static"):
+        make_state(problem, x0, Dynamic(), constant_delta=(1.0,))
+
+
+def _image_problem(name):
+    if name == "bid":
+        f = synth_bid(size=16, kernel=3, seed=6)["f"]
+        params = BidParams(kernel_shape=(3, 3))
+        return make_bid_problem(f, params), init_bid(f, params)
+    f = synth_convlasso(size=12, seed=6)["f"]
+    return make_convlasso_problem(f, p=3, l=3, lam=0.05), init_convlasso(f, p=3, l=3, seed=6)
+
+
+@pytest.mark.parametrize("name", ["bid", "convlasso"])
+def test_run_config_alone_selects_the_closed_form_moduli(name):
+    problem, x0 = _image_problem(name)
+    state = run(problem, x0, RunConfig(iters=3, tol=0.0, backtrack=False))
+    assert state.backtrack is None
+    # the first sweep's first block steps from x0 itself (no inertia yet)
+    assert state.trace.rows[1].L[0] == problem.lipschitz(0, x0)
+    F = state.trace.f_values()
+    assert np.isfinite(F).all() and F[-1] < F[0]
+    assert run(problem, x0, RunConfig(iters=1, tol=0.0)).backtrack is not None
 
 
 def test_run_infinite_tol_stops_after_one_iteration():
