@@ -22,6 +22,7 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
     centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
+    parseval_weights,
     phi_grad,
     phi_value,
     remember_last,
@@ -74,34 +75,6 @@ _image_spectrum = remember_last(np.fft.rfft2)
 _kernel_spectrum = remember_last(centered_kernel_spectrum)
 
 
-def _residual(u, b, f):
-    """``centered_conv(u, b) - f`` from the remembered spectra."""
-    spec = _image_spectrum(u) * _kernel_spectrum(b, u.shape)
-    return np.fft.irfft2(spec, s=u.shape) - f
-
-
-def bid_smooth(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> float:
-    """Smooth coupling term: edge penalty plus data fidelity."""
-    reg = _edge_penalty(u, params.theta)
-    resid = _residual(u, b, f)
-    return reg + 0.5 * params.lam * float(np.vdot(resid, resid).real)
-
-
-def bid_grad_u(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> np.ndarray:
-    grad = np.zeros_like(u)
-    for p in range(1, 9):
-        grad += dir_grad_adjoint(phi_grad(dir_grad(u, p), params.theta), p)
-    # centered_corr_image(resid, b)
-    spec = np.fft.rfft2(_residual(u, b, f)) * np.conj(_kernel_spectrum(b, u.shape))
-    return grad + params.lam * np.fft.irfft2(spec, s=u.shape)
-
-
-def bid_grad_b(u: np.ndarray, b: np.ndarray, f: np.ndarray, params: BidParams) -> np.ndarray:
-    # centered_corr_kernel(resid, u, b.shape)
-    spec = np.fft.rfft2(_residual(u, b, f)) * np.conj(_image_spectrum(u))
-    return params.lam * centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
-
-
 # sum of squared operator norms of the directional differences; each is a
 # weighted two-point difference, so its norm is at most 2*weight
 _DIFF_NORM_SQ_BOUND = sum(4.0 * w * w for _, _, w in DIRECTIONS)
@@ -111,18 +84,17 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     """Safe partial moduli for the two blocks.
 
     Image block: the penalty's curvature is at most ``2*theta`` per
-    direction, giving ``2*theta*sum_p ||D_p||^2 + lam*max_w |bhat(w)|^2``.
-    Kernel block: the term is quadratic in b, so the modulus is the exact
-    operator norm of the restricted normal operator (power iteration).  In
-    the DFT domain that operator multiplies the kernel spectrum by
-    ``lam*|uhat|^2``, computed once per call, so each power step costs one
-    forward and one inverse transform.
+    direction, giving ``2*theta*sum_p ||D_p||^2 + lam*max_w |bhat(w)|^2``
+    on the remembered kernel spectrum.  Kernel block: the term is quadratic
+    in b, so the modulus is the exact operator norm of the restricted normal
+    operator (power iteration).  In the DFT domain that operator multiplies
+    the kernel spectrum by ``lam*|uhat|^2``, computed once per call, so each
+    power step costs one forward and one inverse transform.
     """
     if block == 0:
-        bhat_sq = np.abs(np.fft.fft2(b, s=u.shape)) ** 2
+        bhat_sq = np.abs(_kernel_spectrum(b, u.shape)) ** 2
         return 2.0 * params.theta * _DIFF_NORM_SQ_BOUND + params.lam * float(bhat_sq.max())
     if block == 1:
-
         u_hat = _image_spectrum(u)
         weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
 
@@ -139,19 +111,33 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     (unit simplex).  Both nonsmooth terms are convex, so both blocks use the
     tighter convex step rule.  The problem does not scale the kernel block's
     tau: pass ``(1.0, params.kernel_step_scale)`` as the run's ``step_scale``
-    for that.  ``lipschitz`` holds the closed-form moduli of
-    ``bid_lipschitz``."""
+    for that.  ``lipschitz`` holds the moduli of ``bid_lipschitz``.  The data
+    term stays in the DFT domain: ``H`` takes it by Parseval from the
+    residual spectrum ``uhat*bhat - fhat``, and each partial gradient is one
+    inverse transform.  A non-finite observation raises ``DataError``."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise DataError(f"observed image must be 2-D, got ndim={f.ndim}")
+    if not np.isfinite(f).all():
+        raise DataError("observed image has non-finite entries")
     if f.min() < 0.0 or f.max() > 1.0:
         raise DataError("observed image entries must lie in [0, 1]")
     n1, n2 = params.kernel_shape
     if n1 > f.shape[0] or n2 > f.shape[1]:
         raise DataError(f"kernel {params.kernel_shape} larger than image {f.shape}")
+    shape, lam, theta = f.shape, params.lam, params.theta
+    f_hat = np.fft.rfft2(f)
+    weights = parseval_weights(shape)
+
+    def _spectra(x: BlockVector):
+        u_hat = _image_spectrum(x[0])
+        b_hat = _kernel_spectrum(x[1], shape)
+        return u_hat, b_hat, u_hat * b_hat - f_hat
 
     def eval_H(x: BlockVector) -> float:
-        return bid_smooth(x[0], x[1], f, params)
+        r_hat = _spectra(x)[2]
+        data = float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+        return _edge_penalty(x[0], theta) + lam * data
 
     def eval_F(x: BlockVector) -> float:
         u, b = x[0], x[1]
@@ -162,9 +148,13 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         return eval_H(x)
 
     def partial_grad(i: int, x: BlockVector) -> np.ndarray:
+        u_hat, b_hat, r_hat = _spectra(x)
         if i == 0:
-            return bid_grad_u(x[0], x[1], f, params)
-        return bid_grad_b(x[0], x[1], f, params)
+            edge = sum(dir_grad_adjoint(phi_grad(dir_grad(x[0], p), theta), p)
+                       for p in range(1, 9))
+            return edge + lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
+        full = np.fft.irfft2(r_hat * np.conj(u_hat), s=shape)
+        return lam * centered_kernel_window(full, x[1].shape)
 
     def prox(i: int, t: float, p: np.ndarray) -> np.ndarray:
         if i == 0:
@@ -182,7 +172,7 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         prox=prox,
         convex=(True, True),
         lipschitz=lipschitz,
-        name=f"bid(image={f.shape}, kernel={params.kernel_shape})",
+        name=f"bid(image={shape}, kernel={params.kernel_shape})",
     )
 
 

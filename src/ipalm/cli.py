@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
     cells = [dataclasses.replace(cfg, alpha_bar=a, beta_bar=a) for a in alphas]
     if args.include_dynamic:
         cells.append(dataclasses.replace(cfg, schedule="dynamic", alpha_bar=0.0, beta_bar=0.0))
-    with ThreadPoolExecutor(max_workers=max(1, cfg.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         traces = list(pool.map(functools.partial(_sweep_cell, args.problem), cells))
     labels = ["dynamic" if c.schedule == "dynamic" else f"alpha=beta={c.alpha_bar:g}"
               for c in cells]

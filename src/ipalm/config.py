@@ -54,6 +54,10 @@ class RunConfig:
             )
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
+        if any(k < 0 for k in self.checkpoints):
+            raise ConfigError(f"checkpoints must be >= 0, got {self.checkpoints}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def block_kinds(problem, config: RunConfig) -> tuple:

@@ -25,6 +25,7 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
     centered_corr_kernel,
     centered_kernel_spectrum,
     centered_kernel_window,
+    parseval_weights,
     remember_last,
     write_pgm,
 )
@@ -49,14 +50,6 @@ _filter_spectra = remember_last(centered_kernel_spectrum)
 _coef_spectra = remember_last(np.fft.rfft2)
 
 
-def _fourier_energy(stack: np.ndarray, shape) -> float:
-    """max over frequencies of ``sum_j |hat(stack_j)|^2``; the exact modulus
-    of the linear map paired with this stack (upper bound once the other
-    side is support-restricted).  For real input the maximum over the half
-    spectrum equals the maximum over the full spectrum."""
-    return float((np.abs(np.fft.rfft2(stack, s=shape)) ** 2).sum(axis=0).max())
-
-
 def make_convlasso_problem(
     f: np.ndarray, p: int, l: int, lam: float, sigma_l: float = None
 ) -> ProblemSpec:
@@ -64,14 +57,17 @@ def make_convlasso_problem(
     block 1 = coefficient stack (p-1, m, n).
 
     The data term lives in the DFT domain: the residual spectrum is
-    ``base_hat + sum_j D_j V_j`` (one batched transform per stack), ``H`` is
-    taken from it by Parseval and each partial gradient is one batched
-    inverse transform.  ``lipschitz`` is the Fourier energy of the other
-    block's stack.
+    ``fhat*(ghat - 1) + sum_j D_j V_j`` (one batched transform per stack),
+    ``H`` is taken from it by Parseval and each partial gradient is one
+    batched inverse transform.  ``lipschitz`` is the Fourier energy of the
+    other block's remembered spectra.  A non-finite image raises
+    ``ValueError``.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"image must be 2-D, got ndim={f.ndim}")
+    if not np.isfinite(f).all():
+        raise ValueError("image has non-finite entries")
     if p < 2:
         raise ValueError(f"need at least 2 filters (one is pinned), got {p}")
     if l < 1 or l % 2 == 0:
@@ -81,20 +77,13 @@ def make_convlasso_problem(
     if sigma_l is None:
         sigma_l = l / 4.0
     g = gaussian_filter(l, sigma_l)
-    # fixed pair's contribution to the residual, minus the image
-    base_hat = np.fft.rfft2(centered_conv(f, g) - f)
+    shape = f.shape
+    base_hat = np.fft.rfft2(f) * (centered_kernel_spectrum(g, shape) - 1.0)
     fixed_l1 = float(np.abs(f).sum())
-    # Parseval on the half spectrum: columns other than DC and (for even
-    # width) Nyquist stand for a conjugate pair
-    m, n = f.shape
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    weights *= 0.5 / (m * n)
+    weights = parseval_weights(shape)
 
     def _spectra(x: BlockVector):
-        d_hat = _filter_spectra(x[0], f.shape)
+        d_hat = _filter_spectra(x[0], shape)
         v_hat = _coef_spectra(x[1])
         return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
@@ -113,9 +102,9 @@ def make_convlasso_problem(
     def partial_grad(i: int, x: BlockVector) -> np.ndarray:
         d_hat, v_hat, r_hat = _spectra(x)
         if i == 0:
-            full = np.fft.irfft2(r_hat * np.conj(v_hat), s=f.shape)
+            full = np.fft.irfft2(r_hat * np.conj(v_hat), s=shape)
             return centered_kernel_window(full, (l, l))
-        return np.fft.irfft2(r_hat * np.conj(d_hat), s=f.shape)
+        return np.fft.irfft2(r_hat * np.conj(d_hat), s=shape)
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:
         if i == 0:
@@ -126,8 +115,8 @@ def make_convlasso_problem(
         return prox_l1(q, lam / t)
 
     def lipschitz(i: int, x: BlockVector) -> float:
-        stack = x[1] if i == 0 else x[0]
-        return max(_fourier_energy(stack, f.shape), 1e-12)
+        spectra = _coef_spectra(x[1]) if i == 0 else _filter_spectra(x[0], shape)
+        return max(float((np.abs(spectra) ** 2).sum(axis=0).max()), 1e-12)
 
     return ProblemSpec(
         num_blocks=2,

@@ -6,7 +6,8 @@ Centred convolutions run in the DFT domain on pre-rolled kernel spectra:
 zero-padded with its center entry rolled to the origin, so a convolution is
 one pointwise product and an adjoint the product with the conjugate;
 ``centered_kernel_window`` reads a kernel-side adjoint back out of a
-full-size correlation.
+full-size correlation; ``parseval_weights`` takes ``0.5*||r||^2`` from the
+half spectrum of ``r``, so a data term never leaves the DFT domain.
 
 ``remember_last`` gives a pure array function a one-entry memory per
 thread, so an oracle that sees the same operand again (the block a line
@@ -192,6 +193,18 @@ def centered_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
     padded = np.zeros(b.shape[:-2] + tuple(shape))
     padded[_window_index(b.shape[-2:], shape)] = b
     return np.fft.rfft2(padded)
+
+
+def parseval_weights(shape) -> np.ndarray:
+    """Column weights ``w`` with ``sum(w*|rfft2(x)|^2) == 0.5*||x||^2`` for a
+    real ``shape`` array: half-spectrum columns other than DC and (for even
+    width) Nyquist stand for a conjugate pair."""
+    m, n = shape
+    weights = np.full(n // 2 + 1, 1.0 / (m * n))
+    weights[0] /= 2.0
+    if n % 2 == 0:
+        weights[-1] /= 2.0
+    return weights
 
 
 def centered_kernel_window(full: np.ndarray, shape) -> np.ndarray:

@@ -69,11 +69,14 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
 
     Block 0 is B (nonconvex constraint set: nonnegative, at most ``s``
     nonzeros per column), block 1 is C (nonnegative).  ``s = 0`` is the
-    degenerate documented edge pinning B at zero.
+    degenerate documented edge pinning B at zero.  Non-finite or negative
+    data raises ``DataError``.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DataError(f"data matrix must be 2-D, got ndim={A.ndim}")
+    if not np.isfinite(A).all():
+        raise DataError("data matrix has non-finite entries")
     if (A < 0).any():
         raise DataError("data matrix must be elementwise nonnegative")
     m = A.shape[0]

@@ -2,10 +2,12 @@
 
 The convolution loops are O(M*N) references for the FFT views in
 `ipalm.imageops`; the centred loops roll around the corner-anchored ones.
-The BID references recompute the smooth term and its gradients from the
-centred views with no remembered spectra, and the convlasso references do
-the same filter by filter on complete stacks; ``in_fresh_thread`` evaluates any
-oracle from scratch, in a thread whose memo slots are empty.
+The BID references recompute the smooth term and its gradients in the image
+domain from the centred views with no remembered spectra, the convlasso
+references do the same filter by filter on complete stacks, and
+``fourier_energy`` is the corner-padded reference for the convlasso moduli;
+``in_fresh_thread`` evaluates any oracle from scratch, in a thread whose memo
+slots are empty.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records.
 """
@@ -16,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ipalm.bid import bid_grad_b, bid_grad_u
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, step_deltas
 from ipalm.imageops import (
     _check_kernel_fits,
@@ -140,11 +141,6 @@ def params_at(trace, k: int) -> InertialParams:
     return InertialParams(alpha=row.alpha, beta=row.beta, tau=row.tau, delta=row.delta, L=row.L)
 
 
-def bid_grads(u, b, f, params):
-    """Both BID partial gradients at ``(u, b)``."""
-    return bid_grad_u(u, b, f, params), bid_grad_b(u, b, f, params)
-
-
 def bid_smooth_ref(u, b, f, params):
     """BID smooth term, every part computed afresh."""
     reg = sum(phi_value(dir_grad(u, p), params.theta) for p in range(1, 9))
@@ -208,6 +204,13 @@ def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
         gv[j] = centered_corr_image(r, d[j])
         gd[j] = centered_corr_kernel(r, v[j], d[j].shape)
     return gd, gv
+
+
+def fourier_energy(stack: np.ndarray, shape) -> float:
+    """max over frequencies of ``sum_j |hat(stack_j)|^2`` from a corner-padded
+    transform of ``stack`` to ``shape``: the Fourier energy that the
+    convlasso moduli read off their centred spectra."""
+    return float((np.abs(np.fft.rfft2(stack, s=shape)) ** 2).sum(axis=0).max())
 
 
 def in_fresh_thread(fn, *args):

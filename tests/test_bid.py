@@ -1,22 +1,39 @@
 import numpy as np
 import pytest
-from oracles import bid_grads
+from oracles import bid_grad_b_ref, bid_grad_u_ref, bid_smooth_ref
 
 from ipalm.bid import (
     BidParams,
     DataError,
-    bid_grad_b,
-    bid_grad_u,
     bid_lipschitz,
-    bid_smooth,
     init_bid,
     make_bid_problem,
 )
+from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
-from ipalm.imageops import centered_conv, centered_corr_kernel
+from ipalm.imageops import DIRECTIONS, centered_conv, centered_corr_kernel
 from ipalm.lipschitz import operator_norm
 from ipalm.solver import make_state, run_state
 from ipalm.synthetic import synth_bid
+
+
+def oracles(f, params):
+    """The problem's smooth term and partial gradients as functions of
+    ``(u, b)``."""
+    problem = make_bid_problem(f, params)
+
+    def smooth(u, b):
+        return problem.eval_H(BlockVector([u, b]))
+
+    def grad(i, u, b):
+        return problem.partial_grad(i, BlockVector([u, b]))
+
+    return smooth, grad
+
+
+def random_kernel(rng, shape):
+    b = rng.uniform(0.1, 1.0, shape)
+    return b / b.sum()
 
 
 def test_params_validation():
@@ -45,7 +62,7 @@ def test_smooth_term_finite_and_nonnegative_on_feasible_points():
     b = rng.uniform(0, 1, (3, 3))
     b /= b.sum()
     f = rng.uniform(0, 1, (10, 10))
-    val = bid_smooth(u, b, f, params)
+    val = oracles(f, params)[0](u, b)
     assert np.isfinite(val) and val >= 0.0
 
 
@@ -53,7 +70,7 @@ def test_kernel_gradient_vanishes_at_zero_residual():
     params = BidParams(kernel_shape=(3, 3))
     inst = synth_bid(size=16, kernel=3, seed=81)
     u, b = inst["u_true"], inst["b_true"]
-    g_b = bid_grad_b(u, b, inst["f"], params)
+    g_b = oracles(inst["f"], params)[1](1, u, b)
     assert np.abs(g_b).max() <= 1e-6  # lam * roundoff of an exact residual
 
 
@@ -64,7 +81,7 @@ def test_identity_kernel_keeps_image():
     b = np.zeros((3, 3))
     b[1, 1] = 1.0  # center entry is the zero shift
     assert np.allclose(centered_conv(u, b), u, atol=1e-12)
-    g_b = bid_grad_b(u, b, u, params)
+    g_b = oracles(u, params)[1](1, u, b)
     assert np.abs(g_b).max() <= 1e-6
 
 
@@ -76,18 +93,19 @@ def test_gradients_match_finite_differences_at_reference_weights():
     u = np.clip(f + 0.05 * rng.standard_normal(f.shape), 0.0, 1.0)
     b = rng.uniform(0.1, 1.0, (3, 3))
     b /= b.sum()
-    gu, gb = bid_grads(u, b, f, params)
+    smooth, grad = oracles(f, params)
+    gu, gb = grad(0, u, b), grad(1, u, b)
     h = 1e-6
     for _ in range(20):
         e = rng.standard_normal(u.shape)
         e /= np.linalg.norm(e)
-        fd = (bid_smooth(u + h * e, b, f, params) - bid_smooth(u - h * e, b, f, params)) / (2 * h)
+        fd = (smooth(u + h * e, b) - smooth(u - h * e, b)) / (2 * h)
         dot = float(np.vdot(gu, e))
         assert abs(fd - dot) <= max(1e-4 * abs(dot), 1e-7)
     for _ in range(20):
         e = rng.standard_normal(b.shape)
         e /= np.linalg.norm(e)
-        fd = (bid_smooth(u, b + h * e, f, params) - bid_smooth(u, b - h * e, f, params)) / (2 * h)
+        fd = (smooth(u, b + h * e) - smooth(u, b - h * e)) / (2 * h)
         dot = float(np.vdot(gb, e))
         assert abs(fd - dot) <= max(1e-4 * abs(dot), 1e-7)
 
@@ -100,13 +118,14 @@ def test_lipschitz_bounds_dominate_observed_curvature():
     f = inst["f"]
     b = rng.uniform(0.1, 1.0, (3, 3))
     b /= b.sum()
+    smooth, grad = oracles(f, params)
     for _ in range(50):
         u1 = rng.uniform(0, 1, f.shape)
         u2 = rng.uniform(0, 1, f.shape)
         L = bid_lipschitz(0, u1, b, params)
-        h1 = bid_smooth(u1, b, f, params)
-        h2 = bid_smooth(u2, b, f, params)
-        g1 = bid_grad_u(u1, b, f, params)
+        h1 = smooth(u1, b)
+        h2 = smooth(u2, b)
+        g1 = grad(0, u1, b)
         d = u2 - u1
         assert h2 <= h1 + float(np.vdot(g1, d)) + 0.5 * L * float(np.vdot(d, d)) + 1e-8
     u = rng.uniform(0, 1, f.shape)
@@ -114,9 +133,9 @@ def test_lipschitz_bounds_dominate_observed_curvature():
         b1 = rng.uniform(0, 1, (3, 3))
         b2 = rng.uniform(0, 1, (3, 3))
         L = bid_lipschitz(1, u, b1, params)
-        h1 = bid_smooth(u, b1, f, params)
-        h2 = bid_smooth(u, b2, f, params)
-        g1 = bid_grad_b(u, b1, f, params)
+        h1 = smooth(u, b1)
+        h2 = smooth(u, b2)
+        g1 = grad(1, u, b1)
         d = b2 - b1
         assert h2 <= h1 + float(np.vdot(g1, d)) + 0.5 * L * float(np.vdot(d, d)) + 1e-8
 
@@ -138,12 +157,51 @@ def test_kernel_modulus_equals_norm_of_composed_normal_operator():
         assert abs(bid_lipschitz(1, u, b, params) - ref) <= 1e-9 * ref
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (33, 31), (12, 9), (11, 14)])
+def test_fourier_oracles_match_image_domain_references(shape):
+    # the residual stays in the DFT domain; the references form it in the
+    # image domain and transform it again for each adjoint
+    rng = np.random.default_rng(sum(shape))
+    params = BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 3))
+    f = rng.uniform(0, 1, shape)
+    smooth, grad = oracles(f, params)
+    for _ in range(3):
+        u = rng.uniform(0, 1, shape)
+        b = random_kernel(rng, (5, 3))
+        ref = bid_smooth_ref(u, b, f, params)
+        assert abs(smooth(u, b) - ref) <= 1e-12 * abs(ref)
+        for i, ref_grad in ((0, bid_grad_u_ref), (1, bid_grad_b_ref)):
+            ref = ref_grad(u, b, f, params)
+            err = np.linalg.norm(grad(i, u, b) - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_image_modulus_matches_full_spectrum_formula():
+    rng = np.random.default_rng(90)
+    params = BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 3))
+    diff_norm_sq = sum(4.0 * w * w for _, _, w in DIRECTIONS)
+    for shape in ((64, 64), (33, 31), (12, 9), (11, 14)):
+        u = rng.uniform(0, 1, shape)
+        b = random_kernel(rng, (5, 3))
+        bhat_sq = np.abs(np.fft.fft2(b, s=shape)) ** 2  # corner-padded, full spectrum
+        ref = 2.0 * params.theta * diff_norm_sq + params.lam * float(bhat_sq.max())
+        assert abs(bid_lipschitz(0, u, b, params) - ref) <= 1e-12 * ref
+
+
 def test_make_problem_validates_observation():
     params = BidParams(kernel_shape=(3, 3))
     with pytest.raises(DataError):
         make_bid_problem(np.full((8, 8), 1.2), params)
     with pytest.raises(DataError):
         make_bid_problem(np.ones((2, 2)), params)  # kernel larger than image
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_problem_rejects_non_finite_observation(bad):
+    f = np.full((8, 8), 0.5)
+    f[2, 3] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        make_bid_problem(f, BidParams(kernel_shape=(3, 3)))
 
 
 def test_initialization_starts_at_observation_with_uniform_kernel():

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import ContractError, convlasso_grads, convlasso_objective, convlasso_residual
+from oracles import (
+    ContractError,
+    convlasso_grads,
+    convlasso_objective,
+    convlasso_residual,
+    fourier_energy,
+)
 
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
@@ -160,6 +166,29 @@ def test_problem_oracles_match_loop_references(shape):
     for got, want in ((problem.partial_grad(0, x), gd[1:]), (problem.partial_grad(1, x), gv[1:])):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(10, 7), (9, 12)])
+def test_moduli_match_corner_padded_fourier_energy(shape):
+    # the moduli read the oracles' centred spectra; centring changes only
+    # the phase, so the energy equals that of a corner-padded transform
+    rng = np.random.default_rng(104)
+    f = rng.uniform(0, 1, shape)
+    p, l = 5, 3
+    problem = make_convlasso_problem(f, p=p, l=l, lam=0.2)
+    for _ in range(3):
+        x = _random_feasible_point(rng, shape, p, l)
+        assert problem.lipschitz(0, x) == fourier_energy(x[1], shape)
+        ref = fourier_energy(x[0], shape)
+        assert abs(problem.lipschitz(1, x) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_make_problem_rejects_non_finite_image(bad):
+    f = np.full((8, 8), 0.5)
+    f[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        make_convlasso_problem(f, p=3, l=3, lam=0.2)
 
 
 def test_exact_moduli_satisfy_descent_lemma():

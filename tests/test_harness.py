@@ -62,6 +62,12 @@ def test_config_rejects_unknown_schedule():
         RunConfig(schedule="warp")
 
 
+@pytest.mark.parametrize("values", [{"checkpoints": (10, -1)}, {"jobs": 0}, {"jobs": -2}])
+def test_config_rejects_negative_checkpoints_and_fewer_than_one_job(values):
+    with pytest.raises(ConfigError, match=next(iter(values))):
+        RunConfig(**values)
+
+
 def test_cli_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
     from ipalm import cli
 
@@ -229,6 +235,15 @@ def test_cli_file_inputs_round_trip(tmp_path):
     assert basis.exists() and len(list(basis.iterdir())) == 2
 
 
+def test_cli_rejects_non_finite_data_file(tmp_path, capsys):
+    path = tmp_path / "A.csv"
+    path.write_text("1,2,3\n4,nan,6\n7,8,9\n")
+    rc = main(["nmf", "--data", str(path), "--rank", "1", "--s-count", "1", "--iters", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_cli_bid_and_convlasso_run(tmp_path):
     rc = main([
         "bid", "--kernel-size", "3", "--iters", "3", "--tol", "0",
@@ -319,6 +334,15 @@ def test_cli_jobs_is_a_sweep_only_flag(command, capsys):
         main([command, "--iters", "2", "--jobs", "4"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--checkpoints=-1,2,3", "--jobs=0"])
+def test_cli_sweep_rejects_bad_checkpoints_and_jobs(tmp_path, capsys, flag):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--alphas", "0", "--iters", "3", "--out", str(out), flag])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "sweep_checkpoints.csv").exists()
 
 
 def test_cli_sweep_dynamic_row(tmp_path):

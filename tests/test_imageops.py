@@ -21,6 +21,7 @@ from ipalm.imageops import (
     centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
+    parseval_weights,
     phi_grad,
     phi_value,
     read_pgm,
@@ -215,6 +216,17 @@ def test_stacked_kernel_spectrum_and_window_match_per_slice_direct():
     for j in range(4):
         assert np.allclose(convs[j], centered_conv_direct(u, stack[j]), atol=1e-12)
         assert np.allclose(windows[j], centered_corr_kernel_direct(rs[j], u, (3, 5)), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (8, 7), (5, 9), (6, 1), (1, 2)])
+def test_parseval_weights_give_half_squared_norm(shape):
+    # odd and even widths: the half spectrum's DC and Nyquist columns count once
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    spec = np.fft.rfft2(x)
+    got = float(((spec.real**2 + spec.imag**2) * parseval_weights(shape)).sum())
+    want = 0.5 * float(np.vdot(x, x))
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_centered_adjoint_identities():

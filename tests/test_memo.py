@@ -12,12 +12,7 @@ from ipalm import bid, convlasso, synthetic
 from ipalm.blockmodel import BlockVector
 from ipalm.imageops import remember_last
 
-from oracles import (
-    bid_grad_b_ref,
-    bid_grad_u_ref,
-    bid_smooth_ref,
-    in_fresh_thread,
-)
+from oracles import in_fresh_thread
 
 
 def counted(fn):
@@ -126,31 +121,32 @@ def test_remember_last_under_thread_switching_stress():
 def bid_case(theta=1e4, seed=0):
     f = synthetic.synth_bid(size=24, kernel=5, seed=seed)["f"]
     params = bid.BidParams(theta=theta, kernel_shape=(5, 5))
-    return f, params, bid.make_bid_problem(f, params), bid.init_bid(f, params)
+    return bid.make_bid_problem(f, params), bid.init_bid(f, params)
 
 
 def test_bid_eval_H_sees_blocks_mutated_in_place():
-    f, params, problem, x = bid_case()
+    problem, x = bid_case()
     u, b = x[0].copy(), x[1].copy()
     x = BlockVector([u, b])  # holds these arrays as they are
     problem.eval_H(x)
     u[3:6, 4:9] = 0.25
-    assert bits(problem.eval_H(x)) == bits(bid_smooth_ref(u, b, f, params))
+    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
     b[...] = np.eye(5) / 5.0
-    assert bits(problem.eval_H(x)) == bits(bid_smooth_ref(u, b, f, params))
+    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
 
 
 def test_bid_problems_with_different_theta_do_not_share_a_penalty():
-    f, p1, problem1, x = bid_case(theta=1e4)
-    _, p2, problem2, _ = bid_case(theta=3e2)
+    problem1, x = bid_case(theta=1e4)
+    problem2, _ = bid_case(theta=3e2)
+    fresh = [in_fresh_thread(problem.eval_H, x) for problem in (problem1, problem2)]
+    assert fresh[0] != fresh[1]
     for _ in range(3):
-        for params, problem in ((p1, problem1), (p2, problem2)):
-            got = problem.eval_H(x)
-            assert bits(got) == bits(bid_smooth_ref(x[0], x[1], f, params))
+        for problem, want in zip((problem1, problem2), fresh):
+            assert bits(problem.eval_H(x)) == bits(want)
 
 
 def test_bid_remembered_spectra_are_read_only():
-    _, _, problem, x = bid_case()
+    problem, x = bid_case()
     problem.eval_H(x)
     for spectrum in (bid._image_spectrum(x[0]), bid._kernel_spectrum(x[1], x[0].shape)):
         assert not spectrum.flags.writeable
@@ -178,17 +174,16 @@ def bid_line_search_points(x, rng):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_bid_oracles_match_unmemoized_references_bitwise(exact):
-    f, params, problem, x = bid_case(seed=3)
+    problem, x = bid_case(seed=3)
     rng = np.random.default_rng(5)
     for u, b in bid_line_search_points(x, rng):
         xb = BlockVector([u, b])
-        assert bits(bid.bid_smooth(u, b, f, params)) == bits(bid_smooth_ref(u, b, f, params))
-        assert bits(problem.eval_H(xb)) == bits(bid_smooth_ref(u, b, f, params))
-        assert bits(problem.partial_grad(0, xb)) == bits(bid_grad_u_ref(u, b, f, params))
-        assert bits(problem.partial_grad(1, xb)) == bits(bid_grad_b_ref(u, b, f, params))
+        oracles = [(problem.eval_H, (xb,)), (problem.partial_grad, (0, xb)),
+                   (problem.partial_grad, (1, xb))]
         if exact:
-            got = problem.lipschitz(1, xb)
-            assert got == in_fresh_thread(problem.lipschitz, 1, xb)
+            oracles += [(problem.lipschitz, (0, xb)), (problem.lipschitz, (1, xb))]
+        for oracle, args in oracles:
+            assert bits(oracle(*args)) == bits(in_fresh_thread(oracle, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +233,58 @@ def test_convlasso_oracles_match_fresh_evaluations_bitwise():
         for oracle, args in ((problem.eval_H, (xb,)), (problem.partial_grad, (0, xb)),
                              (problem.partial_grad, (1, xb))):
             assert bits(oracle(*args)) == bits(in_fresh_thread(oracle, *args))
+
+
+# ---------------------------------------------------------------------------
+# transforms per warm oracle call
+
+_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+               "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Names of the ``np.fft`` transforms called while the test runs."""
+    calls = []
+    for name in _TRANSFORMS:
+        def counted_transform(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted_transform)
+    return calls
+
+
+def warm_counts(calls, oracle, args, remembered):
+    """Transforms made by ``oracle(*args)`` once its memos are warm.  The
+    memos hold the transforms they were built on, which the count cannot
+    see, so the call must also leave each of the ``remembered`` spectra in
+    place: a memo the oracle missed would have replaced its slot."""
+    oracle(*args)
+    spectra = [memo(*memo_args) for memo, memo_args in remembered]
+    calls.clear()
+    oracle(*args)
+    count = len(calls)
+    for (memo, memo_args), spectrum in zip(remembered, spectra):
+        assert memo(*memo_args) is spectrum
+    return count
+
+
+def test_warm_bid_oracles_make_no_spatial_round_trip(transforms):
+    problem, x = bid_case(seed=2)
+    remembered = [(bid._image_spectrum, (x[0],)), (bid._kernel_spectrum, (x[1], x[0].shape))]
+    assert warm_counts(transforms, problem.eval_H, (x,), remembered) == 0
+    assert warm_counts(transforms, problem.partial_grad, (0, x), remembered) == 1
+    assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1
+    assert warm_counts(transforms, problem.lipschitz, (0, x), remembered[1:]) == 0
+
+
+def test_warm_convlasso_oracles_make_no_spatial_round_trip(transforms):
+    problem, x = convlasso_case()
+    remembered = [(convlasso._filter_spectra, (x[0], x[1].shape[1:])),
+                  (convlasso._coef_spectra, (x[1],))]
+    assert warm_counts(transforms, problem.eval_H, (x,), remembered) == 0
+    assert warm_counts(transforms, problem.partial_grad, (0, x), remembered) == 1
+    assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1
+    assert warm_counts(transforms, problem.lipschitz, (0, x), remembered[1:]) == 0
+    assert warm_counts(transforms, problem.lipschitz, (1, x), remembered[:1]) == 0

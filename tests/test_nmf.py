@@ -87,6 +87,14 @@ def test_make_problem_rejects_negative_data():
         make_nmf_problem(np.ones((3, 3)), r=1, s=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_problem_rejects_non_finite_data(bad):
+    A = np.ones((4, 3))
+    A[1, 2] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        make_nmf_problem(A, r=1, s=1)
+
+
 def test_objective_is_smooth_part_plus_indicators_on_feasible_points():
     inst = synth_nmf(seed=64)
     problem = make_nmf_problem(inst["A"], r=3, s=2)
