@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -138,6 +139,8 @@ def _load_nmf(args, seed):
 
 
 def cmd_nmf(args) -> int:
+    if not 0.0 < args.s_percent < math.inf:
+        raise ConfigError(f"--s-percent must be > 0 and finite, got {args.s_percent}")
     cfg = _config_from_args(args)
     A, image_shape = _load_nmf(args, cfg.seed)
     m = A.shape[0]
@@ -217,6 +220,9 @@ def cmd_sweep(args) -> int:
     cells = [dataclasses.replace(cfg, alpha_bar=a, beta_bar=a) for a in alphas]
     if args.include_dynamic:
         cells.append(dataclasses.replace(cfg, schedule="dynamic", alpha_bar=0.0, beta_bar=0.0))
+    if not cells:
+        raise ConfigError(f"no sweep settings: --alphas {args.alphas!r} names no value "
+                          f"and --include-dynamic is off")
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         traces = list(pool.map(functools.partial(_sweep_cell, args.problem), cells))
     labels = ["dynamic" if c.schedule == "dynamic" else f"alpha=beta={c.alpha_bar:g}"

@@ -1,7 +1,8 @@
 """Image-domain primitives: directional differences, robust edge penalty,
-circular convolution/correlation, and 8-bit PGM I/O.
+circular convolution and its adjoints, and 8-bit PGM I/O.
 
-Centred convolutions run in the DFT domain on pre-rolled kernel spectra:
+Every convolution takes one convention, an odd kernel anchored at its
+center entry, and runs in the DFT domain on pre-rolled kernel spectra:
 ``centered_kernel_spectrum`` transforms a kernel, or a whole stack of them,
 zero-padded with its center entry rolled to the origin, so a convolution is
 one pointwise product and an adjoint the product with the conjugate;
@@ -129,42 +130,6 @@ def remember_last(fn):
 def _check_kernel_fits(u_shape, b_shape):
     if b_shape[0] > u_shape[0] or b_shape[1] > u_shape[1]:
         raise ValueError(f"kernel {b_shape} larger than image {u_shape}")
-
-
-def _pad_kernel(b: np.ndarray, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    out[: b.shape[0], : b.shape[1]] = b
-    return out
-
-
-def circ_conv(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2D modulo circular convolution of an image with a smaller kernel:
-    ``(u*b)[i,j] = sum_{k,l} b[k,l] * u[(i-k) mod m1, (j-l) mod m2]``."""
-    u = np.asarray(u, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_kernel_fits(u.shape, b.shape)
-    B = np.fft.rfft2(_pad_kernel(b, u.shape))
-    return np.fft.irfft2(np.fft.rfft2(u) * B, s=u.shape)
-
-
-def circ_corr_image(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Adjoint of ``u -> u * b`` applied to ``r`` (full-size correlation):
-    ``out[i,j] = sum_{k,l} b[k,l] * r[(i+k) mod m1, (j+l) mod m2]``."""
-    r = np.asarray(r, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_kernel_fits(r.shape, b.shape)
-    B = np.fft.rfft2(_pad_kernel(b, r.shape))
-    return np.fft.irfft2(np.fft.rfft2(r) * np.conj(B), s=r.shape)
-
-
-def circ_corr_kernel(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of ``b -> u * b`` applied to ``r``, restricted to the kernel
-    support: ``out[k,l] = sum_{i,j} r[i,j] * u[(i-k) mod m1, (j-l) mod m2]``."""
-    r = np.asarray(r, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    _check_kernel_fits(u.shape, shape)
-    full = np.fft.irfft2(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), s=u.shape)
-    return full[: shape[0], : shape[1]].copy()
 
 
 # Centered-kernel views: odd-sized kernels whose entry (n1//2, n2//2) acts as

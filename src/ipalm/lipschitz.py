@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,10 +94,10 @@ class BacktrackState:
     max_rounds: int = 60
 
     def __post_init__(self):
-        if self.L_current <= 0:
-            raise ValueError(f"L_current must be positive, got {self.L_current}")
-        if self.growth <= 1:
-            raise ValueError(f"growth must exceed 1, got {self.growth}")
+        if not 0 < self.L_current < math.inf:
+            raise ValueError(f"L_current must be positive and finite, got {self.L_current}")
+        if not 1 < self.growth < math.inf:
+            raise ValueError(f"growth must exceed 1 and be finite, got {self.growth}")
         if not 0 < self.shrink <= 1:
             raise ValueError(f"shrink must lie in (0, 1], got {self.shrink}")
         if self.max_rounds < 1:

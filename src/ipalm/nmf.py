@@ -75,6 +75,8 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise DataError(f"data matrix must be 2-D, got ndim={A.ndim}")
+    if A.size == 0:
+        raise DataError(f"data matrix has no entries (shape {A.shape})")
     if not np.isfinite(A).all():
         raise DataError("data matrix has non-finite entries")
     if (A < 0).any():

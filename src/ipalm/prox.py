@@ -65,7 +65,10 @@ def prox_simplex(p: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
-    rho = ks[u - (css - 1.0) / ks > 0][-1]
+    support = ks[u - (css - 1.0) / ks > 0]
+    if support.size == 0:
+        raise ValueError("no simplex threshold exists: the vector has non-finite entries")
+    rho = support[-1]
     theta = (css[rho - 1] - 1.0) / rho
     return np.maximum(v - theta, 0.0).reshape(p.shape)
 

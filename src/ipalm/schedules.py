@@ -68,10 +68,10 @@ ScheduleKind = Union[StaticNonconvex, StaticConvex, Dynamic]
 def _check_bounds(alpha_bar: float, beta_bar: float, eps: float) -> None:
     if not 0.0 <= alpha_bar < 1.0:
         raise ParameterDomainError(f"alpha_bar must lie in [0, 1), got {alpha_bar}")
-    if beta_bar < 0.0:
-        raise ParameterDomainError(f"beta_bar must be >= 0, got {beta_bar}")
-    if eps < 0.0:
-        raise ParameterDomainError(f"eps must be >= 0, got {eps}")
+    if not 0.0 <= beta_bar < math.inf:
+        raise ParameterDomainError(f"beta_bar must be >= 0 and finite, got {beta_bar}")
+    if not 0.0 <= eps < math.inf:
+        raise ParameterDomainError(f"eps must be >= 0 and finite, got {eps}")
 
 
 def delta_star(

@@ -153,8 +153,8 @@ class SolverState:
             if value is not None and len(value) != nb:
                 raise ValueError(f"{name} needs one entry per block ({nb}), got {value}")
         for c in self.step_scale:
-            if c < 1.0:
-                raise ValueError(f"step scale must be >= 1, got {c}")
+            if not 1.0 <= c < math.inf:
+                raise ValueError(f"step scale must be >= 1 and finite, got {c}")
         if len(self.kinds) != nb:
             raise ValueError("one schedule kind per block required")
 
@@ -301,6 +301,10 @@ def make_state(
         raise ValueError(
             f"{problem.name}: constant_delta needs static schedules; the dynamic "
             f"schedule sets no step weights"
+        )
+    if constant_delta is not None and not all(0.0 <= d < math.inf for d in constant_delta):
+        raise ValueError(
+            f"{problem.name}: constant_delta must be >= 0 and finite, got {constant_delta}"
         )
     bt = None
     if backtracking:

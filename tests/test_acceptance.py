@@ -11,13 +11,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from oracles import circ_conv_direct
+from oracles import centered_conv_direct
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
-from ipalm.imageops import circ_conv
+from ipalm.imageops import centered_conv
 from ipalm.lipschitz import spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import (
@@ -274,7 +274,8 @@ def test_criterion_6_projection_oracles():
 
 
 # ---------------------------------------------------------------------------
-# 7. convolution consistency
+# 7. convolution consistency: the centred convolution that makes every BID
+# observation, on the kernel spectrum and window both problems' oracles use
 
 
 def test_criterion_7_convolution_consistency():
@@ -283,17 +284,17 @@ def test_criterion_7_convolution_consistency():
     for _ in range(100):
         u = rng.standard_normal((8, 8))
         b = rng.standard_normal((3, 3))
-        d = circ_conv_direct(u, b)
-        f = circ_conv(u, b)
+        d = centered_conv_direct(u, b)
+        f = centered_conv(u, b)
         if np.abs(d - f).max() > 1e-10 * (1.0 + np.abs(d).max()):
             conv_ok = False
             break
     b = rng.uniform(0.0, 1.0, (3, 3))
     b /= b.sum()
     const = np.full((8, 8), 0.37)
-    mass_ok = np.abs(circ_conv(const, b) - 0.37).max() <= 1e-12
+    mass_ok = np.abs(centered_conv(const, b) - 0.37).max() <= 1e-12
     ok = conv_ok and mass_ok
-    _report(7, "direct vs FFT circular convolution + mass preservation", ok,
+    _report(7, "direct vs FFT centred convolution + mass preservation", ok,
             f"100 random pairs, conv={conv_ok} mass={mass_ok}")
 
 

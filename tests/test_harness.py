@@ -413,6 +413,47 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bid", "--step-scale", "1,nan"], None),
+        (["bid", "--step-scale", "nan,1"], None),
+        (["bid", "--step-scale", "inf,1"], None),
+        (["bid", "--beta-bar", "nan"], None),
+        (["bid", "--beta-bar", "inf"], None),
+        (["bid"], "bt_growth=nan\n"),
+        (["bid"], "bt_l0=nan\n"),
+        (["nmf", "--s-percent", "-50"], None),
+        (["sweep", "--alphas", ","], None),
+    ],
+    ids=["step-scale-1-nan", "step-scale-nan-1", "step-scale-inf-1", "beta-bar-nan",
+         "beta-bar-inf", "bt-growth-nan", "bt-l0-nan", "s-percent-negative", "sweep-no-alphas"],
+)
+def test_cli_rejects_bad_run_settings_with_one_error_line(tmp_path, capsys, argv, config):
+    argv = argv + ["--iters", "2", "--out", str(tmp_path / "out")]
+    if argv[0] == "bid":
+        argv += ["--kernel-size", "3"]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+def test_cli_rejects_an_empty_data_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    rc = main(["nmf", "--data", str(path), "--iters", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "no entries" in err
+
+
 def test_cli_defaults_echo_reference_configurations():
     from ipalm.cli import build_parser
 

@@ -186,3 +186,8 @@ def test_backtrack_state_validation():
         BacktrackState(growth=1.0)
     with pytest.raises(ValueError):
         BacktrackState(shrink=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="L_current must be positive and finite"):
+            BacktrackState(L_current=bad)
+        with pytest.raises(ValueError, match="growth must exceed 1 and be finite"):
+            BacktrackState(growth=bad)

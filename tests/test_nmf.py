@@ -85,6 +85,9 @@ def test_make_problem_rejects_negative_data():
         make_nmf_problem(np.ones((3, 3)), r=0, s=1)
     with pytest.raises(DataError):
         make_nmf_problem(np.ones((3, 3)), r=1, s=4)
+    for empty in (np.zeros((1, 0)), np.zeros((0, 3))):
+        with pytest.raises(DataError, match="no entries"):
+            make_nmf_problem(empty, r=1, s=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -164,6 +164,12 @@ def test_simplex_matches_qp_solver():
         assert np.abs(prox_simplex(p) - x.value).max() <= 1e-6
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simplex_rejects_non_finite_input_with_value_error(bad):
+    with pytest.raises(ValueError, match="no simplex threshold"):
+        prox_simplex(np.array([0.3, bad, 0.1]))
+
+
 def test_simplex_keeps_shape():
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = prox_simplex(p)

@@ -123,6 +123,12 @@ def test_static_kind_validation():
     with pytest.raises(ParameterDomainError):
         StaticConvex(1.0, 0.1)
     assert StaticConvex(0.8, 0.1).alpha_bar == 0.8
+    for kind in (StaticNonconvex, StaticConvex):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterDomainError, match="beta_bar must be >= 0 and finite"):
+                kind(0.0, bad)
+            with pytest.raises(ParameterDomainError, match="eps must be >= 0 and finite"):
+                kind(0.0, 0.0, eps=bad)
 
 
 def test_inertial_coeffs():

@@ -118,6 +118,20 @@ def test_per_block_tuples_must_match_the_block_count():
         run(problem, x0, RunConfig(iters=1, backtrack=False, step_scale=(1.0,)))
     with pytest.raises(ValueError, match="must be >= 1"):
         make_state(problem, x0, kinds, step_scale=(1.0, 0.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be >= 1 and finite"):
+            make_state(problem, x0, kinds, step_scale=(1.0, bad))
+
+
+@pytest.mark.parametrize("bad", [(-5.0, -5.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_make_state_rejects_negative_or_non_finite_constant_delta(bad):
+    # a negative step weight gives a negative tau: unchecked, (-5, -5) made F
+    # rise at each of three sweeps on this instance
+    inst = synth_nmf(seed=3)
+    problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
+    with pytest.raises(ValueError, match=r"nmf\(.*\): constant_delta must be >= 0 and finite"):
+        make_state(problem, x0, StaticNonconvex(0.0, 0.0), constant_delta=bad)
 
 
 def _unevaluated(problem):
