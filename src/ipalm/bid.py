@@ -15,6 +15,7 @@ import numpy as np
 from .blockmodel import BlockVector, ProblemSpec
 from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_* here
     DIRECTIONS,
+    _check_kernel_fits,
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
@@ -53,8 +54,8 @@ class BidParams:
     kernel_step_scale: float = 5.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.theta <= 0:
-            raise ValueError("lam and theta must be positive")
+        if not (0 < self.lam < np.inf and 0 < self.theta < np.inf):
+            raise ValueError("lam and theta must be positive and finite")
         n1, n2 = self.kernel_shape
         if n1 < 1 or n2 < 1 or n1 % 2 == 0 or n2 % 2 == 0:
             raise ValueError(f"kernel dims must be odd and positive, got {self.kernel_shape}")
@@ -88,8 +89,10 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     on the remembered kernel spectrum.  Kernel block: the term is quadratic
     in b, so the modulus is the exact operator norm of the restricted normal
     operator (power iteration).  In the DFT domain that operator multiplies
-    the kernel spectrum by ``lam*|uhat|^2``, computed once per call, so each
-    power step costs one forward and one inverse transform.
+    the kernel spectrum by ``lam*|uhat|^2``.  A power step is one matvec with
+    the ``b.size``-square Gram, entry ``((i,j), (i',j'))`` the autocorrelation
+    ``irfft2(lam*|uhat|^2)`` at ``(i-i', j-j')``, when it has no more entries
+    than the image; otherwise one forward and one inverse transform.
     """
     if block == 0:
         bhat_sq = np.abs(_kernel_spectrum(b, u.shape)) ** 2
@@ -97,6 +100,12 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     if block == 1:
         u_hat = _image_spectrum(u)
         weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
+        if b.size**2 <= u.size:
+            _check_kernel_fits(u.shape, b.shape)
+            auto = np.fft.irfft2(weight, s=u.shape)
+            i, j = np.indices(b.shape).reshape(2, -1)
+            gram = auto[np.subtract.outer(i, i), np.subtract.outer(j, j)]
+            return max(operator_norm(gram.dot, (b.size,)), 1e-12)
 
         def normal_op(k):
             spec = centered_kernel_spectrum(k, u.shape) * weight

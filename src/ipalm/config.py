@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError(
                 f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}"
             )
+        if not self.tol >= 0:  # also rejects NaN; inf stops after one sweep
+            raise ConfigError(f"tol must be >= 0, got {self.tol}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
         if any(k < 0 for k in self.checkpoints):

@@ -72,8 +72,8 @@ def make_convlasso_problem(
         raise ValueError(f"need at least 2 filters (one is pinned), got {p}")
     if l < 1 or l % 2 == 0:
         raise ValueError(f"filter size must be odd, got {l}")
-    if lam <= 0:
-        raise ValueError(f"l1 weight must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"l1 weight must be positive and finite, got {lam}")
     if sigma_l is None:
         sigma_l = l / 4.0
     g = gaussian_filter(l, sigma_l)

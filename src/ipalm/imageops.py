@@ -80,16 +80,16 @@ def dir_grad_adjoint(v: np.ndarray, p: int) -> np.ndarray:
 
 def phi_value(x: np.ndarray, theta: float) -> float:
     """Robust sparsity penalty ``sum log(1 + theta*x_i^2)``."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     x = np.asarray(x, dtype=np.float64)
     return float(np.log1p(theta * x * x).sum())
 
 
 def phi_grad(x: np.ndarray, theta: float) -> np.ndarray:
     """Elementwise derivative ``2*theta*x / (1 + theta*x^2)``."""
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     x = np.asarray(x, dtype=np.float64)
     return 2.0 * theta * x / (1.0 + theta * x * x)
 

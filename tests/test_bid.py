@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import bid_grad_b_ref, bid_grad_u_ref, bid_smooth_ref
 
+from ipalm import bid
 from ipalm.bid import (
     BidParams,
     DataError,
@@ -42,6 +43,11 @@ def test_params_validation():
         BidParams(lam=0.0)
     with pytest.raises(ValueError):
         BidParams(theta=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BidParams(lam=bad)
+        with pytest.raises(ValueError):
+            BidParams(theta=bad)
     with pytest.raises(ValueError):
         BidParams(kernel_shape=(4, 4))
     with pytest.raises(ValueError):
@@ -141,13 +147,15 @@ def test_lipschitz_bounds_dominate_observed_curvature():
 
 
 def test_kernel_modulus_equals_norm_of_composed_normal_operator():
-    # the cached Fourier normal operator against the composition of the
-    # centred convolution and its kernel-side adjoint
+    # the Fourier normal operator (3x5 kernels) and the explicit Gram (3x3 on
+    # 12x9, 3x5 on 16x15) against the composition of the centred convolution
+    # and its kernel-side adjoint
     rng = np.random.default_rng(89)
-    params = BidParams(lam=100.0, theta=10.0, kernel_shape=(3, 5))
-    for shape in ((12, 9), (11, 14)):
+    for shape, kshape in (((12, 9), (3, 5)), ((11, 14), (3, 5)),
+                          ((12, 9), (3, 3)), ((16, 15), (3, 5))):
+        params = BidParams(lam=100.0, theta=10.0, kernel_shape=kshape)
         u = rng.uniform(0, 1, shape)
-        b = rng.uniform(0, 1, (3, 5))
+        b = rng.uniform(0, 1, kshape)
         b /= b.sum()
 
         def composed(k):
@@ -155,6 +163,38 @@ def test_kernel_modulus_equals_norm_of_composed_normal_operator():
 
         ref = operator_norm(composed, b.shape)
         assert abs(bid_lipschitz(1, u, b, params) - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize(
+    "shape, kshape, gram",
+    [((12, 9), (3, 3), True), ((15, 16), (3, 5), True), ((15, 15), (3, 5), True),
+     ((5, 5), (1, 5), True), ((11, 14), (3, 5), False)],
+    ids=["non-square-image", "even-width", "gram-size-equals-image", "wrapping-kernel",
+         "above-the-guard"],
+)
+def test_kernel_power_iteration_runs_on_the_dense_normal_operator(monkeypatch, shape, kshape,
+                                                                  gram):
+    # the operator handed to the power iteration, read out column by column,
+    # against the dense normal operator; a Gram up to the image's size runs
+    # on flat kernels, a larger one keeps the Fourier operator
+    rng = np.random.default_rng(sum(shape) + sum(kshape))
+    params = BidParams(lam=100.0, theta=10.0, kernel_shape=kshape)
+    u = rng.uniform(0, 1, shape)
+    b = random_kernel(rng, kshape)
+    seen = {}
+
+    def spy(matvec, op_shape, **kwargs):
+        seen["matvec"], seen["shape"] = matvec, op_shape
+        return operator_norm(matvec, op_shape, **kwargs)
+
+    monkeypatch.setattr(bid, "operator_norm", spy)
+    bid_lipschitz(1, u, b, params)
+    assert seen["shape"] == ((b.size,) if gram else kshape)
+    basis = np.eye(b.size)
+    got = np.stack([seen["matvec"](e.reshape(seen["shape"])).ravel() for e in basis], axis=1)
+    ref = np.stack([params.lam * centered_corr_kernel(centered_conv(u, e.reshape(kshape)), u,
+                                                      kshape).ravel() for e in basis], axis=1)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (33, 31), (12, 9), (11, 14)])
@@ -174,6 +214,13 @@ def test_fourier_oracles_match_image_domain_references(shape):
             ref = ref_grad(u, b, f, params)
             err = np.linalg.norm(grad(i, u, b) - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kernel_modulus_rejects_a_kernel_taller_than_the_image():
+    # (5, 1) on (3, 30) is below the Gram guard, but its offsets overrun the rows
+    params = BidParams(kernel_shape=(5, 1))
+    with pytest.raises(ValueError, match="larger than image"):
+        bid_lipschitz(1, np.ones((3, 30)), np.full((5, 1), 0.2), params)
 
 
 def test_image_modulus_matches_full_spectrum_formula():

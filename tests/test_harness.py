@@ -425,9 +425,16 @@ def test_cli_usage_error_exit_code(tmp_path):
         (["bid"], "bt_l0=nan\n"),
         (["nmf", "--s-percent", "-50"], None),
         (["sweep", "--alphas", ","], None),
+        (["bid", "--theta", "nan"], None),
+        (["bid", "--lam", "nan"], None),
+        (["bid", "--lam", "inf"], None),
+        (["convlasso", "--lasso-weight", "nan"], None),
+        (["nmf", "--tol", "nan"], None),
+        (["nmf", "--tol", "-1"], None),
     ],
     ids=["step-scale-1-nan", "step-scale-nan-1", "step-scale-inf-1", "beta-bar-nan",
-         "beta-bar-inf", "bt-growth-nan", "bt-l0-nan", "s-percent-negative", "sweep-no-alphas"],
+         "beta-bar-inf", "bt-growth-nan", "bt-l0-nan", "s-percent-negative", "sweep-no-alphas",
+         "theta-nan", "lam-nan", "lam-inf", "lasso-weight-nan", "tol-nan", "tol-negative"],
 )
 def test_cli_rejects_bad_run_settings_with_one_error_line(tmp_path, capsys, argv, config):
     argv = argv + ["--iters", "2", "--out", str(tmp_path / "out")]

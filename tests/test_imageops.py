@@ -76,6 +76,10 @@ def test_phi_values_and_grad():
     assert np.abs(phi_grad(np.zeros(5), 1e4)).max() == 0.0
     assert phi_value(np.array([1.0]), 1.0) == pytest.approx(np.log(2.0))
     assert phi_grad(np.array([1.0]), 1.0) == pytest.approx([1.0])
+    for theta in (0.0, np.nan, np.inf):
+        for fn in (phi_value, phi_grad):
+            with pytest.raises(ValueError, match="theta"):
+                fn(np.zeros(5), theta)
 
 
 def test_phi_grad_matches_finite_differences():
