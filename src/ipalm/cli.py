@@ -26,7 +26,7 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from . import bid as bid_mod
 from . import convlasso as cl_mod
@@ -199,7 +199,7 @@ def cmd_convlasso(args) -> int:
 
 
 def _sweep_cell(problem_kind, cfg):
-    """One sweep cell's trace, isolated so cells can run concurrently."""
+    """One sweep cell's trace; module-level, so a worker process can run it."""
     if problem_kind == "bid":
         inst = synthetic.synth_bid(seed=cfg.seed)
         return _solve_bid(inst["f"], bid_mod.BidParams(kernel_shape=(7, 7)), cfg).trace
@@ -223,7 +223,9 @@ def cmd_sweep(args) -> int:
     if not cells:
         raise ConfigError(f"no sweep settings: --alphas {args.alphas!r} names no value "
                           f"and --include-dynamic is off")
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    # fork starts every worker at the first submit: no more than cells or cores
+    workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         traces = list(pool.map(functools.partial(_sweep_cell, args.problem), cells))
     labels = ["dynamic" if c.schedule == "dynamic" else f"alpha=beta={c.alpha_bar:g}"
               for c in cells]
@@ -305,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha=beta settings")
     p.add_argument("--include-dynamic", action="store_true",
                    help="append a dynamic-schedule row")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent sweep cells (default 1)")
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="run cells on at most N worker processes (default 1)")
     p.add_argument("--checkpoints", type=int_tuple, default=None,
                    help="comma-separated checkpoint iteration counts "
                         "(default 100,500,1000,5000)")

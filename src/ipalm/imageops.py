@@ -10,15 +10,14 @@ one pointwise product and an adjoint the product with the conjugate;
 full-size correlation; ``parseval_weights`` takes ``0.5*||r||^2`` from the
 half spectrum of ``r``, so a data term never leaves the DFT domain.
 
-``remember_last`` gives a pure array function a one-entry memory per
-thread, so an oracle that sees the same operand again (the block a line
-search holds fixed) reuses its transform instead of recomputing it."""
+``remember_last`` gives a pure array function a one-entry memory, so an
+oracle that sees the same operand again (the block a line search holds
+fixed) reuses its transform instead of recomputing it."""
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -102,7 +101,7 @@ def _memo_key(arg):
 
 def remember_last(fn):
     """``fn``, a pure function of arrays and plain values, with a memory of
-    its last call: one slot per thread, shared by all callers.
+    its last call: one slot, shared by all callers.
 
     A call whose positional arguments equal the remembered ones returns the
     remembered result; any other call runs ``fn`` and takes the slot.
@@ -110,18 +109,22 @@ def remember_last(fn):
     and a hit is bitwise what a fresh call returns), other values by type
     and ``==``.  The key is a copy, so an argument mutated in place misses;
     array results come back read-only, so no caller can alter the slot.
+    Key and result share one tuple that one assignment replaces, so even
+    callers on several threads never get another call's result.
     """
-    slot = threading.local()
+    slot = (None, None)
 
     @functools.wraps(fn)
     def remembered(*args):
+        nonlocal slot
         key = tuple(_memo_key(a) for a in args)
-        if getattr(slot, "key", None) == key:
-            return slot.result
+        last_key, last_result = slot
+        if last_key == key:
+            return last_result
         result = fn(*args)
         if isinstance(result, np.ndarray):
             result.flags.writeable = False
-        slot.key, slot.result = key, result
+        slot = key, result
         return result
 
     return remembered

@@ -44,6 +44,9 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
+    def __reduce__(self):  # keep the trace when a sweep worker sends it back
+        return type(self), (str(self), self.trace)
+
 
 @dataclass
 class TraceRow:

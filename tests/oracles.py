@@ -6,18 +6,18 @@ The BID references recompute the smooth term and its gradients in the image
 domain from the centred views with no remembered spectra, the convlasso
 references do the same filter by filter on complete stacks, and
 ``fourier_energy`` is the corner-padded reference for the convlasso moduli;
-``in_fresh_thread`` evaluates any oracle from scratch, in a thread whose memo
-slots are empty.
+``with_empty_memos`` evaluates any oracle from scratch, with every memo in
+`ipalm.bid` and `ipalm.convlasso` swapped for an empty one.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ipalm import bid, convlasso
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, step_deltas
 from ipalm.imageops import (
     _check_kernel_fits,
@@ -28,6 +28,7 @@ from ipalm.imageops import (
     dir_grad_adjoint,
     phi_grad,
     phi_value,
+    remember_last,
 )
 
 
@@ -213,7 +214,18 @@ def fourier_energy(stack: np.ndarray, shape) -> float:
     return float((np.abs(np.fft.rfft2(stack, s=shape)) ** 2).sum(axis=0).max())
 
 
-def in_fresh_thread(fn, *args):
-    """``fn(*args)`` run in a new thread, so every memo slot starts empty."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return pool.submit(fn, *args).result(timeout=60)
+def with_empty_memos(fn, *args):
+    """``fn(*args)`` with each module-level memo of `ipalm.bid` and
+    `ipalm.convlasso` (a ``remember_last`` function, so it has
+    ``__wrapped__``) replaced by an empty one for the call; the memos the
+    problems normally use keep their slots."""
+    saved = [(module, name, memo) for module in (bid, convlasso)
+             for name, memo in vars(module).items() if hasattr(memo, "__wrapped__")]
+    assert saved, "no memos to empty"
+    try:
+        for module, name, memo in saved:
+            setattr(module, name, remember_last(memo.__wrapped__))
+        return fn(*args)
+    finally:
+        for module, name, memo in saved:
+            setattr(module, name, memo)

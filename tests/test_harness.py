@@ -162,11 +162,13 @@ def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("bt_max_rounds=1\nbt_l0=1e-12\n")
     out = tmp_path / "out"
-    rc = main(["bid", "--kernel-size", "3", "--iters", "3", "--config", str(path),
-               "--out", str(out)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    # the same failure in the CLI's own process and in a sweep worker process
+    for argv in (["bid", "--kernel-size", "3"], ["sweep", "--problem", "bid", "--jobs", "2"]):
+        rc = main(argv + ["--iters", "3", "--config", str(path), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "sweep_checkpoints.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +285,44 @@ def test_cli_sweep_emits_grid_ordered_table(tmp_path):
         assert float(cells[4]) >= 0.0
 
 
-def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """Worker counts that ``cmd_sweep`` asks for, from a stand-in pool that
+    starts no process and maps the cells inline, on a machine reporting
+    eight cores."""
     from ipalm import cli
 
     workers = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
 
-    class Pool(cli.ThreadPoolExecutor):
+    class InlinePool:
         def __init__(self, max_workers):
             workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return workers
+
+
+def test_cli_sweep_caps_workers_at_cells_and_cores(tmp_path, pool_workers, monkeypatch):
+    from ipalm import cli
+
+    argv = ["sweep", "--alphas", "0,0.2", "--iters", "2", "--out", str(tmp_path / "sw")]
+    assert main(argv + ["--jobs", "64"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker
+    assert main(argv + ["--jobs", "64"]) == 0
+    assert pool_workers == [2, 1]
+
+
+def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, pool_workers):
     path = tmp_path / "sweep.cfg"
     path.write_text(f"out={tmp_path / 'sw'}\ncheckpoints=1,2\niters=3\njobs=2\n")
     assert main(["sweep", "--alphas", "0,0.2", "--config", str(path)]) == 0
@@ -302,7 +331,7 @@ def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, monkeypa
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[1] != "" and cells[2] != ""
-    assert workers == [2]
+    assert pool_workers == [2]
     # the flag overrides the file
     assert main(["sweep", "--alphas", "0", "--config", str(path), "--checkpoints", "3"]) == 0
     lines = (tmp_path / "sw" / "sweep_checkpoints.csv").read_text().strip().split("\n")
@@ -312,8 +341,9 @@ def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, monkeypa
 
 @pytest.mark.parametrize("problem", ["bid", "convlasso"])
 def test_cli_sweep_cells_match_across_job_counts(tmp_path, problem):
-    """Concurrent cells share the oracles' per-thread spectrum memos; every
-    checkpoint cell must match a one-worker run byte for byte."""
+    """Cells run in worker processes, each with its own copy of the oracles'
+    spectrum memos; every checkpoint cell must match a one-worker run byte
+    for byte."""
     tables = []
     for jobs in ("1", "3"):
         out = tmp_path / f"jobs{jobs}"
@@ -431,10 +461,12 @@ def test_cli_usage_error_exit_code(tmp_path):
         (["convlasso", "--lasso-weight", "nan"], None),
         (["nmf", "--tol", "nan"], None),
         (["nmf", "--tol", "-1"], None),
+        (["sweep", "--alphas", "0,0.6", "--jobs", "2"], None),
     ],
     ids=["step-scale-1-nan", "step-scale-nan-1", "step-scale-inf-1", "beta-bar-nan",
          "beta-bar-inf", "bt-growth-nan", "bt-l0-nan", "s-percent-negative", "sweep-no-alphas",
-         "theta-nan", "lam-nan", "lam-inf", "lasso-weight-nan", "tol-nan", "tol-negative"],
+         "theta-nan", "lam-nan", "lam-inf", "lasso-weight-nan", "tol-nan", "tol-negative",
+         "sweep-alpha-rejected-in-a-worker"],
 )
 def test_cli_rejects_bad_run_settings_with_one_error_line(tmp_path, capsys, argv, config):
     argv = argv + ["--iters", "2", "--out", str(tmp_path / "out")]

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ def test_operator_norm_reports_nonconvergence():
     with pytest.raises(EstimationError) as err:
         operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,), max_iter=2)
     assert np.isfinite(err.value.gap)
+
+
+def test_estimation_error_survives_pickling():
+    with pytest.raises(EstimationError) as err:
+        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,), max_iter=2)
+    back = pickle.loads(pickle.dumps(err.value))
+    assert type(back) is EstimationError
+    assert str(back) == str(err.value)
+    assert back.gap == err.value.gap
 
 
 def test_operator_norm_matches_matrix_path():

@@ -1,6 +1,6 @@
 """The one-entry memos behind the BID and convlasso oracles: keys by value,
-read-only results, per-thread slots, and oracles that stay bitwise equal to
-a computation from scratch."""
+read-only results, one slot that stays consistent under thread switching,
+and oracles that stay bitwise equal to a computation with empty memos."""
 
 import sys
 import threading
@@ -12,7 +12,7 @@ from ipalm import bid, convlasso, synthetic
 from ipalm.blockmodel import BlockVector
 from ipalm.imageops import remember_last
 
-from oracles import in_fresh_thread
+from oracles import with_empty_memos
 
 
 def counted(fn):
@@ -71,20 +71,6 @@ def test_remember_last_returns_read_only_arrays():
     assert memo(np.zeros(3))[0] == 1.0
 
 
-def test_remember_last_keeps_one_slot_per_thread():
-    fn, calls = counted(lambda a: a * 2.0)
-    memo = remember_last(fn)
-    a = np.arange(3.0)
-    memo(a)
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(memo(np.arange(1.0, 4.0))))
-    worker.start()
-    worker.join()
-    assert np.array_equal(seen[0], [2.0, 4.0, 6.0])
-    memo(a)  # the other thread's call did not evict this thread's slot
-    assert len(calls) == 2
-
-
 def test_remember_last_under_thread_switching_stress():
     """More threads than cores, switching every microsecond, each repeating
     and changing its arguments out of phase with the others over one pool:
@@ -130,15 +116,15 @@ def test_bid_eval_H_sees_blocks_mutated_in_place():
     x = BlockVector([u, b])  # holds these arrays as they are
     problem.eval_H(x)
     u[3:6, 4:9] = 0.25
-    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+    assert bits(problem.eval_H(x)) == bits(with_empty_memos(problem.eval_H, x))
     b[...] = np.eye(5) / 5.0
-    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+    assert bits(problem.eval_H(x)) == bits(with_empty_memos(problem.eval_H, x))
 
 
 def test_bid_problems_with_different_theta_do_not_share_a_penalty():
     problem1, x = bid_case(theta=1e4)
     problem2, _ = bid_case(theta=3e2)
-    fresh = [in_fresh_thread(problem.eval_H, x) for problem in (problem1, problem2)]
+    fresh = [with_empty_memos(problem.eval_H, x) for problem in (problem1, problem2)]
     assert fresh[0] != fresh[1]
     for _ in range(3):
         for problem, want in zip((problem1, problem2), fresh):
@@ -183,7 +169,7 @@ def test_bid_oracles_match_unmemoized_references_bitwise(exact):
         if exact:
             oracles += [(problem.lipschitz, (0, xb)), (problem.lipschitz, (1, xb))]
         for oracle, args in oracles:
-            assert bits(oracle(*args)) == bits(in_fresh_thread(oracle, *args))
+            assert bits(oracle(*args)) == bits(with_empty_memos(oracle, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +189,9 @@ def test_convlasso_eval_H_sees_blocks_mutated_in_place():
     x = BlockVector([x[0].copy(), x[1].copy()])
     problem.eval_H(x)
     x[1][0, 2:5, 3] = 0.7
-    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+    assert bits(problem.eval_H(x)) == bits(with_empty_memos(problem.eval_H, x))
     x[0][1] = -x[0][1]
-    assert bits(problem.eval_H(x)) == bits(in_fresh_thread(problem.eval_H, x))
+    assert bits(problem.eval_H(x)) == bits(with_empty_memos(problem.eval_H, x))
 
 
 def test_convlasso_remembered_spectra_are_read_only():
@@ -232,7 +218,7 @@ def test_convlasso_oracles_match_fresh_evaluations_bitwise():
         xb = BlockVector([d, v])
         for oracle, args in ((problem.eval_H, (xb,)), (problem.partial_grad, (0, xb)),
                              (problem.partial_grad, (1, xb))):
-            assert bits(oracle(*args)) == bits(in_fresh_thread(oracle, *args))
+            assert bits(oracle(*args)) == bits(with_empty_memos(oracle, *args))
 
 
 # ---------------------------------------------------------------------------

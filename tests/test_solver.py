@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
 from ipalm.schedules import Dynamic, StaticNonconvex
 from ipalm.solver import (
     DivergenceError,
+    SolverTrace,
     make_state,
     run,
     run_state,
@@ -233,6 +235,18 @@ def test_divergence_error_carries_trace():
     with pytest.raises(DivergenceError) as err:
         run_state(state, problem, iters=50, tol=0.0)
     assert len(err.value.trace) >= 1
+
+
+def test_divergence_error_survives_pickling():
+    """A sweep cell's error comes back from its worker process pickled; it
+    must arrive with its message and its trace."""
+    trace = run(one_block_quadratic(), BlockVector([np.ones(3)]), RunConfig(iters=2, tol=0.0)).trace
+    assert len(trace) == 3
+    for err in (DivergenceError("x", SolverTrace()), DivergenceError("diverged", trace)):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert str(back) == str(err)
+        assert back.trace == err.trace
 
 
 def test_lyapunov_psi_examples():
