@@ -13,9 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
-from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_* here
+# benchmarks/tracing.py patches the centered_* views and the four edge
+# primitives (dir_grad, dir_grad_adjoint, phi_value, phi_grad) here by name
+from .imageops import (  # noqa: F401
     DIRECTIONS,
     _check_kernel_fits,
+    _valid_window,
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
@@ -63,9 +66,36 @@ class BidParams:
             raise ValueError("kernel_step_scale must be >= 1")
 
 
+def _edge_differences(u: np.ndarray):
+    """Per direction: its weight, the shifted and base index windows of its
+    valid stencils, and the weighted difference over that window.  Pixels
+    whose stencil leaves the image have no difference (natural boundary)."""
+    m, n = u.shape
+    for di, dj, w in DIRECTIONS:
+        ilo, ihi = _valid_window(m, di)
+        jlo, jhi = _valid_window(n, dj)
+        base = slice(ilo, ihi), slice(jlo, jhi)
+        shifted = slice(ilo + di, ihi + di), slice(jlo + dj, jhi + dj)
+        d = u[shifted] - u[base]
+        d *= w
+        yield w, shifted, base, d
+
+
 def edge_penalty(u: np.ndarray, theta: float) -> float:
     """Robust penalty on the eight directional differences of the image."""
-    return sum(phi_value(dir_grad(u, p), theta) for p in range(1, 9))
+    return sum(phi_value(d, theta) for _, _, _, d in _edge_differences(u))
+
+
+def edge_grad(u: np.ndarray, theta: float) -> np.ndarray:
+    """Gradient of ``edge_penalty`` in ``u``: each direction's weighted
+    ``phi_grad`` scattered back onto the two ends of its stencils."""
+    g = np.zeros_like(u)
+    for w, shifted, base, d in _edge_differences(u):
+        t = phi_grad(d, theta)
+        t *= w
+        g[shifted] += t
+        g[base] -= t
+    return g
 
 
 # During a line search one block stays fixed, and the smooth term and the
@@ -159,9 +189,7 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     def partial_grad(i: int, x: BlockVector) -> np.ndarray:
         u_hat, b_hat, r_hat = _spectra(x)
         if i == 0:
-            edge = sum(dir_grad_adjoint(phi_grad(dir_grad(x[0], p), theta), p)
-                       for p in range(1, 9))
-            return edge + lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
+            return edge_grad(x[0], theta) + lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
         full = np.fft.irfft2(r_hat * np.conj(u_hat), s=shape)
         return lam * centered_kernel_window(full, x[1].shape)
 

@@ -56,9 +56,6 @@ class BlockVector:
     def norm_sq(self) -> float:
         return float(sum(np.vdot(b, b).real for b in self._blocks))
 
-    def block_norms_sq(self) -> np.ndarray:
-        return np.array([float(np.vdot(b, b).real) for b in self._blocks])
-
     def __repr__(self) -> str:
         return f"BlockVector(shapes={self.shapes})"
 

@@ -26,7 +26,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import bid as bid_mod
 from . import convlasso as cl_mod
@@ -37,6 +36,7 @@ from .config import (
     SCHEDULES,
     ConfigError,
     RunConfig,
+    block_kinds,
     config_defaults_help,
     float_tuple,
     int_tuple,
@@ -154,14 +154,12 @@ def cmd_nmf(args) -> int:
     return 0
 
 
-def _solve_bid(f, params, cfg):
-    """Solve the BID model; unless the run sets ``step_scale``, the kernel
+def _bid_config(cfg, params):
+    """``cfg`` for a BID run: unless it sets ``step_scale``, the kernel
     block's tau takes the ``params.kernel_step_scale`` preset."""
-    problem = bid_mod.make_bid_problem(f, params)
-    x0 = bid_mod.init_bid(f, params)
     if cfg.step_scale is None:
-        cfg = dataclasses.replace(cfg, step_scale=(1.0, params.kernel_step_scale))
-    return run(problem, x0, cfg)
+        return dataclasses.replace(cfg, step_scale=(1.0, params.kernel_step_scale))
+    return cfg
 
 
 def cmd_bid(args) -> int:
@@ -172,7 +170,8 @@ def cmd_bid(args) -> int:
         f = synthetic.synth_bid(seed=cfg.seed)["f"]
     ks = args.kernel_size
     params = bid_mod.BidParams(lam=args.lam, theta=args.theta, kernel_shape=(ks, ks))
-    state = _solve_bid(f, params, cfg)
+    problem = bid_mod.make_bid_problem(f, params)
+    state = run(problem, bid_mod.init_bid(f, params), _bid_config(cfg, params))
     _write_trace(state.trace, cfg, "bid")
     if cfg.out:
         write_pgm(os.path.join(cfg.out, "bid_image.pgm"), state.x_cur[0])
@@ -198,23 +197,33 @@ def cmd_convlasso(args) -> int:
     return 0
 
 
+_SWEEP_BID = bid_mod.BidParams(kernel_shape=(7, 7))
+
+
+def _sweep_instance(problem_kind, seed):
+    """The sweep's problem and start point for ``seed``."""
+    if problem_kind == "bid":
+        f = synthetic.synth_bid(seed=seed)["f"]
+        return bid_mod.make_bid_problem(f, _SWEEP_BID), bid_mod.init_bid(f, _SWEEP_BID)
+    if problem_kind == "nmf":
+        A = synthetic.synth_nmf(seed=seed)["A"]
+        return nmf_mod.make_nmf_problem(A, r=3, s=2), nmf_mod.init_nmf(A, r=3, s=2, seed=seed)
+    f = synthetic.synth_convlasso(seed=seed)["f"]
+    return (cl_mod.make_convlasso_problem(f, p=8, l=5, lam=0.2),
+            cl_mod.init_convlasso(f, p=8, l=5, seed=seed))
+
+
 def _sweep_cell(problem_kind, cfg):
     """One sweep cell's trace; module-level, so a worker process can run it."""
+    problem, x0 = _sweep_instance(problem_kind, cfg.seed)
     if problem_kind == "bid":
-        inst = synthetic.synth_bid(seed=cfg.seed)
-        return _solve_bid(inst["f"], bid_mod.BidParams(kernel_shape=(7, 7)), cfg).trace
-    if problem_kind == "nmf":
-        inst = synthetic.synth_nmf(seed=cfg.seed)
-        problem = nmf_mod.make_nmf_problem(inst["A"], r=3, s=2)
-        x0 = nmf_mod.init_nmf(inst["A"], r=3, s=2, seed=cfg.seed)
-    else:
-        inst = synthetic.synth_convlasso(seed=cfg.seed)
-        problem = cl_mod.make_convlasso_problem(inst["f"], p=8, l=5, lam=0.2)
-        x0 = cl_mod.init_convlasso(inst["f"], p=8, l=5, seed=cfg.seed)
+        cfg = _bid_config(cfg, _SWEEP_BID)
     return run(problem, x0, cfg).trace
 
 
 def cmd_sweep(args) -> int:
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     cfg = _config_from_args(args)
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     cells = [dataclasses.replace(cfg, alpha_bar=a, beta_bar=a) for a in alphas]
@@ -223,6 +232,10 @@ def cmd_sweep(args) -> int:
     if not cells:
         raise ConfigError(f"no sweep settings: --alphas {args.alphas!r} names no value "
                           f"and --include-dynamic is off")
+    # a setting the schedule rejects fails here, before any cell starts
+    problem = _sweep_instance(args.problem, cfg.seed)[0]
+    for cell in cells:
+        block_kinds(problem, cell)
     # fork starts every worker at the first submit: no more than cells or cores
     workers = min(cfg.jobs, len(cells), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,11 @@
 """Image-domain primitives: directional differences, robust edge penalty,
 circular convolution and its adjoints, and 8-bit PGM I/O.
 
+BID's edge term slices each direction's valid window itself (``DIRECTIONS``
+and ``_valid_window``); the zero-padded ``dir_grad``/``dir_grad_adjoint``
+pair stays here as the reference that tests check it against, and under
+the names that the benchmark's tracer patches in `ipalm.bid`.
+
 Every convolution takes one convention, an odd kernel anchored at its
 center entry, and runs in the DFT domain on pre-rolled kernel spectra:
 ``centered_kernel_spectrum`` transforms a kernel, or a whole stack of them,
@@ -82,7 +87,9 @@ def phi_value(x: np.ndarray, theta: float) -> float:
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     x = np.asarray(x, dtype=np.float64)
-    return float(np.log1p(theta * x * x).sum())
+    t = theta * x
+    t *= x
+    return float(np.log1p(t, out=t).sum())
 
 
 def phi_grad(x: np.ndarray, theta: float) -> np.ndarray:
@@ -90,7 +97,12 @@ def phi_grad(x: np.ndarray, theta: float) -> np.ndarray:
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     x = np.asarray(x, dtype=np.float64)
-    return 2.0 * theta * x / (1.0 + theta * x * x)
+    den = theta * x
+    den *= x
+    den += 1.0
+    out = 2.0 * theta * x
+    out /= den
+    return out
 
 
 def _memo_key(arg):

@@ -85,12 +85,6 @@ class SolverTrace:
     def __getitem__(self, k: int) -> TraceRow:
         return self.rows[k]
 
-    def f_values(self) -> np.ndarray:
-        return np.array([r.F for r in self.rows])
-
-    def step_norms(self) -> np.ndarray:
-        return np.array([r.step_norm for r in self.rows])
-
     def block_delta_matrix(self) -> np.ndarray:
         """(iterations+1) x num_blocks matrix of half squared block steps."""
         return np.array([r.block_deltas for r in self.rows])

@@ -9,7 +9,7 @@ references do the same filter by filter on complete stacks, and
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
 `ipalm.bid` and `ipalm.convlasso` swapped for an empty one.
 The rest are small block-vector, Lyapunov and trace helpers checked against
-the solver's own records.
+the solver's own records, or read out of them.
 """
 
 from dataclasses import dataclass
@@ -86,6 +86,16 @@ def centered_corr_image_direct(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 def centered_corr_kernel_direct(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
     c1, c2 = _center(shape)
     return circ_corr_kernel_direct(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape)
+
+
+def block_norms_sq(x: BlockVector) -> np.ndarray:
+    """Squared norm of each block."""
+    return np.array([float(np.vdot(b, b).real) for b in x.blocks])
+
+
+def trace_column(trace, name: str) -> np.ndarray:
+    """One field of every trace row, e.g. ``"F"`` or ``"step_norm"``."""
+    return np.array([getattr(r, name) for r in trace.rows])
 
 
 def block_axpy(a: float, x: BlockVector, y: BlockVector) -> BlockVector:

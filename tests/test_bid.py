@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from oracles import bid_grad_b_ref, bid_grad_u_ref, bid_smooth_ref
+from oracles import (
+    bid_grad_b_ref,
+    bid_grad_u_ref,
+    bid_smooth_ref,
+    trace_column,
+    with_empty_memos,
+)
 
 from ipalm import bid
 from ipalm.bid import (
@@ -216,6 +222,54 @@ def test_fourier_oracles_match_image_domain_references(shape):
             assert err <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (7, 7), (8, 8),
+                                   (9, 12), (13, 6)])
+def test_edge_term_on_valid_windows_matches_padded_references(shape):
+    # the edge term reads each direction's valid window only; the references
+    # pad every difference to full size.  Small images leave some windows
+    # empty or one pixel wide, and a small lam keeps the edge term dominant
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    params = BidParams(lam=1e-3, theta=1e4, kernel_shape=(1, 1))
+    f = rng.uniform(0, 1, shape)
+    smooth, grad = oracles(f, params)
+    b = np.ones((1, 1))
+    for _ in range(3):
+        u = rng.uniform(0, 1, shape)
+        ref = bid_smooth_ref(u, b, f, params)
+        assert abs(smooth(u, b) - ref) <= 1e-13 * abs(ref)
+        ref = bid_grad_u_ref(u, b, f, params)
+        assert np.linalg.norm(grad(0, u, b) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_edge_gradient_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    theta = 1e2
+    u = rng.uniform(0, 1, (6, 5))
+    g = bid.edge_grad(u, theta)
+    h = 1e-6
+    fd = np.empty_like(u)
+    for idx in np.ndindex(u.shape):
+        e = np.zeros_like(u)
+        e[idx] = h
+        fd[idx] = (bid.edge_penalty(u + e, theta) - bid.edge_penalty(u - e, theta)) / (2 * h)
+    assert np.abs(fd - g).max() <= 1e-6 * np.abs(g).max()
+
+
+def test_bid_oracles_never_call_the_padded_differences(monkeypatch):
+    def padded(*args):
+        raise AssertionError("padded directional difference on the hot path")
+
+    monkeypatch.setattr(bid, "dir_grad", padded)
+    monkeypatch.setattr(bid, "dir_grad_adjoint", padded)
+    rng = np.random.default_rng(9)
+    f = rng.uniform(0, 1, (12, 10))
+    problem = make_bid_problem(f, BidParams(kernel_shape=(3, 3)))
+    x = BlockVector([rng.uniform(0, 1, f.shape), random_kernel(rng, (3, 3))])
+    assert np.isfinite(with_empty_memos(problem.eval_H, x))
+    for i in (0, 1):
+        assert np.isfinite(with_empty_memos(problem.partial_grad, i, x)).all()
+
+
 def test_kernel_modulus_rejects_a_kernel_taller_than_the_image():
     # (5, 1) on (3, 30) is below the Gram guard, but its offsets overrun the rows
     params = BidParams(kernel_shape=(5, 1))
@@ -297,5 +351,5 @@ def test_exact_lipschitz_mode_runs_and_descends_with_zero_inertia():
     x0 = init_bid(inst["f"], params)
     state = make_state(problem, x0, block_kinds(problem, RunConfig(schedule="static-c")))
     run_state(state, problem, iters=40, tol=0.0)
-    F = state.trace.f_values()
+    F = trace_column(state.trace, "F")
     assert (F[1:] <= F[:-1] + 1e-8 * (1.0 + np.abs(F[:-1]))).all()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import InertialParams, block_axpy
+from oracles import InertialParams, block_axpy, block_norms_sq
 
 from ipalm.blockmodel import (
     BlockVector,
@@ -104,7 +104,7 @@ def test_norm_additivity_property():
     for _ in range(50):
         x = random_bv(rng, shapes=((5, 3), (2, 2, 2), (7,)))
         total = x.norm_sq()
-        per_block = x.block_norms_sq().sum()
+        per_block = block_norms_sq(x).sum()
         assert abs(total - per_block) <= 1e-12 * (1.0 + total)
 
 

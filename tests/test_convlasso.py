@@ -6,6 +6,7 @@ from oracles import (
     convlasso_objective,
     convlasso_residual,
     fourier_energy,
+    trace_column,
 )
 
 from ipalm.blockmodel import BlockVector
@@ -214,7 +215,7 @@ def test_exact_lipschitz_mode_descends_with_zero_inertia():
     x0 = init_convlasso(inst["f"], p=5, l=3, seed=104)
     state = make_state(problem, x0, block_kinds(problem, RunConfig(schedule="static-c")))
     run_state(state, problem, iters=30, tol=0.0)
-    F = state.trace.f_values()
+    F = trace_column(state.trace, "F")
     assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
     assert F[-1] < F[0]
 
@@ -270,7 +271,7 @@ def test_objective_strictly_decreases_without_inertia():
     problem = make_convlasso_problem(inst["f"], p=8, l=5, lam=0.05)
     x0 = init_convlasso(inst["f"], p=8, l=5, seed=100)
     trace = run(problem, x0, RunConfig(schedule="static-c", iters=60, tol=0.0)).trace
-    F = trace.f_values()
+    F = trace_column(trace, "F")
     assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
     assert F[-1] < F[0]
 

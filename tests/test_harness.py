@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+
 import pytest
+from oracles import trace_column
 
 from ipalm.cli import main
 from ipalm.config import ConfigError, RunConfig, load_config
@@ -149,7 +154,7 @@ def test_bid_preset_scale_equals_explicit_step_scale_bitwise(tmp_path):
     params = BidParams(kernel_shape=(3, 3))
     state = run(make_bid_problem(f, params), init_bid(f, params),
                 RunConfig(iters=5, tol=0.0, seed=1, step_scale=(1.0, 5.0)))
-    assert F_cli == state.trace.f_values().tolist()
+    assert F_cli == trace_column(state.trace, "F").tolist()
 
 
 def test_cli_rejects_step_scale_of_wrong_length(capsys):
@@ -290,6 +295,8 @@ def pool_workers(monkeypatch):
     """Worker counts that ``cmd_sweep`` asks for, from a stand-in pool that
     starts no process and maps the cells inline, on a machine reporting
     eight cores."""
+    import concurrent.futures
+
     from ipalm import cli
 
     workers = []
@@ -308,7 +315,8 @@ def pool_workers(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # cmd_sweep imports the pool class when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return workers
 
 
@@ -320,6 +328,36 @@ def test_cli_sweep_caps_workers_at_cells_and_cores(tmp_path, pool_workers, monke
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one worker
     assert main(argv + ["--jobs", "64"]) == 0
     assert pool_workers == [2, 1]
+
+
+def test_cli_sweep_rejects_a_bad_setting_before_any_cell_runs(tmp_path, capsys, pool_workers,
+                                                              monkeypatch):
+    """alpha=0.6 breaks nmf's nonconvex step rule; the valid alpha=0 cell
+    listed before it must not run, and no pool may start."""
+    from ipalm import cli
+
+    ran = []
+    real_run = cli.run
+
+    def recording_run(problem, x0, cfg):
+        ran.append(cfg.alpha_bar)
+        return real_run(problem, x0, cfg)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    argv = ["sweep", "--problem", "nmf", "--alphas", "0,0.6", "--jobs", "2", "--iters", "2",
+            "--out", str(tmp_path / "sw")]
+    assert main(argv) == 2
+    assert "alpha_bar" in capsys.readouterr().err
+    assert ran == [] and pool_workers == []
+    assert not (tmp_path / "sw").exists()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only ``sweep`` uses worker processes; importing the CLI must not load
+    ``multiprocessing`` into every other command."""
+    code = "import sys, ipalm.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, pool_workers):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import trace_column
 
 from ipalm.config import RunConfig, block_kinds
 from ipalm.nmf import (
@@ -142,7 +143,7 @@ def test_palm_descent_objective_nonincreasing():
     x0 = init_nmf(A, r=3, s=10, seed=67)
     trace = run(problem, x0, RunConfig(schedule="static-c", iters=200, tol=0.0,
                                        backtrack=False)).trace
-    F = trace.f_values()
+    F = trace_column(trace, "F")
     assert (F[1:] <= F[:-1] + 1e-10 * (1.0 + np.abs(F[:-1]))).all()
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import lyapunov_psi, params_at
+from oracles import lyapunov_psi, params_at, trace_column
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, extrapolate
@@ -184,7 +184,7 @@ def test_run_config_alone_selects_the_closed_form_moduli(name):
     assert state.backtrack is None
     # the first sweep's first block steps from x0 itself (no inertia yet)
     assert state.trace.rows[1].L[0] == problem.lipschitz(0, x0)
-    F = state.trace.f_values()
+    F = trace_column(state.trace, "F")
     assert np.isfinite(F).all() and F[-1] < F[0]
     assert run(problem, x0, RunConfig(iters=1, tol=0.0)).backtrack is not None
 
@@ -403,7 +403,7 @@ def test_square_summable_steps_on_bid_desk_instance():
     d_tot = trace.block_delta_matrix().sum(axis=1)
     running = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]
     assert np.isfinite(running.sum())
-    assert trace.step_norms()[1:].min() < 1e-6
+    assert trace_column(trace, "step_norm")[1:].min() < 1e-6
 
 
 def test_prox_inequality_spot_check_during_run():
