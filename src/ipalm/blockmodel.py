@@ -9,7 +9,7 @@ import numpy as np
 
 
 class ShapeMismatchError(ValueError):
-    """Two block vectors disagree in block count or per-block shapes."""
+    """A block value does not have the shape of the block it stands for."""
 
 
 class BlockVector:
@@ -60,22 +60,17 @@ class BlockVector:
         return f"BlockVector(shapes={self.shapes})"
 
 
-def _check_compatible(x: BlockVector, y: BlockVector) -> None:
-    if x.shapes != y.shapes:
-        raise ShapeMismatchError(f"shapes {x.shapes} vs {y.shapes}")
-
-
 def extrapolate(
     x_cur: BlockVector, x_prev: BlockVector, coeff: float, block: int
 ) -> np.ndarray:
     """Inertial extrapolation ``x_cur[block] + coeff*(x_cur[block] - x_prev[block])``.
 
     ``coeff == 0`` returns ``x_cur[block]`` itself, so the inertia-free mode
-    is bitwise identical to not extrapolating at all.
+    is bitwise identical to not extrapolating at all.  Both vectors have the
+    same block shapes; the solver's iterates always do.
     """
     if coeff < 0:
         raise ValueError(f"extrapolation coefficient must be >= 0, got {coeff}")
-    _check_compatible(x_cur, x_prev)
     cur = x_cur[block]
     if coeff == 0.0:
         return cur
@@ -87,7 +82,6 @@ def step_deltas(x_next: BlockVector, x_cur: BlockVector) -> np.ndarray:
 
     Their sum equals half the squared norm of the full step.
     """
-    _check_compatible(x_next, x_cur)
     out = np.empty(len(x_next))
     for i, (a, b) in enumerate(zip(x_next.blocks, x_cur.blocks)):
         d = a - b
@@ -115,7 +109,9 @@ class ProblemSpec:
         ``partial_grad(i, x)`` -> gradient of H in block ``i`` at ``x``.
     prox : callable
         ``prox(i, t, p)`` -> one minimizer of ``f_i(q) + (t/2)||q - p||^2``.
-        Always returns a point where ``f_i`` is finite.
+        Always returns a point where ``f_i`` is finite, as an array with
+        block ``i``'s shape; the solver checks the shape at every prox call
+        and raises `ShapeMismatchError` naming the block and the iteration.
     convex : tuple of bool
         Per-block flag: is ``f_i`` convex.  Convex blocks admit larger steps.
     lipschitz : callable or None

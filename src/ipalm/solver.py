@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .blockmodel import BlockVector, ProblemSpec, extrapolate, step_deltas
+from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate, step_deltas
 from .config import block_kinds
 from .lipschitz import BacktrackState, backtrack_L
 from .schedules import (
@@ -129,31 +129,18 @@ class SolverTrace:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: current and previous iterates plus schedule."""
+    """Mutable per-run state: current and previous iterates plus schedule.
+    `make_state` builds it and checks it; build it there."""
 
     x_cur: BlockVector
     x_prev: BlockVector
     k: int
     kinds: tuple
-    backtrack: Optional[tuple] = None  # None: exact moduli; else one BacktrackState per block
-    step_scale: Optional[tuple] = None  # per-block tau multiplier >= 1
-    constant_delta: Optional[tuple] = None  # per-block constant step weight
+    backtrack: Optional[tuple]  # None: exact moduli; else one BacktrackState per block
+    step_scale: tuple  # per-block tau multiplier >= 1
+    constant_delta: Optional[tuple]  # per-block constant step weight
     trace: SolverTrace = field(default_factory=SolverTrace)
     t0: float = field(default_factory=time.perf_counter)
-
-    def __post_init__(self):
-        nb = len(self.x_cur)
-        if self.step_scale is None:
-            self.step_scale = (1.0,) * nb
-        for name in ("backtrack", "step_scale", "constant_delta"):
-            value = getattr(self, name)
-            if value is not None and len(value) != nb:
-                raise ValueError(f"{name} needs one entry per block ({nb}), got {value}")
-        for c in self.step_scale:
-            if not 1.0 <= c < math.inf:
-                raise ValueError(f"step scale must be >= 1 and finite, got {c}")
-        if len(self.kinds) != nb:
-            raise ValueError("one schedule kind per block required")
 
 
 def _step_params(kind: ScheduleKind, alpha, beta, L, const_delta):
@@ -198,7 +185,13 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         nonlocal tau, delta
         tau, delta = _step_params(kind, alpha, beta, L, const_delta)
         tau *= scale
-        return problem.prox(i, tau, y - grad / tau)
+        x_new = problem.prox(i, tau, y - grad / tau)
+        if x_new.shape != y.shape:  # y has block i's shape
+            raise ShapeMismatchError(
+                f"{problem.name}: the prox of block {i} at iteration {k} returned "
+                f"shape {x_new.shape}, the block has {y.shape}"
+            )
+        return x_new
 
     def h_eval(block_value):
         parts = list(mixed_blocks)
@@ -280,7 +273,8 @@ def make_state(
     (the predecessor of the starting point is the starting point itself).
 
     ``backtracking`` picks the moduli source for every block: descent-lemma
-    backtracking, or the problem's closed-form ``lipschitz``.
+    backtracking, or the problem's closed-form ``lipschitz``.  Every setting
+    is checked here; a rejection names the problem and comes before ``F_0``.
     """
     nb = len(x0)
     if nb != problem.num_blocks:
@@ -291,8 +285,17 @@ def make_state(
         raise ValueError(
             f"{problem.name}: no closed-form Lipschitz moduli; run with backtracking"
         )
-    if not isinstance(kinds, (tuple, list)):
-        kinds = (kinds,) * nb
+    kinds = tuple(kinds) if isinstance(kinds, (tuple, list)) else (kinds,) * nb
+    step_scale = (1.0,) * nb if step_scale is None else tuple(step_scale)
+    constant_delta = None if constant_delta is None else tuple(constant_delta)
+    per_block = {"kinds": kinds, "step_scale": step_scale, "constant_delta": constant_delta}
+    for name, value in per_block.items():
+        if value is not None and len(value) != nb:
+            raise ValueError(
+                f"{problem.name}: {name} needs one entry per block ({nb}), got {value}"
+            )
+    if not all(1.0 <= c < math.inf for c in step_scale):
+        raise ValueError(f"{problem.name}: step_scale must be >= 1 and finite, got {step_scale}")
     heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
     if constant_delta is not None and heuristic:
         raise ValueError(
@@ -305,23 +308,18 @@ def make_state(
         )
     bt = None
     if backtracking:
-        bt = tuple(
-            BacktrackState(
-                L_current=bt_L0,
-                growth=bt_growth,
-                shrink=bt_shrink,
-                max_rounds=bt_max_rounds,
-            )
-            for _ in range(nb)
-        )
+        try:
+            bt = tuple(BacktrackState(bt_L0, bt_growth, bt_shrink, bt_max_rounds) for _ in range(nb))
+        except ValueError as err:
+            raise ValueError(f"{problem.name}: {err}") from None
     state = SolverState(
         x_cur=x0,
         x_prev=x0,
         k=0,
-        kinds=tuple(kinds),
+        kinds=kinds,
         backtrack=bt,
-        step_scale=None if step_scale is None else tuple(step_scale),
-        constant_delta=None if constant_delta is None else tuple(constant_delta),
+        step_scale=step_scale,
+        constant_delta=constant_delta,
     )
     state.trace.rows.append(initial_trace_row(problem, x0))
     state.trace.meta["heuristic"] = heuristic

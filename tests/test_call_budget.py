@@ -1,0 +1,66 @@
+"""Per-sweep call budgets: how many calls into package code one sweep makes.
+
+The counts are deterministic (fixed instances, fixed sweep index), so they
+pin the solver's Python overhead where wall time on a small instance is too
+noisy to resolve.  Re-pin rule, the same one criterion 9's oracle counts
+follow: a change that lowers a count lowers its budget to the new count, and
+a change that has to raise one raises its budget; either way it records the
+old and new count and the reason in CHANGES.md.  A budget never moves
+silently.
+"""
+
+import cProfile
+import os
+import pstats
+
+import ipalm
+from ipalm.bid import BidParams, init_bid, make_bid_problem
+from ipalm.config import RunConfig, block_kinds
+from ipalm.nmf import init_nmf, make_nmf_problem
+from ipalm.solver import ipalm_iterate, make_state
+from ipalm.synthetic import synth_bid, synth_nmf
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
+
+NMF_DESK_EXACT = 71
+BID_BACKTRACKING = 525
+
+
+def package_calls_per_sweep(state, problem) -> int:
+    """Calls into functions defined under the package directory during one
+    sweep, after two warm-up sweeps that fill the memos and warm the moduli."""
+    for _ in range(2):
+        ipalm_iterate(state, problem)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    ipalm_iterate(state, problem)
+    profiler.disable()
+    stats = pstats.Stats(profiler).stats
+    return sum(
+        ncalls
+        for (filename, _, _), (_, ncalls, _, _, _) in stats.items()
+        if os.path.abspath(filename).startswith(PACKAGE_DIR)
+    )
+
+
+def test_nmf_desk_exact_sweep_stays_within_its_call_budget():
+    # the nmf-desk benchmark instance: 20x30, r=3, s=2, plain PALM, exact moduli
+    A = synth_nmf(m=20, n=30, r=3, s=2, seed=1)["A"]
+    problem = make_nmf_problem(A, r=3, s=2)
+    kinds = block_kinds(problem, RunConfig(schedule="static-c"))
+    state = make_state(problem, init_nmf(A, r=3, s=2, seed=1), kinds)
+    assert package_calls_per_sweep(state, problem) <= NMF_DESK_EXACT
+
+
+def test_bid_backtracking_sweep_stays_within_its_call_budget():
+    # the bid-bt benchmark instance: 64x64 image, 7x7 kernel, static-c with
+    # alpha=beta=0.4, backtracking, kernel step scale 5
+    params = BidParams(lam=1e6, theta=1e4, kernel_shape=(7, 7), kernel_step_scale=5.0)
+    f = synth_bid(size=64, kernel=7, seed=1)["f"]
+    problem = make_bid_problem(f, params)
+    kinds = block_kinds(problem, RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4))
+    state = make_state(
+        problem, init_bid(f, params), kinds,
+        backtracking=True, step_scale=(1.0, params.kernel_step_scale),
+    )
+    assert package_calls_per_sweep(state, problem) <= BID_BACKTRACKING

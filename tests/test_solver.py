@@ -7,7 +7,7 @@ import pytest
 from oracles import lyapunov_psi, params_at, trace_column
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
-from ipalm.blockmodel import BlockVector, ProblemSpec, extrapolate
+from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from ipalm.config import RunConfig
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.lipschitz import spectral_norm
@@ -108,17 +108,19 @@ def test_run_rejects_zero_budget():
 
 def test_per_block_tuples_must_match_the_block_count():
     inst = synth_nmf(seed=3)
-    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
     x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
     kinds = StaticNonconvex(0.0, 0.0)
     for bad in ((1.0,), (1.0, 1.0, 9.0)):
-        with pytest.raises(ValueError, match="step_scale"):
+        with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale needs one entry"):
             make_state(problem, x0, kinds, step_scale=bad)
-        with pytest.raises(ValueError, match="constant_delta"):
+        with pytest.raises(ValueError, match=r"nmf\(.*\): constant_delta needs one entry"):
             make_state(problem, x0, kinds, constant_delta=bad)
-    with pytest.raises(ValueError, match="step_scale"):
+    with pytest.raises(ValueError, match=r"nmf\(.*\): kinds needs one entry per block \(2\)"):
+        make_state(problem, x0, (kinds,) * 3)
+    with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale needs one entry"):
         run(problem, x0, RunConfig(iters=1, backtrack=False, step_scale=(1.0,)))
-    with pytest.raises(ValueError, match="must be >= 1"):
+    with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale must be >= 1"):
         make_state(problem, x0, kinds, step_scale=(1.0, 0.5))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be >= 1 and finite"):
@@ -166,6 +168,35 @@ def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_probl
     x0 = BlockVector([np.ones(2)])
     with pytest.raises(ValueError, match="quadratic: constant_delta needs static"):
         make_state(problem, x0, Dynamic(), constant_delta=(1.0,))
+
+
+def test_make_state_rejects_a_backtracking_setting_naming_the_problem():
+    problem = _unevaluated(one_block_quadratic())
+    x0 = BlockVector([np.ones(2)])
+    with pytest.raises(ValueError, match="quadratic: growth must exceed 1"):
+        make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=True, bt_growth=1.0)
+
+
+@pytest.mark.parametrize("backtracking", [False, True], ids=["exact", "backtracking"])
+def test_a_wrong_shape_prox_output_stops_the_sweep_at_that_block(backtracking):
+    inst = synth_nmf(seed=3)
+    nmf = make_nmf_problem(inst["A"], r=3, s=2)
+    grads = []
+
+    def partial_grad(i, x):
+        grads.append(i)
+        return nmf.partial_grad(i, x)
+
+    def prox(i, t, p):
+        out = nmf.prox(i, t, p)
+        return out[:1] if i == 0 else out
+
+    problem = dataclasses.replace(nmf, partial_grad=partial_grad, prox=prox)
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
+    state = make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=backtracking)
+    with pytest.raises(ShapeMismatchError, match=r"nmf\(.*\): the prox of block 0 at iteration 1"):
+        run_state(state, problem, iters=1, tol=0.0)
+    assert grads == [0]  # block 1's oracle never saw the bad block
 
 
 def _image_problem(name):
