@@ -31,7 +31,7 @@ from .imageops import (  # noqa: F401
     phi_value,
     remember_last,
 )
-from .lipschitz import operator_norm
+from .lipschitz import MODULUS_FLOOR, operator_norm
 from .prox import prox_box01, prox_simplex
 
 
@@ -135,13 +135,13 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
             auto = np.fft.irfft2(weight, s=u.shape)
             i, j = np.indices(b.shape).reshape(2, -1)
             gram = auto[np.subtract.outer(i, i), np.subtract.outer(j, j)]
-            return max(operator_norm(gram.dot, (b.size,)), 1e-12)
+            return max(operator_norm(gram.dot, (b.size,)), MODULUS_FLOOR)
 
         def normal_op(k):
             spec = centered_kernel_spectrum(k, u.shape) * weight
             return centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
 
-        return max(operator_norm(normal_op, b.shape), 1e-12)
+        return max(operator_norm(normal_op, b.shape), MODULUS_FLOOR)
     raise ValueError(f"block index must be 0 or 1, got {block}")
 
 
@@ -173,10 +173,13 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         b_hat = _kernel_spectrum(x[1], shape)
         return u_hat, b_hat, u_hat * b_hat - f_hat
 
-    def eval_H(x: BlockVector) -> float:
+    def eval_H(x: BlockVector, above=None) -> float:
+        # the data term first: above the bound, it decides without the edge term
         r_hat = _spectra(x)[2]
-        data = float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
-        return _edge_penalty(x[0], theta) + lam * data
+        data = lam * float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+        if above is not None and data > above:
+            return data
+        return _edge_penalty(x[0], theta) + data
 
     def eval_F(x: BlockVector) -> float:
         u, b = x[0], x[1]

@@ -104,7 +104,12 @@ class ProblemSpec:
     eval_F : callable
         Full objective on a BlockVector; ``inf`` on infeasible points.
     eval_H : callable
-        Smooth part only.
+        ``eval_H(x, above=None)`` -> the smooth part ``H(x)``.  Backtracking
+        passes ``above``, the value a candidate must not exceed.  A problem
+        may ignore it; one whose ``H`` sums nonnegative parts may instead
+        return a partial sum, computed exactly as inside ``H``, once it
+        exceeds ``above``.  Rounding is monotone, so that value is a lower
+        bound on ``H`` and ``H > above`` as well.
     partial_grad : callable
         ``partial_grad(i, x)`` -> gradient of H in block ``i`` at ``x``.
     prox : callable
@@ -124,7 +129,7 @@ class ProblemSpec:
 
     num_blocks: int
     eval_F: Callable[[BlockVector], float]
-    eval_H: Callable[[BlockVector], float]
+    eval_H: Callable[..., float]
     partial_grad: Callable[[int, BlockVector], np.ndarray]
     prox: Callable[[int, float, np.ndarray], np.ndarray]
     convex: tuple

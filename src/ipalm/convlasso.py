@@ -29,6 +29,7 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
     remember_last,
     write_pgm,
 )
+from .lipschitz import MODULUS_FLOOR
 from .prox import prox_filter_constraint, prox_l1
 
 
@@ -87,7 +88,7 @@ def make_convlasso_problem(
         v_hat = _coef_spectra(x[1])
         return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
-    def eval_H(x: BlockVector) -> float:
+    def eval_H(x: BlockVector, above=None) -> float:
         r_hat = _spectra(x)[2]
         return float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
 
@@ -116,7 +117,7 @@ def make_convlasso_problem(
 
     def lipschitz(i: int, x: BlockVector) -> float:
         spectra = _coef_spectra(x[1]) if i == 0 else _filter_spectra(x[0], shape)
-        return max(float((np.abs(spectra) ** 2).sum(axis=0).max()), 1e-12)
+        return max(float((np.abs(spectra) ** 2).sum(axis=0).max()), MODULUS_FLOOR)
 
     return ProblemSpec(
         num_blocks=2,

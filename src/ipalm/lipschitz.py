@@ -11,12 +11,18 @@ import numpy as np
 
 class EstimationError(RuntimeError):
     """A Lipschitz estimate failed: no convergence within its round budget,
-    or a non-finite input."""
+    or a non-finite input.  ``gap`` is the last residual; for backtracking
+    whose last candidate's ``eval_H`` stopped early it is a lower bound on
+    how far that candidate missed the descent lemma."""
 
     def __init__(self, message: str, gap: float = float("nan")):
         super().__init__(message)
         self.gap = gap
 
+
+# Smallest modulus any estimate returns: a block whose Gram vanishes, or
+# whose step does not move, still needs a positive, normal-range modulus.
+MODULUS_FLOOR = 1e-12
 
 # Factor on a dense top eigenvalue, so that step rules built on it never
 # undershoot the true modulus; its margin is far above the eigensolver's own
@@ -105,7 +111,7 @@ class BacktrackState:
 
 
 def backtrack_L(
-    h_eval: Callable[[np.ndarray], float],
+    h_eval: Callable[..., float],
     h_grad_at: np.ndarray,
     x: np.ndarray,
     x_candidate_of_L: Callable[[float], np.ndarray],
@@ -116,13 +122,17 @@ def backtrack_L(
     Tests ``L = shrink*L_current * growth**j`` for ``j = 0, 1, ...`` and
     accepts once ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2``
     holds, where the candidate ``x+`` is recomputed for every tested ``L``.
-    A tiny relative slack absorbs roundoff at the acceptance boundary.
-    Updates ``state.L_current`` and returns ``(L, x+, tested)`` with the
-    list of every tested modulus.
+    A tiny relative slack absorbs roundoff at the acceptance boundary, and
+    the first tested modulus is at least ``MODULUS_FLOOR``.  Each candidate
+    is evaluated as ``h_eval(x+, above=rhs + slack)``: a value returned early
+    lies above that bound and rejects as h itself would (see
+    ``ProblemSpec.eval_H``), and the ``gap`` of an exhausted search is then
+    a lower bound on the last miss.  Updates ``state.L_current`` and returns
+    ``(L, x+, tested)`` with the list of every tested modulus.
     """
     h_x = float(h_eval(x))
     slack = 1e-12 * (1.0 + abs(h_x))
-    L = state.shrink * state.L_current
+    L = max(state.shrink * state.L_current, MODULUS_FLOOR)
     tested = []
     for _ in range(state.max_rounds + 1):
         tested.append(L)
@@ -133,8 +143,9 @@ def backtrack_L(
             + float(np.vdot(h_grad_at, d).real)
             + 0.5 * L * float(np.vdot(d, d).real)
         )
-        lhs = float(h_eval(cand))
-        if lhs <= rhs + slack:
+        bound = rhs + slack
+        lhs = float(h_eval(cand, above=bound))
+        if lhs <= bound:
             state.L_current = L
             return L, cand, tested
         L *= state.growth

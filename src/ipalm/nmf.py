@@ -14,12 +14,8 @@ import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
 from .imageops import read_pgm, write_pgm
-from .lipschitz import spectral_norm
+from .lipschitz import MODULUS_FLOOR, spectral_norm
 from .prox import prox_l0_nonneg_cols, prox_nonneg
-
-# Gram matrices of degenerate iterates can vanish; the step rule still needs
-# a positive modulus.
-LIPSCHITZ_FLOOR = 1e-12
 
 
 class DataError(ValueError):
@@ -55,7 +51,7 @@ def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
         gram = B.T @ B
     else:
         raise ValueError(f"block index must be 0 or 1, got {block}")
-    return max(spectral_norm(gram), LIPSCHITZ_FLOOR)
+    return max(spectral_norm(gram), MODULUS_FLOOR)
 
 
 def _feasible(B: np.ndarray, C: np.ndarray, s: int) -> bool:
@@ -87,7 +83,7 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
     if not 0 <= s <= m:
         raise DataError(f"sparsity level must lie in [0, {m}], got {s}")
 
-    def eval_H(x: BlockVector) -> float:
+    def eval_H(x: BlockVector, above=None) -> float:
         return nmf_objective(A, x[0], x[1])
 
     def eval_F(x: BlockVector) -> float:

@@ -193,10 +193,10 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
             )
         return x_new
 
-    def h_eval(block_value):
+    def h_eval(block_value, above=None):
         parts = list(mixed_blocks)
         parts[i] = block_value
-        return problem.eval_H(BlockVector(parts))
+        return problem.eval_H(BlockVector(parts), above)
 
     for i in range(problem.num_blocks):
         kind = state.kinds[i]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import (
@@ -8,7 +10,7 @@ from oracles import (
     with_empty_memos,
 )
 
-from ipalm import bid
+from ipalm import bid, lipschitz, solver
 from ipalm.bid import (
     BidParams,
     DataError,
@@ -353,3 +355,78 @@ def test_exact_lipschitz_mode_runs_and_descends_with_zero_inertia():
     run_state(state, problem, iters=40, tol=0.0)
     F = trace_column(state.trace, "F")
     assert (F[1:] <= F[:-1] + 1e-8 * (1.0 + np.abs(F[:-1]))).all()
+
+
+def test_eval_H_above_returns_a_lower_bound_past_the_bound_or_the_full_value():
+    rng = np.random.default_rng(21)
+    f = rng.uniform(0, 1, (16, 12))
+    problem = make_bid_problem(f, BidParams(kernel_shape=(3, 3)))
+    for _ in range(5):
+        x = BlockVector([rng.uniform(0, 1, f.shape), random_kernel(rng, (3, 3))])
+        full = problem.eval_H(x)
+        data = problem.eval_H(x, -1.0)  # the data term alone: always above -1
+        assert 0.0 <= data < full
+        for above in (None, data, 0.5 * (data + full), full, 2.0 * full):
+            assert problem.eval_H(x, above) == full
+        for above in (-1.0, 0.0, 0.5 * data, np.nextafter(data, 0.0)):
+            early = problem.eval_H(x, above)
+            assert early == data and above < early <= full
+
+
+def _bid_bt_run(monkeypatch, problem, f, params, schedule, sweeps):
+    """One bid-bt style run: its trace rows without wall time, its final
+    blocks and the moduli each backtracking call tested."""
+    tested = []
+
+    def recording(*args):
+        out = lipschitz.backtrack_L(*args)
+        tested.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "backtrack_L", recording)
+    kinds = block_kinds(problem, RunConfig(schedule=schedule, alpha_bar=0.4, beta_bar=0.4))
+    state = make_state(problem, init_bid(f, params), kinds, backtracking=True,
+                       step_scale=(1.0, params.kernel_step_scale))
+    run_state(state, problem, iters=sweeps, tol=0.0)
+    rows = [repr(dataclasses.replace(row, seconds=0.0)) for row in state.trace.rows]
+    return rows, [b.tobytes() for b in state.x_cur.blocks], tested
+
+
+def _without_above(problem):
+    """The problem with every ``eval_H`` bound dropped: always the full H."""
+    return dataclasses.replace(problem, eval_H=lambda x, above=None: problem.eval_H(x))
+
+
+BID_BT = BidParams(lam=1e6, theta=1e4, kernel_shape=(7, 7), kernel_step_scale=5.0)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("schedule", ["static-c", "dynamic"])
+def test_backtracking_with_early_exit_is_bitwise_the_full_evaluation(monkeypatch, seed,
+                                                                     schedule):
+    f = synth_bid(size=64, kernel=7, seed=seed)["f"]
+    problem = make_bid_problem(f, BID_BT)
+    early = _bid_bt_run(monkeypatch, problem, f, BID_BT, schedule, 30)
+    full = _bid_bt_run(monkeypatch, _without_above(problem), f, BID_BT, schedule, 30)
+    assert early == full
+
+
+def test_rejected_candidates_skip_the_edge_penalty(monkeypatch):
+    calls = []
+    phi = bid.phi_value
+    monkeypatch.setattr(bid, "phi_value", lambda d, theta: calls.append(1) or phi(d, theta))
+    f = synth_bid(size=64, kernel=7, seed=1)["f"]
+    problem = make_bid_problem(f, BID_BT)
+    x = init_bid(f, BID_BT)
+    with_empty_memos(problem.eval_H, x, 0.0)  # returns the data term alone
+    assert len(calls) == 0
+    with_empty_memos(problem.eval_H, x)
+    assert len(calls) == len(DIRECTIONS)
+    counts = []
+    for variant in (problem, _without_above(problem)):
+        calls.clear()
+        _bid_bt_run(monkeypatch, variant, f, BID_BT, "static-c", 10)
+        counts.append(len(calls))
+    # each skipped edge penalty is one phi_value call per direction fewer
+    skipped, rest = divmod(counts[1] - counts[0], len(DIRECTIONS))
+    assert skipped > 0 and rest == 0

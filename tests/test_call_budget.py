@@ -16,14 +16,16 @@ import pstats
 import ipalm
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.config import RunConfig, block_kinds
+from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.solver import ipalm_iterate, make_state
-from ipalm.synthetic import synth_bid, synth_nmf
+from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 71
-BID_BACKTRACKING = 525
+BID_BACKTRACKING = 425
+CONVLASSO_BACKTRACKING = 205
 
 
 def package_calls_per_sweep(state, problem) -> int:
@@ -64,3 +66,13 @@ def test_bid_backtracking_sweep_stays_within_its_call_budget():
         backtracking=True, step_scale=(1.0, params.kernel_step_scale),
     )
     assert package_calls_per_sweep(state, problem) <= BID_BACKTRACKING
+
+
+def test_convlasso_backtracking_sweep_stays_within_its_call_budget():
+    # the convlasso-bt benchmark instance: 32x32 image, p=8, l=5, lambda=0.05,
+    # plain PALM, backtracking
+    f = synth_convlasso(size=32, seed=1)["f"]
+    problem = make_convlasso_problem(f, p=8, l=5, lam=0.05)
+    kinds = block_kinds(problem, RunConfig(schedule="static-c"))
+    state = make_state(problem, init_convlasso(f, p=8, l=5, seed=1), kinds, backtracking=True)
+    assert package_calls_per_sweep(state, problem) <= CONVLASSO_BACKTRACKING

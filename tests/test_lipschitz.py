@@ -94,7 +94,7 @@ def test_operator_norm_matches_matrix_path():
 
 
 def quadratic_problem(L_true):
-    def h(x):
+    def h(x, above=None):
         return 0.5 * L_true * float(np.sum(x**2))
 
     def grad(x):
@@ -137,7 +137,7 @@ def test_backtrack_grows_to_first_admissible_level():
 def test_backtrack_linear_accepts_at_initial_level():
     c = np.array([2.0, -1.0])
 
-    def h(x):
+    def h(x, above=None):
         return float(c @ x)
 
     x = np.array([0.3, 0.7])
@@ -150,11 +150,34 @@ def test_backtrack_linear_accepts_at_initial_level():
     assert L == pytest.approx(0.01) and len(tested) == 1
 
 
+def test_backtrack_passes_each_candidate_its_bound():
+    # the base point gets no bound; each candidate gets rhs + slack, and a
+    # partial value above that bound rejects like the full value would
+    L_true = 3.0
+    h, grad, make_cand = quadratic_problem(L_true)
+    x = np.array([1.0])
+    bounds = []
+
+    def bounded(q, above=None):
+        bounds.append(above)
+        full = h(q)
+        # the least value past the bound: a lower bound on h, as the contract asks
+        return np.nextafter(above, np.inf) if above is not None and full > above else full
+
+    state = BacktrackState(L_current=L_true / 5.0)
+    L, _, tested = backtrack_L(bounded, grad(x), x, make_cand(x), state)
+    assert bounds[0] is None and len(bounds) == 1 + len(tested)
+    assert all(b is not None for b in bounds[1:])
+    want, _, want_tested = backtrack_L(h, grad(x), x, make_cand(x),
+                                       BacktrackState(L_current=L_true / 5.0))
+    assert (L, tested) == (want, want_tested)
+
+
 def test_backtrack_detects_wrong_gradient():
     # claiming the negated gradient makes the descent test fail at every level
     c = np.array([1.0, 2.0])
 
-    def h(x):
+    def h(x, above=None):
         return float(c @ x)
 
     x = np.zeros(2)

@@ -10,13 +10,14 @@ from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from ipalm.config import RunConfig
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
-from ipalm.lipschitz import spectral_norm
+from ipalm.lipschitz import MODULUS_FLOOR, spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
 from ipalm.schedules import Dynamic, StaticNonconvex
 from ipalm.solver import (
     DivergenceError,
     SolverTrace,
+    ipalm_iterate,
     make_state,
     run,
     run_state,
@@ -28,7 +29,7 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 def one_block_quadratic():
     """Single block, no nonsmooth part, H = 0.5*||x||^2 (modulus 1)."""
 
-    def eval_H(x):
+    def eval_H(x, above=None):
         return 0.5 * x.norm_sq()
 
     return ProblemSpec(
@@ -245,6 +246,31 @@ def test_run_determinism_bitwise():
         assert r1.alpha == r2.alpha and r1.beta == r2.beta
         assert r1.block_deltas == r2.block_deltas
         assert r1.step_norm == r2.step_norm
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_backtracking_on_a_pinned_block_keeps_its_modulus_at_the_floor():
+    # H = sum(x) on x >= 0 from x = 0: every step is zero, so every call
+    # accepts its first modulus; without the floor the shrink from 1e-300
+    # reaches subnormals, and grad / tau overflows
+    def eval_H(x, above=None):
+        return float(x[0].sum())
+
+    problem = ProblemSpec(
+        num_blocks=1,
+        eval_F=eval_H,
+        eval_H=eval_H,
+        partial_grad=lambda i, x: np.ones_like(x[0]),
+        prox=lambda i, t, p: prox_nonneg(p),
+        convex=(True,),
+        name="pinned",
+    )
+    state = make_state(problem, BlockVector([np.zeros(3)]), StaticNonconvex(0.0, 0.0),
+                       backtracking=True, bt_L0=1e-300)
+    for _ in range(50):
+        ipalm_iterate(state, problem)
+    assert all(row.L == (MODULUS_FLOOR,) for row in state.trace.rows[1:])
+    assert np.array_equal(state.x_cur[0], np.zeros(3))
 
 
 def test_divergence_error_carries_trace():
