@@ -4,6 +4,7 @@ convolutional dictionary-learning instances plus a verification battery."""
 
 from .blockmodel import (
     BlockVector,
+    DataError,
     ProblemSpec,
     ShapeMismatchError,
     extrapolate,
@@ -37,6 +38,7 @@ __all__ = [
     "BacktrackState",
     "BlockVector",
     "ConfigError",
+    "DataError",
     "DivergenceError",
     "Dynamic",
     "EstimationError",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmodel import BlockVector, ProblemSpec
+from .blockmodel import BlockVector, DataError, ProblemSpec, check_data
 # benchmarks/tracing.py patches the centered_* views and the four edge
 # primitives (dir_grad, dir_grad_adjoint, phi_value, phi_grad) here by name
 from .imageops import (  # noqa: F401
@@ -26,6 +26,8 @@ from .imageops import (  # noqa: F401
     centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
+    image_spectrum,
+    kernel_spectrum,
     parseval_weights,
     phi_grad,
     phi_value,
@@ -33,10 +35,6 @@ from .imageops import (  # noqa: F401
 )
 from .lipschitz import MODULUS_FLOOR, operator_norm
 from .prox import prox_box01, prox_simplex
-
-
-class DataError(ValueError):
-    """Observed image violates the model's domain."""
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,9 @@ def edge_grad(u: np.ndarray, theta: float) -> np.ndarray:
     return g
 
 
-# During a line search one block stays fixed, and the smooth term and the
-# gradients see it again and again: the image's edge penalty and spectrum
-# while the kernel moves, the kernel's spectrum while the image moves.
+# while a line search moves the kernel, every candidate sees the image's
+# edge penalty again (the spectra are remembered in `imageops`)
 _edge_penalty = remember_last(edge_penalty)
-_image_spectrum = remember_last(np.fft.rfft2)
-_kernel_spectrum = remember_last(centered_kernel_spectrum)
 
 
 # sum of squared operator norms of the directional differences; each is a
@@ -125,10 +120,10 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     than the image; otherwise one forward and one inverse transform.
     """
     if block == 0:
-        bhat_sq = np.abs(_kernel_spectrum(b, u.shape)) ** 2
+        bhat_sq = np.abs(kernel_spectrum(b, u.shape)) ** 2
         return 2.0 * params.theta * _DIFF_NORM_SQ_BOUND + params.lam * float(bhat_sq.max())
     if block == 1:
-        u_hat = _image_spectrum(u)
+        u_hat = image_spectrum(u)
         weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
         if b.size**2 <= u.size:
             _check_kernel_fits(u.shape, b.shape)
@@ -154,11 +149,7 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     term stays in the DFT domain: ``H`` takes it by Parseval from the
     residual spectrum ``uhat*bhat - fhat``, and each partial gradient is one
     inverse transform.  A non-finite observation raises ``DataError``."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise DataError(f"observed image must be 2-D, got ndim={f.ndim}")
-    if not np.isfinite(f).all():
-        raise DataError("observed image has non-finite entries")
+    f = check_data(f, "observed image")
     if f.min() < 0.0 or f.max() > 1.0:
         raise DataError("observed image entries must lie in [0, 1]")
     n1, n2 = params.kernel_shape
@@ -169,8 +160,8 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     weights = parseval_weights(shape)
 
     def _spectra(x: BlockVector):
-        u_hat = _image_spectrum(x[0])
-        b_hat = _kernel_spectrum(x[1], shape)
+        u_hat = image_spectrum(x[0])
+        b_hat = kernel_spectrum(x[1], shape)
         return u_hat, b_hat, u_hat * b_hat - f_hat
 
     def eval_H(x: BlockVector, above=None) -> float:

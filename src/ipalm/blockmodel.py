@@ -12,6 +12,21 @@ class ShapeMismatchError(ValueError):
     """A block value does not have the shape of the block it stands for."""
 
 
+class DataError(ValueError):
+    """A problem's input data violates its domain (e.g. negative entries)."""
+
+
+def check_data(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array; ``DataError`` naming it ``name`` unless it
+    is 2-D with finite entries."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise DataError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise DataError(f"{name} has non-finite entries")
+    return a
+
+
 class BlockVector:
     """Ordered list of dense float64 tensors treated as a single variable.
 

@@ -89,7 +89,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _write_trace(trace, cfg, label: str) -> None:
     if trace.meta.get("heuristic"):
-        print(f"[{label}] heuristic mode: dynamic schedule, outside the descent theory")
+        print(f"[{label}] {trace.meta['mode_note']}")
     final = trace.rows[-1]
     print(f"[{label}] k={final.k} F={_fmt17(final.F)} step_norm={_fmt17(final.step_norm)}")
     if cfg.out:
@@ -192,7 +192,7 @@ def cmd_convlasso(args) -> int:
     state = run(problem, x0, cfg)
     _write_trace(state.trace, cfg, "convlasso")
     if cfg.out:
-        g = cl_mod.gaussian_filter(args.filter_size, args.filter_size / 4.0)
+        g = cl_mod.gaussian_filter(args.filter_size)
         cl_mod.dump_outputs(state.x_cur, f, g, cfg.out)
     return 0
 

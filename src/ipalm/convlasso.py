@@ -18,25 +18,29 @@ import os
 
 import numpy as np
 
-from .blockmodel import BlockVector, ProblemSpec
+from .blockmodel import BlockVector, ProblemSpec, check_data
 from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_* here
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
     centered_kernel_spectrum,
     centered_kernel_window,
+    image_spectrum,
+    kernel_spectrum,
     parseval_weights,
-    remember_last,
     write_pgm,
 )
 from .lipschitz import MODULUS_FLOOR
 from .prox import prox_filter_constraint, prox_l1
 
 
-def gaussian_filter(l: int, sigma: float) -> np.ndarray:
-    """l-by-l sampled Gaussian normalized to sum one."""
+def gaussian_filter(l: int, sigma: float = None) -> np.ndarray:
+    """l-by-l sampled Gaussian normalized to sum one; ``sigma`` defaults to
+    ``l/4``, the width of the pinned low-pass filter."""
     if l < 1 or l % 2 == 0:
         raise ValueError(f"filter size must be odd and positive, got {l}")
+    if sigma is None:
+        sigma = l / 4.0
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     ax = np.arange(l) - (l - 1) / 2.0
@@ -45,15 +49,7 @@ def gaussian_filter(l: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-# a line search moves one stack and holds the other, whose spectrum every
-# candidate reuses
-_filter_spectra = remember_last(centered_kernel_spectrum)
-_coef_spectra = remember_last(np.fft.rfft2)
-
-
-def make_convlasso_problem(
-    f: np.ndarray, p: int, l: int, lam: float, sigma_l: float = None
-) -> ProblemSpec:
+def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> ProblemSpec:
     """ProblemSpec over the free slots: block 0 = filter stack (p-1, l, l),
     block 1 = coefficient stack (p-1, m, n).
 
@@ -62,30 +58,24 @@ def make_convlasso_problem(
     ``H`` is taken from it by Parseval and each partial gradient is one
     batched inverse transform.  ``lipschitz`` is the Fourier energy of the
     other block's remembered spectra.  A non-finite image raises
-    ``ValueError``.
+    ``DataError``.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"image must be 2-D, got ndim={f.ndim}")
-    if not np.isfinite(f).all():
-        raise ValueError("image has non-finite entries")
+    f = check_data(f, "image")
     if p < 2:
         raise ValueError(f"need at least 2 filters (one is pinned), got {p}")
     if l < 1 or l % 2 == 0:
         raise ValueError(f"filter size must be odd, got {l}")
     if not 0 < lam < np.inf:
         raise ValueError(f"l1 weight must be positive and finite, got {lam}")
-    if sigma_l is None:
-        sigma_l = l / 4.0
-    g = gaussian_filter(l, sigma_l)
+    g = gaussian_filter(l)
     shape = f.shape
     base_hat = np.fft.rfft2(f) * (centered_kernel_spectrum(g, shape) - 1.0)
     fixed_l1 = float(np.abs(f).sum())
     weights = parseval_weights(shape)
 
     def _spectra(x: BlockVector):
-        d_hat = _filter_spectra(x[0], shape)
-        v_hat = _coef_spectra(x[1])
+        d_hat = kernel_spectrum(x[0], shape)
+        v_hat = image_spectrum(x[1])
         return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
     def eval_H(x: BlockVector, above=None) -> float:
@@ -116,7 +106,7 @@ def make_convlasso_problem(
         return prox_l1(q, lam / t)
 
     def lipschitz(i: int, x: BlockVector) -> float:
-        spectra = _coef_spectra(x[1]) if i == 0 else _filter_spectra(x[0], shape)
+        spectra = image_spectrum(x[1]) if i == 0 else kernel_spectrum(x[0], shape)
         return max(float((np.abs(spectra) ** 2).sum(axis=0).max()), MODULUS_FLOOR)
 
     return ProblemSpec(

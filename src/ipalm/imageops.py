@@ -17,7 +17,10 @@ half spectrum of ``r``, so a data term never leaves the DFT domain.
 
 ``remember_last`` gives a pure array function a one-entry memory, so an
 oracle that sees the same operand again (the block a line search holds
-fixed) reuses its transform instead of recomputing it."""
+fixed) reuses its transform instead of recomputing it.  This module owns
+the two spectrum memos that BID and convlasso share: ``image_spectrum``
+(``rfft2`` of an image or a stack of them) and ``kernel_spectrum``
+(``centered_kernel_spectrum``)."""
 
 from __future__ import annotations
 
@@ -173,6 +176,13 @@ def centered_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
     padded = np.zeros(b.shape[:-2] + tuple(shape))
     padded[_window_index(b.shape[-2:], shape)] = b
     return np.fft.rfft2(padded)
+
+
+# During a line search one block stays fixed, and every candidate sees its
+# spectrum again: BID's image or kernel, convlasso's coefficient or filter
+# stack.  A solve runs one problem, so the two share these slots.
+image_spectrum = remember_last(np.fft.rfft2)
+kernel_spectrum = remember_last(centered_kernel_spectrum)
 
 
 def parseval_weights(shape) -> np.ndarray:

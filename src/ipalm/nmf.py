@@ -12,14 +12,10 @@ import os
 
 import numpy as np
 
-from .blockmodel import BlockVector, ProblemSpec
+from .blockmodel import BlockVector, DataError, ProblemSpec, check_data
 from .imageops import read_pgm, write_pgm
 from .lipschitz import MODULUS_FLOOR, spectral_norm
 from .prox import prox_l0_nonneg_cols, prox_nonneg
-
-
-class DataError(ValueError):
-    """Input data violates the problem's domain (e.g. negative entries)."""
 
 
 def nmf_objective(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
@@ -68,13 +64,9 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
     degenerate documented edge pinning B at zero.  Non-finite or negative
     data raises ``DataError``.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise DataError(f"data matrix must be 2-D, got ndim={A.ndim}")
+    A = check_data(A, "data matrix")
     if A.size == 0:
         raise DataError(f"data matrix has no entries (shape {A.shape})")
-    if not np.isfinite(A).all():
-        raise DataError("data matrix has non-finite entries")
     if (A < 0).any():
         raise DataError("data matrix must be elementwise nonnegative")
     m = A.shape[0]

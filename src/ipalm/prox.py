@@ -56,19 +56,23 @@ def prox_simplex(p: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the unit simplex (sort + threshold).
 
     Output entries are exactly nonnegative and sum to one up to roundoff;
-    runs in O(N log N).
+    runs in O(N log N).  A vector with a non-finite entry raises
+    ``ValueError``.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size == 0:
         raise ValueError("cannot project an empty vector onto the simplex")
     v = p.ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("no simplex threshold exists: the vector has non-finite entries")
     u = np.sort(v)[::-1]
+    if abs(u[0]) >= 2.0**52:
+        # from 2**52 up the float spacing reaches 1 and the sums below lose
+        # the unit; the projection is shift-invariant, so project p - max(p)
+        v, u = v - u[0], u - u[0]
     css = np.cumsum(u)
     ks = np.arange(1, v.size + 1)
-    support = ks[u - (css - 1.0) / ks > 0]
-    if support.size == 0:
-        raise ValueError("no simplex threshold exists: the vector has non-finite entries")
-    rho = support[-1]
+    rho = ks[u - (css - 1.0) / ks > 0][-1]
     theta = (css[rho - 1] - 1.0) / rho
     return np.maximum(v - theta, 0.0).reshape(p.shape)
 

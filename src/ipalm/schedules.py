@@ -124,23 +124,25 @@ def tau_for_delta(
     return num / (2.0 - alpha) if convex else num / (1.0 - alpha)
 
 
-def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind):
+def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None):
     """Per-iteration ``(tau, delta)`` under the given schedule regime.
 
-    For the static regimes, ``delta`` is computed from the instantaneous
-    coefficients (at ``eps=0`` the pair collapses to the closed forms
-    ``tau = (1+2*beta)/(1-2*alpha) * L`` for nonconvex blocks and
+    For the static regimes, a pinned step weight ``delta`` gives
+    ``tau_for_delta`` of it; with none, ``delta`` is computed from the
+    instantaneous coefficients (at ``eps=0`` the pair collapses to the closed
+    forms ``tau = (1+2*beta)/(1-2*alpha) * L`` for nonconvex blocks and
     ``tau = (1+2*beta)/(2*(1-alpha)) * L`` for convex ones).  The dynamic
-    regime returns ``tau = L`` and an undefined (NaN) delta.
+    regime sets no step weight: it returns ``tau = L`` and an undefined (NaN)
+    delta.
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
     if isinstance(kind, Dynamic):
         return L, math.nan
     convex = isinstance(kind, StaticConvex)
-    delta = delta_star(alpha, beta, kind.eps, L, convex=convex)
-    tau = tau_for_delta(alpha, beta, delta, L, kind.eps, convex=convex)
-    return tau, delta
+    if delta is None:
+        delta = delta_star(alpha, beta, kind.eps, L, convex=convex)
+    return tau_for_delta(alpha, beta, delta, L, kind.eps, convex=convex), delta
 
 
 def dynamic_coeff(k: int) -> float:

@@ -22,14 +22,7 @@ import numpy as np
 from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate, step_deltas
 from .config import block_kinds
 from .lipschitz import BacktrackState, backtrack_L
-from .schedules import (
-    Dynamic,
-    ScheduleKind,
-    StaticConvex,
-    inertial_coeffs,
-    tau_for_delta,
-    tau_step,
-)
+from .schedules import Dynamic, inertial_coeffs, tau_step
 
 TRACE_COLUMNS = (
     "k,F,Psi,delta1,delta2,L1,L2,tau1,tau2,alpha1,alpha2,beta1,beta2,"
@@ -143,16 +136,6 @@ class SolverState:
     t0: float = field(default_factory=time.perf_counter)
 
 
-def _step_params(kind: ScheduleKind, alpha, beta, L, const_delta):
-    """(tau, delta) honoring a constant step weight when one is pinned."""
-    if const_delta is not None:
-        tau = tau_for_delta(
-            alpha, beta, const_delta, L, kind.eps, convex=isinstance(kind, StaticConvex)
-        )
-        return tau, const_delta
-    return tau_step(alpha, beta, L, kind)
-
-
 def initial_trace_row(problem: ProblemSpec, x0: BlockVector) -> TraceRow:
     F0 = float(problem.eval_F(x0))
     nb = len(x0)
@@ -183,7 +166,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     def step(L):
         """The prox point for modulus ``L``; sets the block's tau and delta."""
         nonlocal tau, delta
-        tau, delta = _step_params(kind, alpha, beta, L, const_delta)
+        tau, delta = tau_step(alpha, beta, L, kind, const_delta)
         tau *= scale
         x_new = problem.prox(i, tau, y - grad / tau)
         if x_new.shape != y.shape:  # y has block i's shape

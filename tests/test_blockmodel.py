@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from oracles import InertialParams, block_axpy, block_norms_sq
 
+import ipalm
+from ipalm import bid, nmf
 from ipalm.blockmodel import (
     BlockVector,
+    DataError,
     ShapeMismatchError,
+    check_data,
     extrapolate,
     step_deltas,
 )
@@ -126,3 +130,17 @@ def test_inertial_params_validation():
         InertialParams(alpha=(0.0,), beta=(1.5,), tau=(1.0,), delta=(0.0,), L=(1.0,))
     with pytest.raises(ValueError):
         InertialParams(alpha=(0.0,), beta=(0.0,), tau=(0.0,), delta=(0.0,), L=(1.0,))
+
+
+def test_every_problem_raises_the_one_data_error():
+    assert bid.DataError is nmf.DataError is ipalm.DataError is DataError
+    assert issubclass(DataError, ValueError)
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.zeros(4), "x must be 2-D, got ndim=1"),
+    (np.array([[0.0, np.inf]]), "x has non-finite entries"),
+])
+def test_check_data_names_the_data(data, message):
+    with pytest.raises(DataError, match=message):
+        check_data(data, "x")

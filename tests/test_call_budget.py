@@ -23,9 +23,9 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
-NMF_DESK_EXACT = 71
-BID_BACKTRACKING = 425
-CONVLASSO_BACKTRACKING = 205
+NMF_DESK_EXACT = 69
+BID_BACKTRACKING = 420
+CONVLASSO_BACKTRACKING = 202
 
 
 def package_calls_per_sweep(state, problem) -> int:

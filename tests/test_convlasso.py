@@ -9,6 +9,7 @@ from oracles import (
     trace_column,
 )
 
+from ipalm import DataError
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import (
@@ -50,6 +51,10 @@ def test_gaussian_filter_normalized():
     assert g[2, 2] == g.max()  # peak at the center
     with pytest.raises(ValueError):
         gaussian_filter(4, 1.0)
+
+
+def test_gaussian_filter_width_defaults_to_a_quarter_of_its_size():
+    assert np.array_equal(gaussian_filter(5), gaussian_filter(5, 1.25))
 
 
 def test_objective_single_fixed_pair_is_constant():
@@ -188,7 +193,7 @@ def test_moduli_match_corner_padded_fourier_energy(shape):
 def test_make_problem_rejects_non_finite_image(bad):
     f = np.full((8, 8), 0.5)
     f[4, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(DataError, match="image has non-finite entries"):
         make_convlasso_problem(f, p=3, l=3, lam=0.2)
 
 

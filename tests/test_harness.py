@@ -7,7 +7,10 @@ from oracles import trace_column
 
 from ipalm.cli import main
 from ipalm.config import ConfigError, RunConfig, load_config
-from ipalm.solver import TRACE_COLUMNS
+from ipalm.nmf import init_nmf, make_nmf_problem
+from ipalm.schedules import Dynamic
+from ipalm.solver import TRACE_COLUMNS, make_state
+from ipalm.synthetic import synth_nmf
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,16 @@ def test_cli_nmf_writes_trace_with_exact_header(tmp_path, capsys):
     assert lines[0] == TRACE_COLUMNS
     assert len(lines) == 7  # header + initial row + 5 iterations
     assert (out / "nmf_checkpoints.csv").exists()
+
+
+def test_cli_dynamic_run_prints_the_trace_mode_note(capsys):
+    A = synth_nmf(seed=1)["A"]
+    problem = make_nmf_problem(A, r=3, s=2)
+    note = make_state(problem, init_nmf(A, r=3, s=2), Dynamic()).trace.meta["mode_note"]
+    rc = main(["nmf", "--rank", "3", "--s-count", "2", "--iters", "2", "--schedule", "dynamic",
+               "--seed", "1"])
+    assert rc == 0
+    assert f"[nmf] {note}\n" in capsys.readouterr().out
 
 
 def test_cli_nmf_reference_configuration(tmp_path):

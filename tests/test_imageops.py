@@ -4,8 +4,10 @@ from oracles import (
     centered_conv_direct,
     centered_corr_image_direct,
     centered_corr_kernel_direct,
+    with_empty_memos,
 )
 
+from ipalm import bid, convlasso, synthetic
 from ipalm.imageops import (
     DIRECTIONS,
     centered_conv,
@@ -207,6 +209,24 @@ def test_stacked_kernel_spectrum_and_window_match_per_slice_direct():
     for j in range(4):
         assert np.allclose(convs[j], centered_conv_direct(u, stack[j]), atol=1e-12)
         assert np.allclose(windows[j], centered_corr_kernel_direct(rs[j], u, (3, 5)), atol=1e-12)
+
+
+def test_bid_and_convlasso_share_the_spectrum_memos():
+    assert bid.image_spectrum is convlasso.image_spectrum
+    assert bid.kernel_spectrum is convlasso.kernel_spectrum
+
+
+def test_alternating_bid_and_convlasso_calls_match_fresh_values_bitwise():
+    f = synthetic.synth_bid(size=24, kernel=5, seed=1)["f"]
+    params = bid.BidParams(kernel_shape=(5, 5))
+    g = synthetic.synth_convlasso(size=12, seed=0)["f"]
+    problems = [(bid.make_bid_problem(f, params), bid.init_bid(f, params)),
+                (convlasso.make_convlasso_problem(g, p=4, l=3, lam=0.05),
+                 convlasso.init_convlasso(g, p=4, l=3, seed=1))]
+    fresh = [with_empty_memos(problem.eval_H, x).hex() for problem, x in problems]
+    for _ in range(3):  # each call finds the slots holding the other problem's spectra
+        for (problem, x), want in zip(problems, fresh):
+            assert problem.eval_H(x).hex() == want
 
 
 @pytest.mark.parametrize("shape", [(8, 6), (8, 7), (5, 9), (6, 1), (1, 2)])

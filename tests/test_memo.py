@@ -134,7 +134,7 @@ def test_bid_problems_with_different_theta_do_not_share_a_penalty():
 def test_bid_remembered_spectra_are_read_only():
     problem, x = bid_case()
     problem.eval_H(x)
-    for spectrum in (bid._image_spectrum(x[0]), bid._kernel_spectrum(x[1], x[0].shape)):
+    for spectrum in (bid.image_spectrum(x[0]), bid.kernel_spectrum(x[1], x[0].shape)):
         assert not spectrum.flags.writeable
         with pytest.raises(ValueError):
             spectrum[0, 0] = 0.0
@@ -197,8 +197,8 @@ def test_convlasso_eval_H_sees_blocks_mutated_in_place():
 def test_convlasso_remembered_spectra_are_read_only():
     problem, x = convlasso_case()
     problem.eval_H(x)
-    for spectrum in (convlasso._filter_spectra(x[0], x[1].shape[1:]),
-                     convlasso._coef_spectra(x[1])):
+    for spectrum in (convlasso.kernel_spectrum(x[0], x[1].shape[1:]),
+                     convlasso.image_spectrum(x[1])):
         assert not spectrum.flags.writeable
 
 
@@ -258,7 +258,7 @@ def warm_counts(calls, oracle, args, remembered):
 
 def test_warm_bid_oracles_make_no_spatial_round_trip(transforms):
     problem, x = bid_case(seed=2)
-    remembered = [(bid._image_spectrum, (x[0],)), (bid._kernel_spectrum, (x[1], x[0].shape))]
+    remembered = [(bid.image_spectrum, (x[0],)), (bid.kernel_spectrum, (x[1], x[0].shape))]
     assert warm_counts(transforms, problem.eval_H, (x,), remembered) == 0
     assert warm_counts(transforms, problem.partial_grad, (0, x), remembered) == 1
     assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1
@@ -267,8 +267,8 @@ def test_warm_bid_oracles_make_no_spatial_round_trip(transforms):
 
 def test_warm_convlasso_oracles_make_no_spatial_round_trip(transforms):
     problem, x = convlasso_case()
-    remembered = [(convlasso._filter_spectra, (x[0], x[1].shape[1:])),
-                  (convlasso._coef_spectra, (x[1],))]
+    remembered = [(convlasso.kernel_spectrum, (x[0], x[1].shape[1:])),
+                  (convlasso.image_spectrum, (x[1],))]
     assert warm_counts(transforms, problem.eval_H, (x,), remembered) == 0
     assert warm_counts(transforms, problem.partial_grad, (0, x), remembered) == 1
     assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1

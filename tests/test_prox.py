@@ -1,5 +1,7 @@
 from itertools import combinations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,8 +168,21 @@ def test_simplex_matches_qp_solver():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_simplex_rejects_non_finite_input_with_value_error(bad):
-    with pytest.raises(ValueError, match="no simplex threshold"):
-        prox_simplex(np.array([0.3, bad, 0.1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(ValueError, match="no simplex threshold"):
+            prox_simplex(np.array([0.3, bad, 0.1]))
+
+
+@pytest.mark.parametrize("p, want", [
+    ([2.0**53 + 2.0, 0.0], [1.0, 0.0]),
+    ([1e16, 0.0], [1.0, 0.0]),
+    ([1e20, 1e20], [0.5, 0.5]),
+    ([-1e20, -1e20], [0.5, 0.5]),
+])
+def test_simplex_projects_entries_beyond_unit_spacing(p, want):
+    # from 2**52 up a unit step is below the float spacing of the entries
+    assert np.array_equal(prox_simplex(np.array(p)), want)
 
 
 def test_simplex_keeps_shape():

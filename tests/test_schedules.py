@@ -62,6 +62,15 @@ def test_tau_step_rejects_half_alpha_nonconvex():
         tau_step(0.5, 0.0, 1.0, StaticNonconvex(0.49, 0.0))
 
 
+@pytest.mark.parametrize("kind", [StaticNonconvex(0.3, 0.4, 0.1), StaticConvex(0.3, 0.4, 0.1)])
+def test_tau_step_with_a_pinned_delta_is_tau_for_delta(kind):
+    convex = isinstance(kind, StaticConvex)
+    for delta in (0.0, 0.37, 12.5):
+        tau, got = tau_step(0.2, 0.3, 1.7, kind, delta)
+        assert got is delta
+        assert tau.hex() == tau_for_delta(0.2, 0.3, delta, 1.7, 0.1, convex=convex).hex()
+
+
 def test_tau_step_dynamic():
     tau, delta = tau_step(0.7, 0.7, 2.5, Dynamic())
     assert tau == 2.5
