@@ -106,7 +106,7 @@ def _write_trace(trace, cfg, label: str) -> None:
 def _setting_label(cfg: RunConfig) -> str:
     if cfg.schedule == "dynamic":
         return "dynamic"
-    return f"{cfg.schedule} alpha=beta={cfg.alpha_bar:g}/{cfg.beta_bar:g}"
+    return f"{cfg.schedule} alpha={cfg.alpha_bar:g} beta={cfg.beta_bar:g}"
 
 
 def _write_checkpoints(labeled_traces, checkpoints, path) -> None:

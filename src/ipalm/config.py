@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .lipschitz import BacktrackState
 from .schedules import Dynamic, StaticConvex, StaticNonconvex
 
 SCHEDULES = ("static-nc", "static-c", "dynamic")
@@ -27,6 +26,9 @@ class RunConfig:
       nonsmooth term is convex and the nonconvex rule elsewhere (the usual
       choice);
     * ``dynamic`` -- coefficients ``(k-1)/(k+2)`` with ``tau = L`` (heuristic).
+
+    ``backtrack`` picks where the moduli come from; the line search's own
+    constants are ``BacktrackState``'s defaults, not settings of a run.
     """
 
     schedule: str = "static-c"
@@ -37,10 +39,6 @@ class RunConfig:
     tol: float = 1e-9
     seed: int = 0
     backtrack: bool = True  # False: every block takes the problem's closed-form moduli
-    bt_growth: float = BacktrackState.growth
-    bt_shrink: float = BacktrackState.shrink
-    bt_max_rounds: int = BacktrackState.max_rounds
-    bt_l0: float = BacktrackState.L_current
     step_scale: Optional[tuple] = None  # per-block tau multipliers; None: all ones
     constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights
     checkpoints: tuple = (100, 500, 1000, 5000)
@@ -108,10 +106,6 @@ FILE_KEYS = {
     "tol": float,
     "seed": int,
     "backtrack": _parse_bool,
-    "bt_growth": float,
-    "bt_shrink": float,
-    "bt_max_rounds": int,
-    "bt_l0": float,
     "step_scale": float_tuple,
     "checkpoints": int_tuple,
     "out": str,

@@ -136,13 +136,13 @@ class SolverState:
     t0: float = field(default_factory=time.perf_counter)
 
 
-def initial_trace_row(problem: ProblemSpec, x0: BlockVector) -> TraceRow:
+def initial_trace_row(problem: ProblemSpec, x0: BlockVector, heuristic: bool) -> TraceRow:
     F0 = float(problem.eval_F(x0))
     nb = len(x0)
     return TraceRow(
         k=0,
         F=F0,
-        Psi=F0,
+        Psi=None if heuristic else F0,
         delta=None,
         L=None,
         tau=None,
@@ -245,10 +245,6 @@ def make_state(
     x0: BlockVector,
     kinds,
     backtracking: bool = False,
-    bt_growth: float = BacktrackState.growth,
-    bt_shrink: float = BacktrackState.shrink,
-    bt_max_rounds: int = BacktrackState.max_rounds,
-    bt_L0: float = BacktrackState.L_current,
     step_scale=None,
     constant_delta=None,
 ) -> SolverState:
@@ -256,8 +252,10 @@ def make_state(
     (the predecessor of the starting point is the starting point itself).
 
     ``backtracking`` picks the moduli source for every block: descent-lemma
-    backtracking, or the problem's closed-form ``lipschitz``.  Every setting
-    is checked here; a rejection names the problem and comes before ``F_0``.
+    backtracking, each block with its own default ``BacktrackState``, or the
+    problem's closed-form ``lipschitz``.  Every setting is checked here; a
+    rejection names the problem and comes before ``F_0``.  A dynamic run's
+    initial row carries no Lyapunov value, like every later row.
     """
     nb = len(x0)
     if nb != problem.num_blocks:
@@ -289,22 +287,16 @@ def make_state(
         raise ValueError(
             f"{problem.name}: constant_delta must be >= 0 and finite, got {constant_delta}"
         )
-    bt = None
-    if backtracking:
-        try:
-            bt = tuple(BacktrackState(bt_L0, bt_growth, bt_shrink, bt_max_rounds) for _ in range(nb))
-        except ValueError as err:
-            raise ValueError(f"{problem.name}: {err}") from None
     state = SolverState(
         x_cur=x0,
         x_prev=x0,
         k=0,
         kinds=kinds,
-        backtrack=bt,
+        backtrack=tuple(BacktrackState() for _ in range(nb)) if backtracking else None,
         step_scale=step_scale,
         constant_delta=constant_delta,
     )
-    state.trace.rows.append(initial_trace_row(problem, x0))
+    state.trace.rows.append(initial_trace_row(problem, x0, heuristic))
     state.trace.meta["heuristic"] = heuristic
     if heuristic:
         state.trace.meta["mode_note"] = (
@@ -323,7 +315,6 @@ def run_state(state: SolverState, problem: ProblemSpec, iters: int, tol: float) 
         ipalm_iterate(state, problem)
         if state.trace.rows[-1].step_norm <= tol * (1.0 + ref):
             break
-    state.trace.meta["iterations"] = state.k
     return state.trace
 
 
@@ -331,29 +322,16 @@ def run(problem: ProblemSpec, x0: BlockVector, config) -> SolverState:
     """Run the solver as described by a ``RunConfig`` (see `ipalm.config`).
 
     Returns the finished state: the trace is ``.trace`` and the final
-    iterate ``.x_cur``.
+    iterate ``.x_cur``.  The trace's ``meta`` holds the run's mode only;
+    the config stays the one record of its settings.
     """
     state = make_state(
         problem,
         x0,
         block_kinds(problem, config),
         backtracking=config.backtrack,
-        bt_growth=config.bt_growth,
-        bt_shrink=config.bt_shrink,
-        bt_max_rounds=config.bt_max_rounds,
-        bt_L0=config.bt_l0,
         step_scale=config.step_scale,
         constant_delta=config.constant_delta,
-    )
-    state.trace.meta.update(
-        {
-            "schedule": config.schedule,
-            "alpha_bar": config.alpha_bar,
-            "beta_bar": config.beta_bar,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-            "problem": problem.name,
-        }
     )
     run_state(state, problem, config.iters, config.tol)
     return state

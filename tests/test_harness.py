@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -48,6 +49,24 @@ def test_config_rejects_unknown_key_with_line_number(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("iters=5\nbogus_key=1\n")
     with pytest.raises(ConfigError, match="line 2"):
+        load_config(path)
+
+
+def test_every_run_config_field_is_a_file_key():
+    from dataclasses import fields
+
+    from ipalm.config import FILE_KEYS
+
+    # constant_delta is set from code only: it is derived from a run's moduli
+    assert {f.name for f in fields(RunConfig)} == set(FILE_KEYS) | {"constant_delta"}
+
+
+@pytest.mark.parametrize("key", ["bt_growth", "bt_shrink", "bt_max_rounds", "bt_l0"])
+def test_config_rejects_the_line_search_constants_as_unknown_keys(tmp_path, key):
+    # the line search's constants are BacktrackState's defaults, not run settings
+    path = tmp_path / "bt.cfg"
+    path.write_text(f"iters=5\n{key}=2\n")
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
         load_config(path)
 
 
@@ -166,17 +185,25 @@ def test_cli_rejects_step_scale_of_wrong_length(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("bt_max_rounds=1\nbt_l0=1e-12\n")
+def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    # the same failure in the CLI's own process and in a sweep worker process
-    for argv in (["bid", "--kernel-size", "3"], ["sweep", "--problem", "bid", "--jobs", "2"]):
-        rc = main(argv + ["--iters", "3", "--config", str(path), "--out", str(out)])
-        assert rc == 3
+
+    def fails_with_one_error_line(argv):
+        assert main(argv + ["--iters", "3", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert not (out / "sweep_checkpoints.csv").exists()
+        assert not out.exists()
+
+    # a data weight this large puts the image block's modulus beyond 60 growth rounds
+    fails_with_one_error_line(["bid", "--kernel-size", "3", "--lam", "1e30"])
+    # the sweep's instance is fixed, so its cells fail by a line search with
+    # one round from a tiny start; the fork start method carries the patch
+    # into the worker processes
+    from ipalm.lipschitz import BacktrackState
+
+    monkeypatch.setattr("ipalm.solver.BacktrackState",
+                        functools.partial(BacktrackState, 1e-12, max_rounds=1))
+    fails_with_one_error_line(["sweep", "--problem", "bid", "--jobs", "2"])
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +221,15 @@ def test_cli_nmf_writes_trace_with_exact_header(tmp_path, capsys):
     assert lines[0] == TRACE_COLUMNS
     assert len(lines) == 7  # header + initial row + 5 iterations
     assert (out / "nmf_checkpoints.csv").exists()
+
+
+def test_cli_single_run_checkpoint_label_names_each_coefficient(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["nmf", "--rank", "3", "--s-count", "2", "--iters", "2", "--exact-lipschitz",
+               "--alpha-bar", "0.3", "--beta-bar", "0.2", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "nmf_checkpoints.csv").read_text().strip().split("\n")
+    assert lines[1].startswith("static-c alpha=0.3 beta=0.2,")
 
 
 def test_cli_dynamic_run_prints_the_trace_mode_note(capsys):
@@ -515,9 +551,9 @@ def test_cli_usage_error_exit_code(tmp_path):
         (["sweep", "--alphas", "0,0.6", "--jobs", "2"], None),
     ],
     ids=["step-scale-1-nan", "step-scale-nan-1", "step-scale-inf-1", "beta-bar-nan",
-         "beta-bar-inf", "bt-growth-nan", "bt-l0-nan", "s-percent-negative", "sweep-no-alphas",
-         "theta-nan", "lam-nan", "lam-inf", "lasso-weight-nan", "tol-nan", "tol-negative",
-         "sweep-alpha-rejected-in-a-worker"],
+         "beta-bar-inf", "removed-key-bt-growth", "removed-key-bt-l0", "s-percent-negative",
+         "sweep-no-alphas", "theta-nan", "lam-nan", "lam-inf", "lasso-weight-nan", "tol-nan",
+         "tol-negative", "sweep-alpha-rejected-in-a-worker"],
 )
 def test_cli_rejects_bad_run_settings_with_one_error_line(tmp_path, capsys, argv, config):
     argv = argv + ["--iters", "2", "--out", str(tmp_path / "out")]

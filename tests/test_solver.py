@@ -8,9 +8,9 @@ from oracles import lyapunov_psi, params_at, trace_column
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
-from ipalm.config import RunConfig
+from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
-from ipalm.lipschitz import MODULUS_FLOOR, spectral_norm
+from ipalm.lipschitz import MODULUS_FLOOR, BacktrackState, spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
 from ipalm.schedules import Dynamic, StaticNonconvex
@@ -171,11 +171,14 @@ def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_probl
         make_state(problem, x0, Dynamic(), constant_delta=(1.0,))
 
 
-def test_make_state_rejects_a_backtracking_setting_naming_the_problem():
-    problem = _unevaluated(one_block_quadratic())
-    x0 = BlockVector([np.ones(2)])
-    with pytest.raises(ValueError, match="quadratic: growth must exceed 1"):
-        make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=True, bt_growth=1.0)
+def test_make_state_gives_each_block_its_own_default_line_search():
+    inst = synth_nmf(seed=1)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=1)
+    bt = make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=True).backtrack
+    # a shared object would couple the blocks' moduli
+    assert len(bt) == 2 and bt[0] is not bt[1]
+    assert all(b == BacktrackState() for b in bt)
 
 
 @pytest.mark.parametrize("backtracking", [False, True], ids=["exact", "backtracking"])
@@ -266,7 +269,8 @@ def test_backtracking_on_a_pinned_block_keeps_its_modulus_at_the_floor():
         name="pinned",
     )
     state = make_state(problem, BlockVector([np.zeros(3)]), StaticNonconvex(0.0, 0.0),
-                       backtracking=True, bt_L0=1e-300)
+                       backtracking=True)
+    state.backtrack = (BacktrackState(1e-300),)
     for _ in range(50):
         ipalm_iterate(state, problem)
     assert all(row.L == (MODULUS_FLOOR,) for row in state.trace.rows[1:])
@@ -340,8 +344,9 @@ def test_trace_csv_format(tmp_path):
                                         backtrack=False)).trace
     p2 = tmp_path / "dyn.csv"
     tr_dyn.to_csv(p2)
-    cells = p2.read_text().strip().split("\n")[2].split(",")
-    assert cells[2] == "" and cells[3] == "" and cells[4] == ""
+    for line in p2.read_text().strip().split("\n")[1:]:
+        cells = line.split(",")
+        assert cells[2] == "" and cells[3] == "" and cells[4] == ""
     assert tr_dyn.meta["heuristic"] is True
 
 
@@ -453,10 +458,11 @@ def test_square_summable_steps_on_bid_desk_instance():
     params = BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5), kernel_step_scale=5.0)
     problem = make_bid_problem(inst["f"], params)
     x0 = init_bid(inst["f"], params)
-    cfg = RunConfig(schedule="static-c", alpha_bar=0.2, beta_bar=0.2, epsilon=0.05,
-                    iters=2500, tol=1e-9, backtrack=True, bt_shrink=0.9,
-                    step_scale=(1.0, 5.0))
-    trace = run(problem, x0, cfg).trace
+    cfg = RunConfig(schedule="static-c", alpha_bar=0.2, beta_bar=0.2, epsilon=0.05)
+    state = make_state(problem, x0, block_kinds(problem, cfg), backtracking=True,
+                       step_scale=(1.0, 5.0))
+    state.backtrack = tuple(BacktrackState(shrink=0.9) for _ in range(2))
+    trace = run_state(state, problem, 2500, 1e-9)
     d_tot = trace.block_delta_matrix().sum(axis=1)
     running = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]
     assert np.isfinite(running.sum())
