@@ -89,9 +89,11 @@ class BacktrackState:
     """Warm-started backtracking state for one block.
 
     ``L_current`` carries the last accepted modulus across iterations; each
-    call restarts from ``shrink * L_current`` and grows by ``growth`` until
-    the descent lemma accepts, so the estimate may decrease by at most one
-    shrink per outer iteration.
+    call restarts from ``shrink * L_current`` and climbs the levels
+    ``shrink * L_current * growth**j`` until the descent lemma accepts (see
+    ``backtrack_L``), so the estimate may decrease by at most one shrink per
+    outer iteration and never settles above ``growth`` times the block's
+    true modulus.  ``max_rounds`` caps the moves up the levels in one call.
     """
 
     L_current: float = 1.0
@@ -119,16 +121,28 @@ def backtrack_L(
 ):
     """Smallest tested modulus satisfying the descent lemma at its candidate.
 
-    Tests ``L = shrink*L_current * growth**j`` for ``j = 0, 1, ...`` and
-    accepts once ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2``
-    holds, where the candidate ``x+`` is recomputed for every tested ``L``.
-    A tiny relative slack absorbs roundoff at the acceptance boundary, and
-    the first tested modulus is at least ``MODULUS_FLOOR``.  Each candidate
-    is evaluated as ``h_eval(x+, above=rhs + slack)``: a value returned early
-    lies above that bound and rejects as h itself would (see
-    ``ProblemSpec.eval_H``), and the ``gap`` of an exhausted search is then
-    a lower bound on the last miss.  Updates ``state.L_current`` and returns
-    ``(L, x+, tested)`` with the list of every tested modulus.
+    Tests moduli on the levels ``L = shrink*L_current * growth**j`` with
+    rising ``j`` and accepts once
+    ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds, where
+    the candidate ``x+`` is recomputed for every tested ``L``.  A tiny
+    relative slack absorbs roundoff at the acceptance boundary, and the first
+    tested modulus is at least ``MODULUS_FLOOR``.
+
+    A rejected candidate shows the curvature along its step,
+    ``seen = 2*(h(x+) - h(x) - <grad h(x), d> - slack)/||d||^2`` with
+    ``d = x+ - x``, which is at most the block's true modulus; the next
+    tested level is the highest one at or below ``seen``, and at least one
+    level up.  Only levels the step has already ruled out are skipped, so
+    the accepted modulus stays at most ``growth`` times the true one, as
+    with one level per round.  A non-finite ``seen`` (an ``h`` that
+    overflowed or is NaN) moves one level.
+
+    Each candidate is evaluated as ``h_eval(x+, above=rhs + slack)``: a value
+    returned early lies above that bound and rejects as h itself would (see
+    ``ProblemSpec.eval_H``); it is a lower bound on ``h(x+)``, so ``seen``
+    stays a lower bound on the curvature, and the ``gap`` of an exhausted
+    search is a lower bound on the last miss.  Updates ``state.L_current``
+    and returns ``(L, x+, tested)`` with the list of every tested modulus.
     """
     h_x = float(h_eval(x))
     slack = 1e-12 * (1.0 + abs(h_x))
@@ -138,20 +152,22 @@ def backtrack_L(
         tested.append(L)
         cand = x_candidate_of_L(L)
         d = cand - x
-        rhs = (
-            h_x
-            + float(np.vdot(h_grad_at, d).real)
-            + 0.5 * L * float(np.vdot(d, d).real)
-        )
+        dd = float(np.vdot(d, d).real)
+        rhs = h_x + float(np.vdot(h_grad_at, d).real) + 0.5 * L * dd
         bound = rhs + slack
         lhs = float(h_eval(cand, above=bound))
         if lhs <= bound:
             state.L_current = L
             return L, cand, tested
-        L *= state.growth
+        # skip to the highest level at or below the curvature seen along d
+        seen = L + 2.0 * (lhs - bound) / dd if dd > 0 else math.inf
+        levels = math.log(seen / L, state.growth)
+        j = max(1, math.floor(levels)) if math.isfinite(levels) else 1
+        L = L * state.growth ** (j - 1) * state.growth  # growth**j alone can overflow
     raise EstimationError(
-        f"descent lemma not satisfied after {state.max_rounds} growth rounds "
-        f"(last L {L / state.growth:.3e}); the gradient may be wrong or the "
-        f"smooth part not Lipschitz",
+        f"descent lemma not satisfied after {state.max_rounds} rounds "
+        f"(last tested L {tested[-1]:.3e}); the round budget may be too small "
+        f"for the problem's scale, the gradient may be wrong or the smooth "
+        f"part not Lipschitz",
         gap=lhs - rhs,
     )

@@ -406,9 +406,13 @@ def test_backtracking_with_early_exit_is_bitwise_the_full_evaluation(monkeypatch
                                                                      schedule):
     f = synth_bid(size=64, kernel=7, seed=seed)["f"]
     problem = make_bid_problem(f, BID_BT)
-    early = _bid_bt_run(monkeypatch, problem, f, BID_BT, schedule, 30)
-    full = _bid_bt_run(monkeypatch, _without_above(problem), f, BID_BT, schedule, 30)
-    assert early == full
+    rows, blocks, tested = _bid_bt_run(monkeypatch, problem, f, BID_BT, schedule, 30)
+    want_rows, want_blocks, want_tested = _bid_bt_run(
+        monkeypatch, _without_above(problem), f, BID_BT, schedule, 30)
+    assert (rows, blocks) == (want_rows, want_blocks)
+    # a value returned early is a lower bound on h, so a rejection may skip
+    # fewer levels; every call still accepts the same modulus
+    assert [t[-1] for t in tested] == [t[-1] for t in want_tested]
 
 
 def test_rejected_candidates_skip_the_edge_penalty(monkeypatch):
@@ -430,3 +434,27 @@ def test_rejected_candidates_skip_the_edge_penalty(monkeypatch):
     # each skipped edge penalty is one phi_value call per direction fewer
     skipped, rest = divmod(counts[1] - counts[0], len(DIRECTIONS))
     assert skipped > 0 and rest == 0
+
+
+def test_criterion_9_oracle_counts_over_its_first_100_sweeps(monkeypatch):
+    # criterion 9's run (instance seed 1) for 100 sweeps, pinned so that the
+    # line search's call counts never move silently: a change that moves
+    # them re-pins them here, old -> new in CHANGES.md
+    counts = {"eval_F": 0, "eval_H": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    f = synth_bid(size=64, kernel=7, seed=1)["f"]
+    raw = make_bid_problem(f, BID_BT)
+    problem = dataclasses.replace(raw, eval_F=counting("eval_F", raw.eval_F),
+                                  eval_H=counting("eval_H", raw.eval_H))
+    _, _, tested = _bid_bt_run(monkeypatch, problem, f, BID_BT, "static-c", 100)
+    rounds = sum(map(len, tested))
+    assert counts == {"eval_F": 101, "eval_H": 591}
+    assert (len(tested), rounds) == (200, 391)
+    # h once at each call's base point and once per tested modulus
+    assert counts["eval_H"] == len(tested) + rounds

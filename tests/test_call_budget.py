@@ -24,7 +24,7 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 69
-BID_BACKTRACKING = 420
+BID_BACKTRACKING = 395
 CONVLASSO_BACKTRACKING = 202
 
 

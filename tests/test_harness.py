@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -194,16 +195,27 @@ def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys, monkey
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    # a data weight this large puts the image block's modulus beyond 60 growth rounds
-    fails_with_one_error_line(["bid", "--kernel-size", "3", "--lam", "1e30"])
-    # the sweep's instance is fixed, so its cells fail by a line search with
-    # one round from a tiny start; the fork start method carries the patch
-    # into the worker processes
+    # both runs fail by a line search with one round from a tiny start; the
+    # fork start method carries the patch into the sweep's worker processes
     from ipalm.lipschitz import BacktrackState
 
     monkeypatch.setattr("ipalm.solver.BacktrackState",
                         functools.partial(BacktrackState, 1e-12, max_rounds=1))
+    fails_with_one_error_line(["bid", "--kernel-size", "3"])
     fails_with_one_error_line(["sweep", "--problem", "bid", "--jobs", "2"])
+
+
+def test_cli_bid_line_search_reaches_a_huge_data_weight(tmp_path):
+    # the image block's modulus is about lam = 1e30, far more than 60
+    # doublings above the start; the rejected candidates' curvature carries
+    # the line search there in a few rounds
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--lam", "1e30", "--iters", "3", "--out", str(out)])
+    assert rc == 0
+    header, *rows = (out / "bid_trace.csv").read_text().strip().split("\n")
+    col = header.split(",").index("F")
+    F = [float(row.split(",")[col]) for row in rows]
+    assert len(F) == 4 and all(math.isfinite(v) for v in F)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -130,7 +132,10 @@ def test_backtrack_grows_to_first_admissible_level():
     levels = [L0 * 2.0**j for j in range(10)]
     expected = next(l for l in levels if l >= L_true * (1.0 - 1e-12))
     assert L == pytest.approx(expected, rel=1e-12)
-    assert tested == levels[: levels.index(expected) + 1]
+    # the rejected L0 sees the whole curvature (just under L_true, by the
+    # slack), so the search skips to the highest level below it, 8*L0 = 2.4,
+    # and then goes one level up
+    assert tested == [L0, levels[3], expected]
     assert state.L_current == L
 
 
@@ -170,7 +175,79 @@ def test_backtrack_passes_each_candidate_its_bound():
     assert all(b is not None for b in bounds[1:])
     want, _, want_tested = backtrack_L(h, grad(x), x, make_cand(x),
                                        BacktrackState(L_current=L_true / 5.0))
-    assert (L, tested) == (want, want_tested)
+    # both accept the same level; a value just past its bound shows almost no
+    # curvature, so its search goes one level per round where the full value
+    # skips to 8 * 0.3 = 2.4
+    assert L == want == tested[-1] == want_tested[-1]
+    assert tested == [0.3 * 2.0**j for j in range(5)]
+    assert want_tested == [0.3, 2.4, 4.8]
+
+
+def _quadratic_on_orthant(rng, n):
+    """h(x) = 0.5 x'Qx with a random PSD Q, its modulus (the top eigenvalue),
+    and candidates projected onto x >= 0, so each step sees its own
+    curvature."""
+    X = rng.standard_normal((n, n))
+    Q = X @ X.T * rng.uniform(0.01, 100.0)
+    x = rng.uniform(0.0, 1.0, n)
+
+    def h(q, above=None):
+        return 0.5 * float(q @ Q @ q)
+
+    def cand(L):
+        return np.maximum(x - Q @ x / L, 0.0)
+
+    return h, Q @ x, x, cand, float(np.linalg.eigvalsh(Q)[-1])
+
+
+@pytest.mark.parametrize("growth", [2.0, 3.0, 1.5])
+def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus(growth):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        h, g, x, cand, L_true = _quadratic_on_orthant(rng, int(rng.integers(1, 6)))
+        start = L_true * 10.0 ** rng.uniform(-8, 0)  # from below the true modulus
+        state = BacktrackState(L_current=start / 0.5, growth=growth, shrink=0.5)
+        L, _, tested = backtrack_L(h, g, x, cand, state)
+        # every tested modulus is start*growth**j, with j strictly rising
+        js = [round(math.log(t / start, growth)) for t in tested]
+        assert tested == pytest.approx([start * growth**j for j in js], rel=1e-12)
+        assert js[0] == 0 and all(a < b for a, b in zip(js, js[1:]))
+        # every rejected modulus is below the true one, the accepted one is
+        # the last tested and at most growth times the true one
+        assert all(t < L_true for t in tested[:-1])
+        assert L == tested[-1] == state.L_current
+        assert L <= growth * L_true * (1.0 + 1e-12)
+
+
+def test_backtrack_moves_one_level_past_a_non_finite_value():
+    # a candidate whose h overflowed, then one whose h is NaN: neither shows
+    # a curvature, so each moves one level, and the true value then jumps
+    L_true = 3.0
+    h, grad, make_cand = quadratic_problem(L_true)
+    x = np.array([1.0])
+    values = iter([h(x), np.inf, np.nan])
+
+    def faulty(q, above=None):
+        return next(values, h(q))
+
+    state = BacktrackState(L_current=2e-3)
+    L, _, tested = backtrack_L(faulty, grad(x), x, make_cand(x), state)
+    assert tested[:3] == [1e-3, 2e-3, 4e-3]
+    assert len(tested) == 5 and L == tested[-1] == 1e-3 * 2.0**12  # 2.048 < L_true < 4.096
+
+
+def test_backtrack_fails_cleanly_at_the_top_of_the_float_range():
+    # a curvature at the largest float puts the next level at growth**1024,
+    # past the float range: the search goes on and ends in its own error
+    x = np.zeros(1)
+    values = iter([0.0, sys.float_info.max / 2])
+
+    def h(q, above=None):
+        return next(values, np.nan)
+
+    state = BacktrackState(L_current=2.0, max_rounds=3)
+    with pytest.raises(EstimationError):
+        backtrack_L(h, np.zeros(1), x, lambda L: np.ones(1), state)
 
 
 def test_backtrack_detects_wrong_gradient():
@@ -187,8 +264,12 @@ def test_backtrack_detects_wrong_gradient():
         return x - wrong / L
 
     state = BacktrackState(L_current=1.0, max_rounds=30)
-    with pytest.raises(EstimationError):
+    with pytest.raises(EstimationError) as err:
         backtrack_L(h, wrong, x, cand, state)
+    # each rejection sees a curvature just under 4L, so the search doubles;
+    # the message names the last tested modulus, 0.5 * 2**30, and the budget
+    assert "after 30 rounds (last tested L 5.369e+08)" in str(err.value)
+    assert "round budget" in str(err.value)
 
 
 def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
