@@ -11,13 +11,12 @@ from .blockmodel import (
     step_deltas,
 )
 from .config import ConfigError, RunConfig, block_kinds, load_config
-from .lipschitz import BacktrackState, EstimationError, backtrack_L, spectral_norm
+from .lipschitz import EstimationError, backtrack_L, spectral_norm
 from .schedules import (
     Dynamic,
     ParameterDomainError,
     ScheduleKind,
-    StaticConvex,
-    StaticNonconvex,
+    Static,
     delta_star,
     dynamic_coeff,
     descent_coefficients,
@@ -35,7 +34,6 @@ from .solver import (
 )
 
 __all__ = [
-    "BacktrackState",
     "BlockVector",
     "ConfigError",
     "DataError",
@@ -49,8 +47,7 @@ __all__ = [
     "ShapeMismatchError",
     "SolverState",
     "SolverTrace",
-    "StaticConvex",
-    "StaticNonconvex",
+    "Static",
     "backtrack_L",
     "block_kinds",
     "delta_star",

@@ -33,7 +33,7 @@ from .imageops import (  # noqa: F401
     phi_value,
     remember_last,
 )
-from .lipschitz import MODULUS_FLOOR, operator_norm
+from .lipschitz import operator_norm
 from .prox import prox_box01, prox_simplex
 
 
@@ -117,7 +117,8 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     the kernel spectrum by ``lam*|uhat|^2``.  A power step is one matvec with
     the ``b.size``-square Gram, entry ``((i,j), (i',j'))`` the autocorrelation
     ``irfft2(lam*|uhat|^2)`` at ``(i-i', j-j')``, when it has no more entries
-    than the image; otherwise one forward and one inverse transform.
+    than the image; otherwise one forward and one inverse transform.  The
+    kernel modulus is 0 on a zero image; the solver floors it.
     """
     if block == 0:
         bhat_sq = np.abs(kernel_spectrum(b, u.shape)) ** 2
@@ -130,13 +131,13 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
             auto = np.fft.irfft2(weight, s=u.shape)
             i, j = np.indices(b.shape).reshape(2, -1)
             gram = auto[np.subtract.outer(i, i), np.subtract.outer(j, j)]
-            return max(operator_norm(gram.dot, (b.size,)), MODULUS_FLOOR)
+            return operator_norm(gram.dot, (b.size,))
 
         def normal_op(k):
             spec = centered_kernel_spectrum(k, u.shape) * weight
             return centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
 
-        return max(operator_norm(normal_op, b.shape), MODULUS_FLOOR)
+        return operator_norm(normal_op, b.shape)
     raise ValueError(f"block index must be 0 or 1, got {block}")
 
 

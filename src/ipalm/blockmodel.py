@@ -136,7 +136,8 @@ class ProblemSpec:
         Per-block flag: is ``f_i`` convex.  Convex blocks admit larger steps.
     lipschitz : callable or None
         ``lipschitz(i, x)`` -> partial Lipschitz modulus of ``grad_i H`` with
-        the other blocks fixed at ``x``.  ``None`` means no closed form is
+        the other blocks fixed at ``x``; it may be 0, as the solver floors
+        it at ``MODULUS_FLOOR``.  ``None`` means no closed form is
         available, so the problem runs only with backtracking.  A problem
         that has one always sets it; the run, not the problem, picks exact
         moduli or backtracking (``RunConfig.backtrack``).
@@ -156,6 +157,3 @@ class ProblemSpec:
             raise ValueError("num_blocks must be >= 1")
         if len(self.convex) != self.num_blocks:
             raise ValueError("convex flags must have one entry per block")
-
-    def is_convex(self, i: int) -> bool:
-        return bool(self.convex[i])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .schedules import Dynamic, StaticConvex, StaticNonconvex
+from .schedules import Dynamic, Static
 
 SCHEDULES = ("static-nc", "static-c", "dynamic")
 
@@ -28,7 +28,8 @@ class RunConfig:
     * ``dynamic`` -- coefficients ``(k-1)/(k+2)`` with ``tau = L`` (heuristic).
 
     ``backtrack`` picks where the moduli come from; the line search's own
-    constants are ``BacktrackState``'s defaults, not settings of a run.
+    constants are module constants of ``ipalm.lipschitz``, not settings of
+    a run.
     """
 
     schedule: str = "static-c"
@@ -64,17 +65,11 @@ def block_kinds(problem, config: RunConfig) -> tuple:
     """Per-block schedule kinds implied by the configuration."""
     if config.schedule == "dynamic":
         return (Dynamic(),) * problem.num_blocks
-    kinds = []
-    for i in range(problem.num_blocks):
-        if config.schedule == "static-c" and problem.is_convex(i):
-            kinds.append(
-                StaticConvex(config.alpha_bar, config.beta_bar, config.epsilon)
-            )
-        else:
-            kinds.append(
-                StaticNonconvex(config.alpha_bar, config.beta_bar, config.epsilon)
-            )
-    return tuple(kinds)
+    return tuple(
+        Static(config.alpha_bar, config.beta_bar, config.epsilon,
+               convex=bool(config.schedule == "static-c" and problem.convex[i]))
+        for i in range(problem.num_blocks)
+    )
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -30,7 +30,6 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
     parseval_weights,
     write_pgm,
 )
-from .lipschitz import MODULUS_FLOOR
 from .prox import prox_filter_constraint, prox_l1
 
 
@@ -107,7 +106,7 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
 
     def lipschitz(i: int, x: BlockVector) -> float:
         spectra = image_spectrum(x[1]) if i == 0 else kernel_spectrum(x[0], shape)
-        return max(float((np.abs(spectra) ** 2).sum(axis=0).max()), MODULUS_FLOOR)
+        return float((np.abs(spectra) ** 2).sum(axis=0).max())
 
     return ProblemSpec(
         num_blocks=2,

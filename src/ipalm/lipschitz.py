@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,8 +19,10 @@ class EstimationError(RuntimeError):
         self.gap = gap
 
 
-# Smallest modulus any estimate returns: a block whose Gram vanishes, or
+# Smallest modulus the solver steps with: a block whose Gram vanishes, or
 # whose step does not move, still needs a positive, normal-range modulus.
+# It floors each exact modulus where the solver reads it, and the start of
+# every line search; the estimates below return the raw value.
 MODULUS_FLOOR = 1e-12
 
 # Factor on a dense top eigenvalue, so that step rules built on it never
@@ -84,32 +85,13 @@ def operator_norm(
     )
 
 
-@dataclass
-class BacktrackState:
-    """Warm-started backtracking state for one block.
-
-    ``L_current`` carries the last accepted modulus across iterations; each
-    call restarts from ``shrink * L_current`` and climbs the levels
-    ``shrink * L_current * growth**j`` until the descent lemma accepts (see
-    ``backtrack_L``), so the estimate may decrease by at most one shrink per
-    outer iteration and never settles above ``growth`` times the block's
-    true modulus.  ``max_rounds`` caps the moves up the levels in one call.
-    """
-
-    L_current: float = 1.0
-    growth: float = 2.0
-    shrink: float = 0.5
-    max_rounds: int = 60
-
-    def __post_init__(self):
-        if not 0 < self.L_current < math.inf:
-            raise ValueError(f"L_current must be positive and finite, got {self.L_current}")
-        if not 1 < self.growth < math.inf:
-            raise ValueError(f"growth must exceed 1 and be finite, got {self.growth}")
-        if not 0 < self.shrink <= 1:
-            raise ValueError(f"shrink must lie in (0, 1], got {self.shrink}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+# The line search's policy.  Each call starts from ``SHRINK`` times the
+# block's last accepted modulus (``START`` before the first call) and climbs
+# the levels ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up.
+START = 1.0
+GROWTH = 2.0
+SHRINK = 0.5
+MAX_ROUNDS = 60
 
 
 def backtrack_L(
@@ -117,38 +99,45 @@ def backtrack_L(
     h_grad_at: np.ndarray,
     x: np.ndarray,
     x_candidate_of_L: Callable[[float], np.ndarray],
-    state: BacktrackState,
+    L_prev: float,
 ):
     """Smallest tested modulus satisfying the descent lemma at its candidate.
 
-    Tests moduli on the levels ``L = shrink*L_current * growth**j`` with
-    rising ``j`` and accepts once
-    ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds, where
-    the candidate ``x+`` is recomputed for every tested ``L``.  A tiny
+    Tests moduli on the levels ``L = SHRINK*L_prev * GROWTH**j`` with rising
+    ``j``, where ``L_prev`` is the block's last accepted modulus, and accepts
+    once ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds,
+    where the candidate ``x+`` is recomputed for every tested ``L``.  A tiny
     relative slack absorbs roundoff at the acceptance boundary, and the first
-    tested modulus is at least ``MODULUS_FLOOR``.
+    tested modulus is at least ``MODULUS_FLOOR``.  The estimate may thus
+    fall by at most one shrink per call and never settles above ``GROWTH``
+    times the block's true modulus.
 
     A rejected candidate shows the curvature along its step,
     ``seen = 2*(h(x+) - h(x) - <grad h(x), d> - slack)/||d||^2`` with
     ``d = x+ - x``, which is at most the block's true modulus; the next
     tested level is the highest one at or below ``seen``, and at least one
     level up.  Only levels the step has already ruled out are skipped, so
-    the accepted modulus stays at most ``growth`` times the true one, as
+    the accepted modulus stays at most ``GROWTH`` times the true one, as
     with one level per round.  A non-finite ``seen`` (an ``h`` that
-    overflowed or is NaN) moves one level.
+    overflowed or is NaN) moves one level.  A non-finite ``h(x)`` admits no
+    level, so it raises ``EstimationError`` before any candidate is formed.
 
     Each candidate is evaluated as ``h_eval(x+, above=rhs + slack)``: a value
     returned early lies above that bound and rejects as h itself would (see
     ``ProblemSpec.eval_H``); it is a lower bound on ``h(x+)``, so ``seen``
     stays a lower bound on the curvature, and the ``gap`` of an exhausted
-    search is a lower bound on the last miss.  Updates ``state.L_current``
-    and returns ``(L, x+, tested)`` with the list of every tested modulus.
+    search is a lower bound on the last miss.  Mutates nothing and returns
+    ``(L, x+, tested)`` with the list of every tested modulus.
     """
+    if not 0 < L_prev < math.inf:
+        raise ValueError(f"L_prev must be positive and finite, got {L_prev}")
     h_x = float(h_eval(x))
+    if not math.isfinite(h_x):
+        raise EstimationError(f"the smooth part is {h_x} at the line search's base point")
     slack = 1e-12 * (1.0 + abs(h_x))
-    L = max(state.shrink * state.L_current, MODULUS_FLOOR)
+    L = max(SHRINK * L_prev, MODULUS_FLOOR)
     tested = []
-    for _ in range(state.max_rounds + 1):
+    for _ in range(MAX_ROUNDS + 1):
         tested.append(L)
         cand = x_candidate_of_L(L)
         d = cand - x
@@ -157,15 +146,14 @@ def backtrack_L(
         bound = rhs + slack
         lhs = float(h_eval(cand, above=bound))
         if lhs <= bound:
-            state.L_current = L
             return L, cand, tested
         # skip to the highest level at or below the curvature seen along d
         seen = L + 2.0 * (lhs - bound) / dd if dd > 0 else math.inf
-        levels = math.log(seen / L, state.growth)
+        levels = math.log(seen / L, GROWTH)
         j = max(1, math.floor(levels)) if math.isfinite(levels) else 1
-        L = L * state.growth ** (j - 1) * state.growth  # growth**j alone can overflow
+        L = L * GROWTH ** (j - 1) * GROWTH  # GROWTH**j alone can overflow
     raise EstimationError(
-        f"descent lemma not satisfied after {state.max_rounds} rounds "
+        f"descent lemma not satisfied after {MAX_ROUNDS} rounds "
         f"(last tested L {tested[-1]:.3e}); the round budget may be too small "
         f"for the problem's scale, the gradient may be wrong or the smooth "
         f"part not Lipschitz",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blockmodel import BlockVector, DataError, ProblemSpec, check_data
 from .imageops import read_pgm, write_pgm
-from .lipschitz import MODULUS_FLOOR, spectral_norm
+from .lipschitz import spectral_norm
 from .prox import prox_l0_nonneg_cols, prox_nonneg
 
 
@@ -34,8 +34,8 @@ def nmf_grad_C(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
-    """Exact partial moduli: ``||C C^T||_2`` for block B, ``||B^T B||_2`` for C,
-    floored at a tiny positive value for degenerate iterates.
+    """Exact partial moduli: ``||C C^T||_2`` for block B, ``||B^T B||_2`` for C;
+    0 at degenerate iterates, which the solver floors.
 
     The Gram matrices are r-by-r, so one dense eigensolve is cheap and exact
     also on the near-degenerate spectra that show up when factor columns
@@ -47,7 +47,7 @@ def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
         gram = B.T @ B
     else:
         raise ValueError(f"block index must be 0 or 1, got {block}")
-    return max(spectral_norm(gram), MODULUS_FLOOR)
+    return spectral_norm(gram)
 
 
 def _feasible(B: np.ndarray, C: np.ndarray, s: int) -> bool:

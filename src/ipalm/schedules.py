@@ -1,10 +1,10 @@
 """Per-iteration inertial and step parameter rules.
 
-Three regimes are supported:
+Two kinds of schedule are supported:
 
-* static nonconvex -- constant extrapolation coefficients, valid for
-  arbitrary (nonconvex) nonsmooth block terms; requires ``alpha < (1-eps)/2``;
-* static convex -- constant coefficients with the tighter step rule that a
+* static -- constant extrapolation coefficients.  The nonconvex step rule is
+  valid for arbitrary nonsmooth block terms and requires
+  ``alpha < (1-eps)/2``; with ``convex=True`` it is the tighter rule that a
   convex nonsmooth term permits (roughly twice larger steps, ``alpha < 1-eps``);
 * dynamic -- accelerated-style coefficients ``(k-1)/(k+2)`` with plain ``1/L``
   steps.  Empirically the fastest regime but not covered by the descent
@@ -23,35 +23,30 @@ class ParameterDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class StaticNonconvex:
-    """Constant (alpha, beta) with the general-purpose step rule."""
+class Static:
+    """Constant (alpha, beta); ``convex`` picks the tighter step rule that a
+    convex block term permits."""
 
     alpha_bar: float
     beta_bar: float
     eps: float = 0.0
+    convex: bool = False
 
     def __post_init__(self):
-        _check_bounds(self.alpha_bar, self.beta_bar, self.eps)
-        if not 1.0 - self.eps - 2.0 * self.alpha_bar > 0.0:
-            raise ParameterDomainError(
-                f"static nonconvex schedule needs alpha_bar < (1-eps)/2; "
-                f"got alpha_bar={self.alpha_bar}, eps={self.eps}"
-            )
-
-
-@dataclass(frozen=True)
-class StaticConvex:
-    """Constant (alpha, beta) with the tighter rule for convex block terms."""
-
-    alpha_bar: float
-    beta_bar: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        _check_bounds(self.alpha_bar, self.beta_bar, self.eps)
-        if not 1.0 - self.eps - self.alpha_bar > 0.0:
+        if not 0.0 <= self.alpha_bar < 1.0:
+            raise ParameterDomainError(f"alpha_bar must lie in [0, 1), got {self.alpha_bar}")
+        if not 0.0 <= self.beta_bar < math.inf:
+            raise ParameterDomainError(f"beta_bar must be >= 0 and finite, got {self.beta_bar}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ParameterDomainError(f"eps must be >= 0 and finite, got {self.eps}")
+        if self.convex and not 1.0 - self.eps - self.alpha_bar > 0.0:
             raise ParameterDomainError(
                 f"static convex schedule needs alpha_bar < 1-eps; "
+                f"got alpha_bar={self.alpha_bar}, eps={self.eps}"
+            )
+        if not self.convex and not 1.0 - self.eps - 2.0 * self.alpha_bar > 0.0:
+            raise ParameterDomainError(
+                f"static nonconvex schedule needs alpha_bar < (1-eps)/2; "
                 f"got alpha_bar={self.alpha_bar}, eps={self.eps}"
             )
 
@@ -62,16 +57,7 @@ class Dynamic:
     delta is defined, hence no Lyapunov value is tracked for such runs."""
 
 
-ScheduleKind = Union[StaticNonconvex, StaticConvex, Dynamic]
-
-
-def _check_bounds(alpha_bar: float, beta_bar: float, eps: float) -> None:
-    if not 0.0 <= alpha_bar < 1.0:
-        raise ParameterDomainError(f"alpha_bar must lie in [0, 1), got {alpha_bar}")
-    if not 0.0 <= beta_bar < math.inf:
-        raise ParameterDomainError(f"beta_bar must be >= 0 and finite, got {beta_bar}")
-    if not 0.0 <= eps < math.inf:
-        raise ParameterDomainError(f"eps must be >= 0 and finite, got {eps}")
+ScheduleKind = Union[Static, Dynamic]
 
 
 def delta_star(
@@ -139,10 +125,9 @@ def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None
         raise ParameterDomainError(f"L must be positive, got {L}")
     if isinstance(kind, Dynamic):
         return L, math.nan
-    convex = isinstance(kind, StaticConvex)
     if delta is None:
-        delta = delta_star(alpha, beta, kind.eps, L, convex=convex)
-    return tau_for_delta(alpha, beta, delta, L, kind.eps, convex=convex), delta
+        delta = delta_star(alpha, beta, kind.eps, L, convex=kind.convex)
+    return tau_for_delta(alpha, beta, delta, L, kind.eps, convex=kind.convex), delta
 
 
 def dynamic_coeff(k: int) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate, step_deltas
 from .config import block_kinds
-from .lipschitz import BacktrackState, backtrack_L
+from .lipschitz import MODULUS_FLOOR, START, backtrack_L
 from .schedules import Dynamic, inertial_coeffs, tau_step
 
 TRACE_COLUMNS = (
@@ -129,7 +129,7 @@ class SolverState:
     x_prev: BlockVector
     k: int
     kinds: tuple
-    backtrack: Optional[tuple]  # None: exact moduli; else one BacktrackState per block
+    backtrack: Optional[list]  # None: exact moduli; else each block's last accepted modulus
     step_scale: tuple  # per-block tau multiplier >= 1
     constant_delta: Optional[tuple]  # per-block constant step weight
     trace: SolverTrace = field(default_factory=SolverTrace)
@@ -192,12 +192,13 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         scale = state.step_scale[i]
         const_delta = None if state.constant_delta is None else state.constant_delta[i]
         if state.backtrack is None:
-            L = float(problem.lipschitz(i, mixed))
+            L = max(float(problem.lipschitz(i, mixed)), MODULUS_FLOOR)
             x_new = step(L)
         else:
             # the accepted modulus is the last one tested, so tau and delta
             # are the accepted step's
             L, x_new, _ = backtrack_L(h_eval, grad, z, step, state.backtrack[i])
+            state.backtrack[i] = L
 
         if not np.isfinite(x_new).all():
             raise DivergenceError(
@@ -252,10 +253,11 @@ def make_state(
     (the predecessor of the starting point is the starting point itself).
 
     ``backtracking`` picks the moduli source for every block: descent-lemma
-    backtracking, each block with its own default ``BacktrackState``, or the
-    problem's closed-form ``lipschitz``.  Every setting is checked here; a
-    rejection names the problem and comes before ``F_0``.  A dynamic run's
-    initial row carries no Lyapunov value, like every later row.
+    backtracking, each block's line search starting from ``lipschitz.START``,
+    or the problem's closed-form ``lipschitz``, floored at ``MODULUS_FLOOR``.
+    Every setting is checked here; a rejection names the problem and comes
+    before ``F_0``.  A dynamic run's initial row carries no Lyapunov value,
+    like every later row.
     """
     nb = len(x0)
     if nb != problem.num_blocks:
@@ -292,7 +294,7 @@ def make_state(
         x_prev=x0,
         k=0,
         kinds=kinds,
-        backtrack=tuple(BacktrackState() for _ in range(nb)) if backtracking else None,
+        backtrack=[START] * nb if backtracking else None,
         step_scale=step_scale,
         constant_delta=constant_delta,
     )

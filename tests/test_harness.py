@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -64,7 +63,7 @@ def test_every_run_config_field_is_a_file_key():
 
 @pytest.mark.parametrize("key", ["bt_growth", "bt_shrink", "bt_max_rounds", "bt_l0"])
 def test_config_rejects_the_line_search_constants_as_unknown_keys(tmp_path, key):
-    # the line search's constants are BacktrackState's defaults, not run settings
+    # the line search's constants are module constants, not run settings
     path = tmp_path / "bt.cfg"
     path.write_text(f"iters=5\n{key}=2\n")
     with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
@@ -195,14 +194,25 @@ def test_cli_solver_failure_exits_3_with_one_error_line(tmp_path, capsys, monkey
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
-    # both runs fail by a line search with one round from a tiny start; the
-    # fork start method carries the patch into the sweep's worker processes
-    from ipalm.lipschitz import BacktrackState
-
-    monkeypatch.setattr("ipalm.solver.BacktrackState",
-                        functools.partial(BacktrackState, 1e-12, max_rounds=1))
+    # both runs fail by a line search with one round from a tiny start (the
+    # solver imports START by name); the fork start method carries the
+    # patches into the sweep's worker processes
+    monkeypatch.setattr("ipalm.solver.START", 1e-12)
+    monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 1)
     fails_with_one_error_line(["bid", "--kernel-size", "3"])
     fails_with_one_error_line(["sweep", "--problem", "bid", "--jobs", "2"])
+
+
+def test_cli_bid_smooth_part_overflow_exits_3_naming_the_cause(tmp_path, capsys):
+    # lam * data overflows, so H is inf at the first base point and no
+    # modulus can pass the descent lemma: the line search stops at once
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--lam", "1.7e308", "--iters", "3",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: the smooth part is inf at the line search's base point\n"
+    assert not out.exists()
 
 
 def test_cli_bid_line_search_reaches_a_huge_data_weight(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from ipalm.lipschitz import (
     SAFEGUARD,
-    BacktrackState,
     EstimationError,
     backtrack_L,
     operator_norm,
@@ -115,9 +114,8 @@ def test_backtrack_accepts_immediately_when_started_above():
     L_true = 3.0
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
-    state = BacktrackState(L_current=2.0 * L_true, shrink=0.5)
-    L, x_next, tested = backtrack_L(h, grad(x), x, make_cand(x), state)
-    assert len(tested) == 1 and L == L_true  # shrink*L_current == L_true exactly
+    L, x_next, tested = backtrack_L(h, grad(x), x, make_cand(x), 2.0 * L_true)
+    assert len(tested) == 1 and L == L_true  # SHRINK*L_prev == L_true exactly
     assert np.allclose(x_next, 0.0)
 
 
@@ -126,8 +124,7 @@ def test_backtrack_grows_to_first_admissible_level():
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
     L0 = L_true / 10.0
-    state = BacktrackState(L_current=L0 / 0.5, growth=2.0, shrink=0.5)
-    L, _, tested = backtrack_L(h, grad(x), x, make_cand(x), state)
+    L, _, tested = backtrack_L(h, grad(x), x, make_cand(x), L0 / 0.5)
     # the accepted level is the first L0*2^j at or above the true curvature
     levels = [L0 * 2.0**j for j in range(10)]
     expected = next(l for l in levels if l >= L_true * (1.0 - 1e-12))
@@ -136,7 +133,7 @@ def test_backtrack_grows_to_first_admissible_level():
     # slack), so the search skips to the highest level below it, 8*L0 = 2.4,
     # and then goes one level up
     assert tested == [L0, levels[3], expected]
-    assert state.L_current == L
+    assert L == tested[-1]
 
 
 def test_backtrack_linear_accepts_at_initial_level():
@@ -150,8 +147,7 @@ def test_backtrack_linear_accepts_at_initial_level():
     def cand(L):
         return x - c / L
 
-    state = BacktrackState(L_current=0.02, shrink=0.5)
-    L, _, tested = backtrack_L(h, c, x, cand, state)
+    L, _, tested = backtrack_L(h, c, x, cand, 0.02)
     assert L == pytest.approx(0.01) and len(tested) == 1
 
 
@@ -169,12 +165,10 @@ def test_backtrack_passes_each_candidate_its_bound():
         # the least value past the bound: a lower bound on h, as the contract asks
         return np.nextafter(above, np.inf) if above is not None and full > above else full
 
-    state = BacktrackState(L_current=L_true / 5.0)
-    L, _, tested = backtrack_L(bounded, grad(x), x, make_cand(x), state)
+    L, _, tested = backtrack_L(bounded, grad(x), x, make_cand(x), L_true / 5.0)
     assert bounds[0] is None and len(bounds) == 1 + len(tested)
     assert all(b is not None for b in bounds[1:])
-    want, _, want_tested = backtrack_L(h, grad(x), x, make_cand(x),
-                                       BacktrackState(L_current=L_true / 5.0))
+    want, _, want_tested = backtrack_L(h, grad(x), x, make_cand(x), L_true / 5.0)
     # both accept the same level; a value just past its bound shows almost no
     # curvature, so its search goes one level per round where the full value
     # skips to 8 * 0.3 = 2.4
@@ -201,13 +195,14 @@ def _quadratic_on_orthant(rng, n):
 
 
 @pytest.mark.parametrize("growth", [2.0, 3.0, 1.5])
-def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus(growth):
+def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus(
+        growth, monkeypatch):
+    monkeypatch.setattr("ipalm.lipschitz.GROWTH", growth)
     rng = np.random.default_rng(31)
     for _ in range(200):
         h, g, x, cand, L_true = _quadratic_on_orthant(rng, int(rng.integers(1, 6)))
         start = L_true * 10.0 ** rng.uniform(-8, 0)  # from below the true modulus
-        state = BacktrackState(L_current=start / 0.5, growth=growth, shrink=0.5)
-        L, _, tested = backtrack_L(h, g, x, cand, state)
+        L, _, tested = backtrack_L(h, g, x, cand, start / 0.5)
         # every tested modulus is start*growth**j, with j strictly rising
         js = [round(math.log(t / start, growth)) for t in tested]
         assert tested == pytest.approx([start * growth**j for j in js], rel=1e-12)
@@ -215,7 +210,7 @@ def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus
         # every rejected modulus is below the true one, the accepted one is
         # the last tested and at most growth times the true one
         assert all(t < L_true for t in tested[:-1])
-        assert L == tested[-1] == state.L_current
+        assert L == tested[-1]
         assert L <= growth * L_true * (1.0 + 1e-12)
 
 
@@ -230,13 +225,12 @@ def test_backtrack_moves_one_level_past_a_non_finite_value():
     def faulty(q, above=None):
         return next(values, h(q))
 
-    state = BacktrackState(L_current=2e-3)
-    L, _, tested = backtrack_L(faulty, grad(x), x, make_cand(x), state)
+    L, _, tested = backtrack_L(faulty, grad(x), x, make_cand(x), 2e-3)
     assert tested[:3] == [1e-3, 2e-3, 4e-3]
     assert len(tested) == 5 and L == tested[-1] == 1e-3 * 2.0**12  # 2.048 < L_true < 4.096
 
 
-def test_backtrack_fails_cleanly_at_the_top_of_the_float_range():
+def test_backtrack_fails_cleanly_at_the_top_of_the_float_range(monkeypatch):
     # a curvature at the largest float puts the next level at growth**1024,
     # past the float range: the search goes on and ends in its own error
     x = np.zeros(1)
@@ -245,12 +239,12 @@ def test_backtrack_fails_cleanly_at_the_top_of_the_float_range():
     def h(q, above=None):
         return next(values, np.nan)
 
-    state = BacktrackState(L_current=2.0, max_rounds=3)
+    monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 3)
     with pytest.raises(EstimationError):
-        backtrack_L(h, np.zeros(1), x, lambda L: np.ones(1), state)
+        backtrack_L(h, np.zeros(1), x, lambda L: np.ones(1), 2.0)
 
 
-def test_backtrack_detects_wrong_gradient():
+def test_backtrack_detects_wrong_gradient(monkeypatch):
     # claiming the negated gradient makes the descent test fail at every level
     c = np.array([1.0, 2.0])
 
@@ -263,9 +257,9 @@ def test_backtrack_detects_wrong_gradient():
     def cand(L):
         return x - wrong / L
 
-    state = BacktrackState(L_current=1.0, max_rounds=30)
+    monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 30)
     with pytest.raises(EstimationError) as err:
-        backtrack_L(h, wrong, x, cand, state)
+        backtrack_L(h, wrong, x, cand, 1.0)
     # each rejection sees a curvature just under 4L, so the search doubles;
     # the message names the last tested modulus, 0.5 * 2**30, and the budget
     assert "after 30 rounds (last tested L 5.369e+08)" in str(err.value)
@@ -294,15 +288,29 @@ def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
-def test_backtrack_state_validation():
-    with pytest.raises(ValueError):
-        BacktrackState(L_current=0.0)
-    with pytest.raises(ValueError):
-        BacktrackState(growth=1.0)
-    with pytest.raises(ValueError):
-        BacktrackState(shrink=0.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="L_current must be positive and finite"):
-            BacktrackState(L_current=bad)
-        with pytest.raises(ValueError, match="growth must exceed 1 and be finite"):
-            BacktrackState(growth=bad)
+def test_backtrack_rejects_a_previous_modulus_that_is_not_positive_and_finite():
+    h, grad, make_cand = quadratic_problem(3.0)
+    x = np.array([1.0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="L_prev must be positive and finite"):
+            backtrack_L(h, grad(x), x, make_cand(x), bad)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_backtrack_stops_at_a_non_finite_smooth_part_before_any_candidate(bad):
+    # no level can pass the descent lemma when h(x) itself is not finite: the
+    # search names the cause after one h evaluation, before any prox call
+    calls, candidates = [], []
+
+    def h(q, above=None):
+        calls.append(above)
+        return bad
+
+    def cand(L):
+        candidates.append(L)
+        return np.zeros(1)
+
+    with pytest.raises(EstimationError, match=f"the smooth part is {bad} at the line "
+                                              f"search's base point"):
+        backtrack_L(h, np.zeros(1), np.ones(1), cand, 1.0)
+    assert calls == [None] and candidates == []

@@ -62,11 +62,6 @@ def test_lipschitz_orthonormal_rows_give_unit_modulus():
     assert nmf_lipschitz(0, np.zeros((5, 2)), C) == pytest.approx(1.0, rel=1e-7)
 
 
-def test_lipschitz_floor_at_degenerate_iterates():
-    assert nmf_lipschitz(0, np.zeros((4, 2)), np.zeros((2, 5))) == 1e-12
-    assert nmf_lipschitz(1, np.zeros((4, 2)), np.zeros((2, 5))) == 1e-12
-
-
 def test_lipschitz_matches_dense_eigensolver():
     rng = np.random.default_rng(63)
     B = rng.standard_normal((6, 4))

@@ -6,8 +6,7 @@ import pytest
 from ipalm.schedules import (
     Dynamic,
     ParameterDomainError,
-    StaticConvex,
-    StaticNonconvex,
+    Static,
     delta_star,
     dynamic_coeff,
     inertial_coeffs,
@@ -39,11 +38,11 @@ def test_delta_star_domain_errors_name_the_bound():
 
 
 def test_tau_step_closed_forms():
-    tau, delta = tau_step(0.0, 0.0, 3.0, StaticNonconvex(0.0, 0.0))
+    tau, delta = tau_step(0.0, 0.0, 3.0, Static(0.0, 0.0))
     assert tau == 3.0 and delta == 0.0  # plain 1/L step
-    tau, _ = tau_step(0.4, 0.4, 1.0, StaticNonconvex(0.4, 0.4))
+    tau, _ = tau_step(0.4, 0.4, 1.0, Static(0.4, 0.4))
     assert tau == pytest.approx(9.0, rel=1e-12)
-    tau, _ = tau_step(0.4, 0.4, 1.0, StaticConvex(0.4, 0.4))
+    tau, _ = tau_step(0.4, 0.4, 1.0, Static(0.4, 0.4, convex=True))
     assert tau == pytest.approx(1.5, rel=1e-12)
 
 
@@ -51,24 +50,23 @@ def test_tau_step_closed_forms_match_general_formula_on_grid():
     for alpha in (0.0, 0.1, 0.3, 0.45):
         for beta in (0.0, 0.2, 0.7, 1.0):
             for L in (0.5, 1.0, 7.3):
-                tau, _ = tau_step(alpha, beta, L, StaticNonconvex(0.49, 1.0))
+                tau, _ = tau_step(alpha, beta, L, Static(0.49, 1.0))
                 assert tau == pytest.approx((1 + 2 * beta) / (1 - 2 * alpha) * L, rel=1e-12)
-                tau_c, _ = tau_step(alpha, beta, L, StaticConvex(0.9, 1.0))
+                tau_c, _ = tau_step(alpha, beta, L, Static(0.9, 1.0, convex=True))
                 assert tau_c == pytest.approx((1 + 2 * beta) / (2 * (1 - alpha)) * L, rel=1e-12)
 
 
 def test_tau_step_rejects_half_alpha_nonconvex():
     with pytest.raises(ParameterDomainError):
-        tau_step(0.5, 0.0, 1.0, StaticNonconvex(0.49, 0.0))
+        tau_step(0.5, 0.0, 1.0, Static(0.49, 0.0))
 
 
-@pytest.mark.parametrize("kind", [StaticNonconvex(0.3, 0.4, 0.1), StaticConvex(0.3, 0.4, 0.1)])
+@pytest.mark.parametrize("kind", [Static(0.3, 0.4, 0.1), Static(0.3, 0.4, 0.1, convex=True)])
 def test_tau_step_with_a_pinned_delta_is_tau_for_delta(kind):
-    convex = isinstance(kind, StaticConvex)
     for delta in (0.0, 0.37, 12.5):
         tau, got = tau_step(0.2, 0.3, 1.7, kind, delta)
         assert got is delta
-        assert tau.hex() == tau_for_delta(0.2, 0.3, delta, 1.7, 0.1, convex=convex).hex()
+        assert tau.hex() == tau_for_delta(0.2, 0.3, delta, 1.7, 0.1, convex=kind.convex).hex()
 
 
 def test_tau_step_dynamic():
@@ -115,7 +113,7 @@ def test_descent_coefficients_identity_and_inequality_random_grid():
 
 def test_tau_monotone_in_alpha_and_beta():
     grid = np.linspace(0.0, 0.45, 12)
-    for kind in (StaticNonconvex(0.49, 2.0), StaticConvex(0.9, 2.0)):
+    for kind in (Static(0.49, 2.0), Static(0.9, 2.0, convex=True)):
         for beta in (0.0, 0.5, 1.0):
             taus = [tau_step(a, beta, 1.0, kind)[0] for a in grid]
             assert all(t2 >= t1 for t1, t2 in zip(taus, taus[1:]))
@@ -126,22 +124,22 @@ def test_tau_monotone_in_alpha_and_beta():
 
 def test_static_kind_validation():
     with pytest.raises(ParameterDomainError):
-        StaticNonconvex(0.5, 0.1)
+        Static(0.5, 0.1)
     with pytest.raises(ParameterDomainError):
-        StaticNonconvex(0.49, 0.1, eps=0.1)  # 0.49 >= (1-0.1)/2
+        Static(0.49, 0.1, eps=0.1)  # 0.49 >= (1-0.1)/2
     with pytest.raises(ParameterDomainError):
-        StaticConvex(1.0, 0.1)
-    assert StaticConvex(0.8, 0.1).alpha_bar == 0.8
-    for kind in (StaticNonconvex, StaticConvex):
+        Static(1.0, 0.1, convex=True)
+    assert Static(0.8, 0.1, convex=True).alpha_bar == 0.8
+    for convex in (False, True):
         for bad in (math.nan, math.inf):
             with pytest.raises(ParameterDomainError, match="beta_bar must be >= 0 and finite"):
-                kind(0.0, bad)
+                Static(0.0, bad, convex=convex)
             with pytest.raises(ParameterDomainError, match="eps must be >= 0 and finite"):
-                kind(0.0, 0.0, eps=bad)
+                Static(0.0, 0.0, eps=bad, convex=convex)
 
 
 def test_inertial_coeffs():
-    assert inertial_coeffs(StaticNonconvex(0.3, 0.4), 10) == (0.3, 0.4)
+    assert inertial_coeffs(Static(0.3, 0.4), 10) == (0.3, 0.4)
     assert inertial_coeffs(Dynamic(), 1) == (0.0, 0.0)
     a, b = inertial_coeffs(Dynamic(), 8)
     assert a == b == pytest.approx(0.7)

@@ -10,10 +10,10 @@ from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
-from ipalm.lipschitz import MODULUS_FLOOR, BacktrackState, spectral_norm
+from ipalm.lipschitz import MODULUS_FLOOR, START, spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
-from ipalm.schedules import Dynamic, StaticNonconvex
+from ipalm.schedules import Dynamic, Static
 from ipalm.solver import (
     DivergenceError,
     SolverTrace,
@@ -47,7 +47,7 @@ def one_block_quadratic():
 def test_gradient_method_recovery_one_step_to_zero():
     problem = one_block_quadratic()
     x0 = BlockVector([np.array([3.0, -2.0, 0.5])])
-    state = make_state(problem, x0, StaticNonconvex(0.0, 0.0))
+    state = make_state(problem, x0, Static(0.0, 0.0))
     run_state(state, problem, iters=1, tol=0.0)
     assert np.array_equal(state.x_cur[0], np.zeros(3))
 
@@ -91,7 +91,7 @@ def test_dynamic_first_iteration_equals_palm_step():
     x0 = init_nmf(inst["A"], r=3, s=2, seed=4)
     s_dyn = make_state(problem, x0, Dynamic())
     run_state(s_dyn, problem, iters=1, tol=0.0)
-    s_palm = make_state(problem, x0, StaticNonconvex(0.0, 0.0))
+    s_palm = make_state(problem, x0, Static(0.0, 0.0))
     run_state(s_palm, problem, iters=1, tol=0.0)
     # dynamic_coeff(1) = 0 and tau = L on both paths at zero inertia
     assert np.array_equal(s_dyn.x_cur[0], s_palm.x_cur[0])
@@ -102,7 +102,7 @@ def test_run_rejects_zero_budget():
     problem = one_block_quadratic()
     x0 = BlockVector([np.ones(2)])
     with pytest.raises(ValueError):
-        run_state(make_state(problem, x0, StaticNonconvex(0, 0)), problem, 0, 0.0)
+        run_state(make_state(problem, x0, Static(0, 0)), problem, 0, 0.0)
     with pytest.raises(ValueError):
         RunConfig(iters=0)
 
@@ -111,7 +111,7 @@ def test_per_block_tuples_must_match_the_block_count():
     inst = synth_nmf(seed=3)
     problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
     x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
-    kinds = StaticNonconvex(0.0, 0.0)
+    kinds = Static(0.0, 0.0)
     for bad in ((1.0,), (1.0, 1.0, 9.0)):
         with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale needs one entry"):
             make_state(problem, x0, kinds, step_scale=bad)
@@ -136,7 +136,7 @@ def test_make_state_rejects_negative_or_non_finite_constant_delta(bad):
     problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
     x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
     with pytest.raises(ValueError, match=r"nmf\(.*\): constant_delta must be >= 0 and finite"):
-        make_state(problem, x0, StaticNonconvex(0.0, 0.0), constant_delta=bad)
+        make_state(problem, x0, Static(0.0, 0.0), constant_delta=bad)
 
 
 def _unevaluated(problem):
@@ -152,16 +152,16 @@ def test_make_state_rejects_a_block_count_mismatch_naming_the_problem():
     problem = _unevaluated(one_block_quadratic())
     x0 = BlockVector([np.ones(2), np.ones(3)])
     with pytest.raises(ValueError, match="quadratic: x0 has 2 blocks, the problem 1"):
-        make_state(problem, x0, StaticNonconvex(0.0, 0.0))
+        make_state(problem, x0, Static(0.0, 0.0))
 
 
 def test_make_state_rejects_exact_mode_without_moduli_naming_the_problem():
     no_moduli = dataclasses.replace(one_block_quadratic(), lipschitz=None)
     x0 = BlockVector([np.ones(2)])
     with pytest.raises(ValueError, match="quadratic: no closed-form Lipschitz moduli"):
-        make_state(_unevaluated(no_moduli), x0, StaticNonconvex(0.0, 0.0))
+        make_state(_unevaluated(no_moduli), x0, Static(0.0, 0.0))
     # backtracking needs no closed form
-    make_state(no_moduli, x0, StaticNonconvex(0.0, 0.0), backtracking=True)
+    make_state(no_moduli, x0, Static(0.0, 0.0), backtracking=True)
 
 
 def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_problem():
@@ -175,10 +175,11 @@ def test_make_state_gives_each_block_its_own_default_line_search():
     inst = synth_nmf(seed=1)
     problem = make_nmf_problem(inst["A"], r=3, s=2)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=1)
-    bt = make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=True).backtrack
-    # a shared object would couple the blocks' moduli
-    assert len(bt) == 2 and bt[0] is not bt[1]
-    assert all(b == BacktrackState() for b in bt)
+    state = make_state(problem, x0, Static(0.0, 0.0), backtracking=True)
+    assert state.backtrack == [START, START]
+    # each block carries its own accepted modulus into the next sweep
+    ipalm_iterate(state, problem)
+    assert state.backtrack == list(state.trace.rows[1].L)
 
 
 @pytest.mark.parametrize("backtracking", [False, True], ids=["exact", "backtracking"])
@@ -197,7 +198,7 @@ def test_a_wrong_shape_prox_output_stops_the_sweep_at_that_block(backtracking):
 
     problem = dataclasses.replace(nmf, partial_grad=partial_grad, prox=prox)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
-    state = make_state(problem, x0, StaticNonconvex(0.0, 0.0), backtracking=backtracking)
+    state = make_state(problem, x0, Static(0.0, 0.0), backtracking=backtracking)
     with pytest.raises(ShapeMismatchError, match=r"nmf\(.*\): the prox of block 0 at iteration 1"):
         run_state(state, problem, iters=1, tol=0.0)
     assert grads == [0]  # block 1's oracle never saw the bad block
@@ -217,8 +218,9 @@ def test_run_config_alone_selects_the_closed_form_moduli(name):
     problem, x0 = _image_problem(name)
     state = run(problem, x0, RunConfig(iters=3, tol=0.0, backtrack=False))
     assert state.backtrack is None
-    # the first sweep's first block steps from x0 itself (no inertia yet)
-    assert state.trace.rows[1].L[0] == problem.lipschitz(0, x0)
+    # the first sweep's first block steps from x0 itself (no inertia yet),
+    # with the problem's modulus floored by the solver (convlasso's is 0 there)
+    assert state.trace.rows[1].L[0] == max(problem.lipschitz(0, x0), MODULUS_FLOOR)
     F = trace_column(state.trace, "F")
     assert np.isfinite(F).all() and F[-1] < F[0]
     assert run(problem, x0, RunConfig(iters=1, tol=0.0)).backtrack is not None
@@ -268,13 +270,46 @@ def test_backtracking_on_a_pinned_block_keeps_its_modulus_at_the_floor():
         convex=(True,),
         name="pinned",
     )
-    state = make_state(problem, BlockVector([np.zeros(3)]), StaticNonconvex(0.0, 0.0),
+    state = make_state(problem, BlockVector([np.zeros(3)]), Static(0.0, 0.0),
                        backtracking=True)
-    state.backtrack = (BacktrackState(1e-300),)
+    state.backtrack = [1e-300]
     for _ in range(50):
         ipalm_iterate(state, problem)
     assert all(row.L == (MODULUS_FLOOR,) for row in state.trace.rows[1:])
     assert np.array_equal(state.x_cur[0], np.zeros(3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_moduli_of_nmf_at_a_zero_iterate_are_floored():
+    inst = synth_nmf(seed=2)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    x0 = BlockVector([np.zeros((inst["A"].shape[0], 3)), np.zeros((3, inst["A"].shape[1]))])
+    state = make_state(problem, x0, block_kinds(problem, RunConfig()))
+    ipalm_iterate(state, problem)
+    # both Grams vanish; the problem returns 0 and the sweep steps with the floor
+    assert problem.lipschitz(0, x0) == 0.0
+    assert state.trace.rows[1].L == (MODULUS_FLOOR, MODULUS_FLOOR)
+
+
+def test_exact_modulus_zero_of_a_custom_problem_is_floored():
+    def eval_H(x, above=None):
+        return 0.0
+
+    problem = ProblemSpec(
+        num_blocks=1,
+        eval_F=eval_H,
+        eval_H=eval_H,
+        partial_grad=lambda i, x: np.zeros_like(x[0]),
+        prox=lambda i, t, p: p,
+        convex=(False,),
+        lipschitz=lambda i, x: 0.0,
+        name="flat",
+    )
+    state = make_state(problem, BlockVector([np.ones(3)]), Static(0.0, 0.0))
+    for _ in range(3):
+        ipalm_iterate(state, problem)
+    assert [row.L for row in state.trace.rows[1:]] == [(MODULUS_FLOOR,)] * 3
+    assert np.array_equal(state.x_cur[0], np.ones(3))
 
 
 def test_divergence_error_carries_trace():
@@ -292,7 +327,7 @@ def test_divergence_error_carries_trace():
         name="concave",
     )
     x0 = BlockVector([np.ones(2)])
-    state = make_state(problem, x0, StaticNonconvex(0.0, 0.0))
+    state = make_state(problem, x0, Static(0.0, 0.0))
     with pytest.raises(DivergenceError) as err:
         run_state(state, problem, iters=50, tol=0.0)
     assert len(err.value.trace) >= 1
@@ -368,7 +403,7 @@ def test_feasibility_maintained_throughout_run():
     inst = synth_nmf(seed=7)
     problem = make_nmf_problem(inst["A"], r=3, s=2)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=7)
-    state = make_state(problem, x0, (StaticNonconvex(0.2, 0.2), StaticNonconvex(0.2, 0.2)))
+    state = make_state(problem, x0, (Static(0.2, 0.2), Static(0.2, 0.2)))
     for _ in range(30):
         from ipalm.solver import ipalm_iterate
 
@@ -415,15 +450,13 @@ def reference_inertial_sweep_nmf(A, B, C, s, kinds, iters):
 
 
 def test_inertial_sweep_matches_reference_with_distinct_anchor_and_gradient_points():
-    from ipalm.schedules import StaticConvex
-
     inst = synth_nmf(seed=10)
     A = inst["A"]
     problem = make_nmf_problem(A, r=3, s=2)
     x0 = init_nmf(A, r=3, s=2, seed=10)
     # alpha != beta and different regimes per block, so the two
     # extrapolated points genuinely differ everywhere
-    kinds = (StaticNonconvex(0.3, 0.1), StaticConvex(0.5, 0.2))
+    kinds = (Static(0.3, 0.1), Static(0.5, 0.2, convex=True))
     state = make_state(problem, x0, kinds)
     run_state(state, problem, iters=6, tol=0.0)
     B_ref, C_ref = reference_inertial_sweep_nmf(A, x0[0], x0[1], 2, kinds, 6)
@@ -447,7 +480,7 @@ def test_dynamic_sweep_matches_reference():
     assert params_at(state.trace, 3).alpha == (0.4, 0.4)
 
 
-def test_square_summable_steps_on_bid_desk_instance():
+def test_square_summable_steps_on_bid_desk_instance(monkeypatch):
     # running sum of squared two-iterate steps stays bounded and the step
     # norm drops below 1e-6 within the per-instance budget (gentle warm
     # restart keeps the adaptive modulus from cycling near the limit)
@@ -461,7 +494,7 @@ def test_square_summable_steps_on_bid_desk_instance():
     cfg = RunConfig(schedule="static-c", alpha_bar=0.2, beta_bar=0.2, epsilon=0.05)
     state = make_state(problem, x0, block_kinds(problem, cfg), backtracking=True,
                        step_scale=(1.0, 5.0))
-    state.backtrack = tuple(BacktrackState(shrink=0.9) for _ in range(2))
+    monkeypatch.setattr("ipalm.lipschitz.SHRINK", 0.9)
     trace = run_state(state, problem, 2500, 1e-9)
     d_tot = trace.block_delta_matrix().sum(axis=1)
     running = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]
@@ -483,7 +516,7 @@ def test_prox_inequality_spot_check_during_run():
     A = inst["A"]
     problem = make_nmf_problem(A, r=3, s=2)
     x0 = init_nmf(A, r=3, s=2, seed=8)
-    kinds = (StaticNonconvex(0.2, 0.2), StaticNonconvex(0.2, 0.2))
+    kinds = (Static(0.2, 0.2), Static(0.2, 0.2))
     state = make_state(problem, x0, kinds)
     for _ in range(40):
         x_cur, x_prev = state.x_cur, state.x_prev
