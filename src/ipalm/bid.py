@@ -84,16 +84,24 @@ def edge_penalty(u: np.ndarray, theta: float) -> float:
     return sum(phi_value(d, theta) for _, _, _, d in _edge_differences(u))
 
 
-def edge_grad(u: np.ndarray, theta: float) -> np.ndarray:
+def edge_grad(u: np.ndarray, theta: float, value: bool = False):
     """Gradient of ``edge_penalty`` in ``u``: each direction's weighted
-    ``phi_grad`` scattered back onto the two ends of its stencils."""
+    ``phi_grad`` scattered back onto the two ends of its stencils.  With
+    ``value``, returns ``(gradient, edge_penalty(u, theta))``, each
+    direction's difference serving both; the value is bitwise
+    ``edge_penalty``'s."""
     g = np.zeros_like(u)
+    penalties = []
     for w, shifted, base, d in _edge_differences(u):
-        t = phi_grad(d, theta)
+        if value:
+            t, penalty = phi_grad(d, theta, True)
+            penalties.append(penalty)
+        else:
+            t = phi_grad(d, theta)
         t *= w
         g[shifted] += t
         g[base] -= t
-    return g
+    return (g, sum(penalties)) if value else g
 
 
 # while a line search moves the kernel, every candidate sees the image's
@@ -149,7 +157,9 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     for that.  ``lipschitz`` holds the moduli of ``bid_lipschitz``.  The data
     term stays in the DFT domain: ``H`` takes it by Parseval from the
     residual spectrum ``uhat*bhat - fhat``, and each partial gradient is one
-    inverse transform.  A non-finite observation raises ``DataError``."""
+    inverse transform; asked for ``H`` too, it adds the data term from that
+    spectrum to the edge penalty (the image block's from the gradient's own
+    differences).  A non-finite observation raises ``DataError``."""
     f = check_data(f, "observed image")
     if f.min() < 0.0 or f.max() > 1.0:
         raise DataError("observed image entries must lie in [0, 1]")
@@ -165,10 +175,12 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         b_hat = kernel_spectrum(x[1], shape)
         return u_hat, b_hat, u_hat * b_hat - f_hat
 
+    def _data(r_hat) -> float:
+        return lam * float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+
     def eval_H(x: BlockVector, above=None) -> float:
         # the data term first: above the bound, it decides without the edge term
-        r_hat = _spectra(x)[2]
-        data = lam * float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+        data = _data(_spectra(x)[2])
         if above is not None and data > above:
             return data
         return _edge_penalty(x[0], theta) + data
@@ -181,12 +193,17 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
             return float("inf")
         return eval_H(x)
 
-    def partial_grad(i: int, x: BlockVector) -> np.ndarray:
+    def partial_grad(i: int, x: BlockVector, value: bool = False):
         u_hat, b_hat, r_hat = _spectra(x)
         if i == 0:
-            return edge_grad(x[0], theta) + lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
+            data_grad = lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
+            if not value:
+                return edge_grad(x[0], theta) + data_grad
+            g, edge = edge_grad(x[0], theta, value=True)
+            return g + data_grad, edge + _data(r_hat)
         full = np.fft.irfft2(r_hat * np.conj(u_hat), s=shape)
-        return lam * centered_kernel_window(full, x[1].shape)
+        g = lam * centered_kernel_window(full, x[1].shape)
+        return (g, _edge_penalty(x[0], theta) + _data(r_hat)) if value else g
 
     def prox(i: int, t: float, p: np.ndarray) -> np.ndarray:
         if i == 0:

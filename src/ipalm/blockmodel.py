@@ -126,7 +126,13 @@ class ProblemSpec:
         exceeds ``above``.  Rounding is monotone, so that value is a lower
         bound on ``H`` and ``H > above`` as well.
     partial_grad : callable
-        ``partial_grad(i, x)`` -> gradient of H in block ``i`` at ``x``.
+        ``partial_grad(i, x, value=False)`` -> gradient of H in block ``i``
+        at ``x``.  With ``value=True`` it returns ``(gradient, H(x))``, where
+        ``H(x)`` is what ``eval_H(x)`` returns, so a problem can build it
+        from what the gradient already formed.  Backtracking asks for it at
+        each line search's base point; exact moduli never do, so a
+        ``partial_grad`` without ``value`` runs only with exact moduli
+        (with backtracking it raises `TypeError` at the first block step).
     prox : callable
         ``prox(i, t, p)`` -> one minimizer of ``f_i(q) + (t/2)||q - p||^2``.
         Always returns a point where ``f_i`` is finite, as an array with
@@ -146,7 +152,7 @@ class ProblemSpec:
     num_blocks: int
     eval_F: Callable[[BlockVector], float]
     eval_H: Callable[..., float]
-    partial_grad: Callable[[int, BlockVector], np.ndarray]
+    partial_grad: Callable[..., np.ndarray]
     prox: Callable[[int, float, np.ndarray], np.ndarray]
     convex: tuple
     lipschitz: Optional[Callable[[int, BlockVector], float]] = None

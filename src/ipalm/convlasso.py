@@ -55,9 +55,9 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
     The data term lives in the DFT domain: the residual spectrum is
     ``fhat*(ghat - 1) + sum_j D_j V_j`` (one batched transform per stack),
     ``H`` is taken from it by Parseval and each partial gradient is one
-    batched inverse transform.  ``lipschitz`` is the Fourier energy of the
-    other block's remembered spectra.  A non-finite image raises
-    ``DataError``.
+    batched inverse transform (with ``value``, ``H`` from the same
+    spectrum).  ``lipschitz`` is the Fourier energy of the other block's
+    remembered spectra.  A non-finite image raises ``DataError``.
     """
     f = check_data(f, "image")
     if p < 2:
@@ -77,9 +77,11 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
         v_hat = image_spectrum(x[1])
         return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
 
-    def eval_H(x: BlockVector, above=None) -> float:
-        r_hat = _spectra(x)[2]
+    def _data(r_hat) -> float:
         return float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+
+    def eval_H(x: BlockVector, above=None) -> float:
+        return _data(_spectra(x)[2])
 
     def eval_F(x: BlockVector) -> float:
         d_free, v_free = x[0], x[1]
@@ -89,12 +91,14 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
             return float("inf")
         return eval_H(x) + lam * (fixed_l1 + float(np.abs(v_free).sum()))
 
-    def partial_grad(i: int, x: BlockVector) -> np.ndarray:
+    def partial_grad(i: int, x: BlockVector, value: bool = False):
         d_hat, v_hat, r_hat = _spectra(x)
         if i == 0:
             full = np.fft.irfft2(r_hat * np.conj(v_hat), s=shape)
-            return centered_kernel_window(full, (l, l))
-        return np.fft.irfft2(r_hat * np.conj(d_hat), s=shape)
+            g = centered_kernel_window(full, (l, l))
+        else:
+            g = np.fft.irfft2(r_hat * np.conj(d_hat), s=shape)
+        return (g, _data(r_hat)) if value else g
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:
         if i == 0:

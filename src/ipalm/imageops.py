@@ -95,17 +95,21 @@ def phi_value(x: np.ndarray, theta: float) -> float:
     return float(np.log1p(t, out=t).sum())
 
 
-def phi_grad(x: np.ndarray, theta: float) -> np.ndarray:
-    """Elementwise derivative ``2*theta*x / (1 + theta*x^2)``."""
+def phi_grad(x: np.ndarray, theta: float, value: bool = False):
+    """Elementwise derivative ``2*theta*x / (1 + theta*x^2)``.  With
+    ``value``, returns ``(derivative, phi_value(x, theta))``, both from one
+    ``theta*x^2``; the value is bitwise what ``phi_value`` returns."""
     if not 0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     x = np.asarray(x, dtype=np.float64)
     den = theta * x
     den *= x
+    if value:
+        penalty = float(np.log1p(den).sum())
     den += 1.0
     out = 2.0 * theta * x
     out /= den
-    return out
+    return (out, penalty) if value else out
 
 
 def _memo_key(arg):

@@ -96,6 +96,7 @@ MAX_ROUNDS = 60
 
 def backtrack_L(
     h_eval: Callable[..., float],
+    h_x: float,
     h_grad_at: np.ndarray,
     x: np.ndarray,
     x_candidate_of_L: Callable[[float], np.ndarray],
@@ -106,11 +107,14 @@ def backtrack_L(
     Tests moduli on the levels ``L = SHRINK*L_prev * GROWTH**j`` with rising
     ``j``, where ``L_prev`` is the block's last accepted modulus, and accepts
     once ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds,
-    where the candidate ``x+`` is recomputed for every tested ``L``.  A tiny
-    relative slack absorbs roundoff at the acceptance boundary, and the first
-    tested modulus is at least ``MODULUS_FLOOR``.  The estimate may thus
-    fall by at most one shrink per call and never settles above ``GROWTH``
-    times the block's true modulus.
+    where the candidate ``x+`` is recomputed for every tested ``L``.  The
+    caller passes ``h_x = h(x)`` with the gradient ``h_grad_at`` (the solver
+    takes both from one ``partial_grad(i, x, value=True)`` pass), so
+    ``h_eval`` runs only at candidates.  A tiny relative slack absorbs
+    roundoff at the acceptance boundary, and the first tested modulus is at
+    least ``MODULUS_FLOOR``.  The estimate may thus fall by at most one
+    shrink per call and never settles above ``GROWTH`` times the block's
+    true modulus.
 
     A rejected candidate shows the curvature along its step,
     ``seen = 2*(h(x+) - h(x) - <grad h(x), d> - slack)/||d||^2`` with
@@ -131,7 +135,7 @@ def backtrack_L(
     """
     if not 0 < L_prev < math.inf:
         raise ValueError(f"L_prev must be positive and finite, got {L_prev}")
-    h_x = float(h_eval(x))
+    h_x = float(h_x)
     if not math.isfinite(h_x):
         raise EstimationError(f"the smooth part is {h_x} at the line search's base point")
     slack = 1e-12 * (1.0 + abs(h_x))

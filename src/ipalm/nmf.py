@@ -23,16 +23,6 @@ def nmf_objective(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     return 0.5 * float(np.vdot(R, R).real)
 
 
-def nmf_grad_B(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Gradient of the coupling term in B: ``(B C - A) C^T``."""
-    return (B @ C - A) @ C.T
-
-
-def nmf_grad_C(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Gradient of the coupling term in C: ``B^T (B C - A)``."""
-    return B.T @ (B @ C - A)
-
-
 def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
     """Exact partial moduli: ``||C C^T||_2`` for block B, ``||B^T B||_2`` for C;
     0 at degenerate iterates, which the solver floors.
@@ -83,10 +73,11 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
             return float("inf")
         return eval_H(x)
 
-    def partial_grad(i: int, x: BlockVector) -> np.ndarray:
-        if i == 0:
-            return nmf_grad_B(A, x[0], x[1])
-        return nmf_grad_C(A, x[0], x[1])
+    def partial_grad(i: int, x: BlockVector, value: bool = False):
+        B, C = x[0], x[1]
+        E = B @ C - A  # exactly -(A - B C), so its squared norm is H's
+        g = E @ C.T if i == 0 else B.T @ E
+        return (g, 0.5 * float(np.vdot(E, E).real)) if value else g
 
     def prox(i: int, t: float, p: np.ndarray) -> np.ndarray:
         if i == 0:

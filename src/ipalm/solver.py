@@ -188,16 +188,18 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         z = extrapolate(x_cur, x_prev, beta, i)
         mixed_blocks[i] = z
         mixed = BlockVector(mixed_blocks)
-        grad = problem.partial_grad(i, mixed)
         scale = state.step_scale[i]
         const_delta = None if state.constant_delta is None else state.constant_delta[i]
         if state.backtrack is None:
+            grad = problem.partial_grad(i, mixed)
             L = max(float(problem.lipschitz(i, mixed)), MODULUS_FLOOR)
             x_new = step(L)
         else:
-            # the accepted modulus is the last one tested, so tau and delta
-            # are the accepted step's
-            L, x_new, _ = backtrack_L(h_eval, grad, z, step, state.backtrack[i])
+            # H at the base point comes from the gradient's own pass; the
+            # accepted modulus is the last one tested, so tau and delta are
+            # the accepted step's
+            grad, h_z = problem.partial_grad(i, mixed, value=True)
+            L, x_new, _ = backtrack_L(h_eval, h_z, grad, z, step, state.backtrack[i])
             state.backtrack[i] = L
 
         if not np.isfinite(x_new).all():

@@ -240,11 +240,19 @@ def check_gradients(
     """Central finite differences of the smooth part against the partial
     gradients, along random unit directions per block.  A direction passes
     when the mismatch is within the relative or the absolute tolerance,
-    whichever is looser."""
+    whichever is looser.  Each block's ``value`` row checks the contract the
+    line search relies on: ``partial_grad(i, x, value=True)`` returns the
+    same gradient and ``eval_H(x)`` to 1e-12 relative."""
     rng = np.random.default_rng(seed)
     report = Report("gradients")
+    h_x = problem.eval_H(x)
     for i in range(problem.num_blocks):
         grad = problem.partial_grad(i, x)
+        grad_v, h_v = problem.partial_grad(i, x, value=True)
+        same = np.array_equal(grad_v, grad)
+        ok = same and abs(h_v - h_x) <= 1e-12 * abs(h_x)
+        detail = "" if ok else f"value={h_v:.17g} eval_H={h_x:.17g} same_gradient={same}"
+        report.add(f"block{i}/value", ok, detail)
         for j in range(n_dirs):
             e = rng.standard_normal(x[i].shape)
             e /= np.sqrt(np.vdot(e, e).real)

@@ -83,9 +83,9 @@ def test_traced_two_sweep_solve_counts_each_layer(prefix):
 
 def test_backtracking_bid_call_pattern_matches_the_pinned_counts():
     """The call pattern `benchmarks/check_determinism.py` pins for criterion
-    9, on a short solve: every backtracking call evaluates h once at its base
-    point and once per tested modulus, and the objective is evaluated once
-    per sweep plus once for F_0."""
+    9, on a short solve: every backtracking call evaluates h once per tested
+    modulus (its base-point value comes with the gradient, one per call),
+    and the objective is evaluated once per sweep plus once for F_0."""
     f = synthetic.synth_bid(size=16, kernel=3, seed=1)["f"]
     params = bid.BidParams(kernel_shape=(3, 3))
     tracer = Tracer()
@@ -100,8 +100,7 @@ def test_backtracking_bid_call_pattern_matches_the_pinned_counts():
     sweeps = tracer.calls["solver.iterate"]
     assert sweeps == 6
     assert tracer.calls["lipschitz.backtrack"] == 2 * sweeps
-    assert tracer.calls["bid.eval_H"] == (
-        tracer.calls["lipschitz.backtrack"] + tracer.extra["lipschitz.backtrack"]
-    )
+    assert tracer.calls["bid.eval_H"] == tracer.extra["lipschitz.backtrack"]
+    assert tracer.calls["bid.grad"] == tracer.calls["lipschitz.backtrack"]
     assert tracer.calls["bid.eval_F"] == sweeps + 1
     assert tracer.calls["lipschitz.modulus"] == 0

@@ -257,6 +257,17 @@ def test_edge_gradient_matches_finite_differences():
     assert np.abs(fd - g).max() <= 1e-6 * np.abs(g).max()
 
 
+def test_edge_grad_value_is_bitwise_the_edge_penalty():
+    rng = np.random.default_rng(6)
+    for theta in (1e4, 1e2, 0.5):
+        for shape in ((6, 5), (24, 24), (3, 9)):
+            u = rng.uniform(0, 1, shape)
+            g, value = bid.edge_grad(u, theta, value=True)
+            assert isinstance(value, float)
+            assert value.hex() == bid.edge_penalty(u, theta).hex()
+            assert g.tobytes() == bid.edge_grad(u, theta).tobytes()
+
+
 def test_bid_oracles_never_call_the_padded_differences(monkeypatch):
     def padded(*args):
         raise AssertionError("padded directional difference on the hot path")
@@ -270,6 +281,7 @@ def test_bid_oracles_never_call_the_padded_differences(monkeypatch):
     assert np.isfinite(with_empty_memos(problem.eval_H, x))
     for i in (0, 1):
         assert np.isfinite(with_empty_memos(problem.partial_grad, i, x)).all()
+        assert np.isfinite(with_empty_memos(problem.partial_grad, i, x, True)[1])
 
 
 def test_kernel_modulus_rejects_a_kernel_taller_than_the_image():
@@ -454,7 +466,7 @@ def test_criterion_9_oracle_counts_over_its_first_100_sweeps(monkeypatch):
                                   eval_H=counting("eval_H", raw.eval_H))
     _, _, tested = _bid_bt_run(monkeypatch, problem, f, BID_BT, "static-c", 100)
     rounds = sum(map(len, tested))
-    assert counts == {"eval_F": 101, "eval_H": 591}
+    assert counts == {"eval_F": 101, "eval_H": 391}
     assert (len(tested), rounds) == (200, 391)
-    # h once at each call's base point and once per tested modulus
-    assert counts["eval_H"] == len(tested) + rounds
+    # h once per tested modulus; its base-point value comes with the gradient
+    assert counts["eval_H"] == rounds

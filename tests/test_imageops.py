@@ -84,6 +84,15 @@ def test_phi_values_and_grad():
                 fn(np.zeros(5), theta)
 
 
+def test_phi_grad_value_is_bitwise_phi_value():
+    rng = np.random.default_rng(14)
+    for theta in (1e4, 1.0, 3e-2):
+        x = rng.normal(scale=0.3, size=(7, 5))
+        grad, value = phi_grad(x, theta, value=True)
+        assert grad.tobytes() == phi_grad(x, theta).tobytes()
+        assert value.hex() == phi_value(x, theta).hex()
+
+
 def test_phi_grad_matches_finite_differences():
     rng = np.random.default_rng(33)
     x = rng.uniform(-1.0, 1.0, size=20)

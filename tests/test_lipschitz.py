@@ -114,7 +114,7 @@ def test_backtrack_accepts_immediately_when_started_above():
     L_true = 3.0
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
-    L, x_next, tested = backtrack_L(h, grad(x), x, make_cand(x), 2.0 * L_true)
+    L, x_next, tested = backtrack_L(h, h(x), grad(x), x, make_cand(x), 2.0 * L_true)
     assert len(tested) == 1 and L == L_true  # SHRINK*L_prev == L_true exactly
     assert np.allclose(x_next, 0.0)
 
@@ -124,7 +124,7 @@ def test_backtrack_grows_to_first_admissible_level():
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
     L0 = L_true / 10.0
-    L, _, tested = backtrack_L(h, grad(x), x, make_cand(x), L0 / 0.5)
+    L, _, tested = backtrack_L(h, h(x), grad(x), x, make_cand(x), L0 / 0.5)
     # the accepted level is the first L0*2^j at or above the true curvature
     levels = [L0 * 2.0**j for j in range(10)]
     expected = next(l for l in levels if l >= L_true * (1.0 - 1e-12))
@@ -147,13 +147,14 @@ def test_backtrack_linear_accepts_at_initial_level():
     def cand(L):
         return x - c / L
 
-    L, _, tested = backtrack_L(h, c, x, cand, 0.02)
+    L, _, tested = backtrack_L(h, h(x), c, x, cand, 0.02)
     assert L == pytest.approx(0.01) and len(tested) == 1
 
 
 def test_backtrack_passes_each_candidate_its_bound():
-    # the base point gets no bound; each candidate gets rhs + slack, and a
-    # partial value above that bound rejects like the full value would
+    # h is called only at candidates (its base-point value comes with the
+    # gradient); each gets rhs + slack, and a partial value above that bound
+    # rejects like the full value would
     L_true = 3.0
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
@@ -165,10 +166,10 @@ def test_backtrack_passes_each_candidate_its_bound():
         # the least value past the bound: a lower bound on h, as the contract asks
         return np.nextafter(above, np.inf) if above is not None and full > above else full
 
-    L, _, tested = backtrack_L(bounded, grad(x), x, make_cand(x), L_true / 5.0)
-    assert bounds[0] is None and len(bounds) == 1 + len(tested)
-    assert all(b is not None for b in bounds[1:])
-    want, _, want_tested = backtrack_L(h, grad(x), x, make_cand(x), L_true / 5.0)
+    L, _, tested = backtrack_L(bounded, h(x), grad(x), x, make_cand(x), L_true / 5.0)
+    assert len(bounds) == len(tested)
+    assert all(b is not None for b in bounds)
+    want, _, want_tested = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_true / 5.0)
     # both accept the same level; a value just past its bound shows almost no
     # curvature, so its search goes one level per round where the full value
     # skips to 8 * 0.3 = 2.4
@@ -202,7 +203,7 @@ def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus
     for _ in range(200):
         h, g, x, cand, L_true = _quadratic_on_orthant(rng, int(rng.integers(1, 6)))
         start = L_true * 10.0 ** rng.uniform(-8, 0)  # from below the true modulus
-        L, _, tested = backtrack_L(h, g, x, cand, start / 0.5)
+        L, _, tested = backtrack_L(h, h(x), g, x, cand, start / 0.5)
         # every tested modulus is start*growth**j, with j strictly rising
         js = [round(math.log(t / start, growth)) for t in tested]
         assert tested == pytest.approx([start * growth**j for j in js], rel=1e-12)
@@ -220,12 +221,12 @@ def test_backtrack_moves_one_level_past_a_non_finite_value():
     L_true = 3.0
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
-    values = iter([h(x), np.inf, np.nan])
+    values = iter([np.inf, np.nan])
 
     def faulty(q, above=None):
         return next(values, h(q))
 
-    L, _, tested = backtrack_L(faulty, grad(x), x, make_cand(x), 2e-3)
+    L, _, tested = backtrack_L(faulty, h(x), grad(x), x, make_cand(x), 2e-3)
     assert tested[:3] == [1e-3, 2e-3, 4e-3]
     assert len(tested) == 5 and L == tested[-1] == 1e-3 * 2.0**12  # 2.048 < L_true < 4.096
 
@@ -234,14 +235,14 @@ def test_backtrack_fails_cleanly_at_the_top_of_the_float_range(monkeypatch):
     # a curvature at the largest float puts the next level at growth**1024,
     # past the float range: the search goes on and ends in its own error
     x = np.zeros(1)
-    values = iter([0.0, sys.float_info.max / 2])
+    values = iter([sys.float_info.max / 2])
 
     def h(q, above=None):
         return next(values, np.nan)
 
     monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 3)
     with pytest.raises(EstimationError):
-        backtrack_L(h, np.zeros(1), x, lambda L: np.ones(1), 2.0)
+        backtrack_L(h, 0.0, np.zeros(1), x, lambda L: np.ones(1), 2.0)
 
 
 def test_backtrack_detects_wrong_gradient(monkeypatch):
@@ -259,7 +260,7 @@ def test_backtrack_detects_wrong_gradient(monkeypatch):
 
     monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 30)
     with pytest.raises(EstimationError) as err:
-        backtrack_L(h, wrong, x, cand, 1.0)
+        backtrack_L(h, h(x), wrong, x, cand, 1.0)
     # each rejection sees a curvature just under 4L, so the search doubles;
     # the message names the last tested modulus, 0.5 * 2**30, and the budget
     assert "after 30 rounds (last tested L 5.369e+08)" in str(err.value)
@@ -269,11 +270,13 @@ def test_backtrack_detects_wrong_gradient(monkeypatch):
 def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
     # the quadratic upper bound with L = ||C C^T||_2 must hold between any
     # two points of the first factor block
-    from ipalm.nmf import nmf_grad_B, nmf_lipschitz, nmf_objective
+    from ipalm.blockmodel import BlockVector
+    from ipalm.nmf import make_nmf_problem, nmf_lipschitz, nmf_objective
 
     rng = np.random.default_rng(23)
     A = rng.uniform(0, 1, (5, 6))
     C = rng.uniform(0, 1, (3, 6))
+    grad_B = make_nmf_problem(A, r=3, s=5).partial_grad
     L = nmf_lipschitz(0, np.zeros((5, 3)), C)
     for _ in range(100):
         B1 = rng.uniform(-1, 1, (5, 3))
@@ -282,7 +285,7 @@ def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
         lhs = nmf_objective(A, B2, C)
         rhs = (
             nmf_objective(A, B1, C)
-            + float(np.vdot(nmf_grad_B(A, B1, C), d))
+            + float(np.vdot(grad_B(0, BlockVector([B1, C])), d))
             + 0.5 * L * float(np.vdot(d, d))
         )
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
@@ -293,13 +296,13 @@ def test_backtrack_rejects_a_previous_modulus_that_is_not_positive_and_finite():
     x = np.array([1.0])
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="L_prev must be positive and finite"):
-            backtrack_L(h, grad(x), x, make_cand(x), bad)
+            backtrack_L(h, h(x), grad(x), x, make_cand(x), bad)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_backtrack_stops_at_a_non_finite_smooth_part_before_any_candidate(bad):
     # no level can pass the descent lemma when h(x) itself is not finite: the
-    # search names the cause after one h evaluation, before any prox call
+    # search names the cause before any h evaluation or prox call
     calls, candidates = [], []
 
     def h(q, above=None):
@@ -312,5 +315,5 @@ def test_backtrack_stops_at_a_non_finite_smooth_part_before_any_candidate(bad):
 
     with pytest.raises(EstimationError, match=f"the smooth part is {bad} at the line "
                                               f"search's base point"):
-        backtrack_L(h, np.zeros(1), np.ones(1), cand, 1.0)
-    assert calls == [None] and candidates == []
+        backtrack_L(h, bad, np.zeros(1), np.ones(1), cand, 1.0)
+    assert calls == [] and candidates == []

@@ -1,6 +1,7 @@
 """The one-entry memos behind the BID and convlasso oracles: keys by value,
 read-only results, one slot that stays consistent under thread switching,
-and oracles that stay bitwise equal to a computation with empty memos."""
+and oracles that stay bitwise equal to a computation with empty memos; the
+value ``partial_grad`` returns with the gradient is bitwise ``eval_H``'s."""
 
 import sys
 import threading
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from ipalm import bid, convlasso, synthetic
+from ipalm import bid, convlasso, nmf, synthetic
 from ipalm.blockmodel import BlockVector
 from ipalm.imageops import remember_last
 
@@ -202,9 +203,8 @@ def test_convlasso_remembered_spectra_are_read_only():
         assert not spectrum.flags.writeable
 
 
-def test_convlasso_oracles_match_fresh_evaluations_bitwise():
-    problem, x = convlasso_case()
-    rng = np.random.default_rng(9)
+def convlasso_line_search_points(x, rng):
+    """The convlasso counterpart of `bid_line_search_points`."""
     d, v = x[0], x[1]
     points = []
     for _ in range(2):
@@ -214,11 +214,67 @@ def test_convlasso_oracles_match_fresh_evaluations_bitwise():
         points += [(d, v)] * 2
         points += [(d, v + 0.1 * rng.normal(size=v.shape)) for _ in range(3)]
         v = points[-1][1]
-    for d, v in points:
+    return points
+
+
+def test_convlasso_oracles_match_fresh_evaluations_bitwise():
+    problem, x = convlasso_case()
+    for d, v in convlasso_line_search_points(x, np.random.default_rng(9)):
         xb = BlockVector([d, v])
         for oracle, args in ((problem.eval_H, (xb,)), (problem.partial_grad, (0, xb)),
                              (problem.partial_grad, (1, xb))):
             assert bits(oracle(*args)) == bits(with_empty_memos(oracle, *args))
+
+
+# ---------------------------------------------------------------------------
+# the value with the gradient
+
+
+def nmf_line_search_points(rng):
+    """A small NMF instance and points in the order a backtracking sweep
+    visits them, as in `bid_line_search_points`."""
+    A = synthetic.synth_nmf(seed=4)["A"]
+    x = nmf.init_nmf(A, r=3, s=2, seed=4)
+    B, C = x[0], x[1]
+    points = []
+    for _ in range(2):
+        points += [(B, C)] * 2
+        points += [(np.abs(B + 0.1 * rng.normal(size=B.shape)), C) for _ in range(3)]
+        B = points[-1][0]
+        points += [(B, C)] * 2
+        points += [(B, np.abs(C + 0.1 * rng.normal(size=C.shape))) for _ in range(3)]
+        C = points[-1][1]
+    return nmf.make_nmf_problem(A, r=3, s=2), points
+
+
+def value_case(name):
+    """A problem and its line-search points."""
+    if name == "bid":
+        problem, x = bid_case(seed=3)
+        return problem, bid_line_search_points(x, np.random.default_rng(5))
+    if name == "convlasso":
+        problem, x = convlasso_case()
+        return problem, convlasso_line_search_points(x, np.random.default_rng(9))
+    return nmf_line_search_points(np.random.default_rng(6))
+
+
+def warm(fn, *args):
+    return fn(*args)
+
+
+@pytest.mark.parametrize("call", [warm, with_empty_memos], ids=["warm", "empty_memos"])
+@pytest.mark.parametrize("case", ["bid", "convlasso", "nmf"])
+def test_partial_grad_value_is_bitwise_the_gradient_and_eval_H(case, call):
+    """``partial_grad(i, x, value=True)`` is ``(partial_grad(i, x), eval_H(x))``
+    bit for bit at every line-search point, whatever the memos hold."""
+    problem, points = value_case(case)
+    for blocks in points:
+        x = BlockVector(list(blocks))
+        for i in range(2):
+            grad, h = call(problem.partial_grad, i, x, True)
+            assert isinstance(h, float)
+            assert bits(grad) == bits(call(problem.partial_grad, i, x))
+            assert bits(h) == bits(call(problem.eval_H, x))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +319,9 @@ def test_warm_bid_oracles_make_no_spatial_round_trip(transforms):
     assert warm_counts(transforms, problem.partial_grad, (0, x), remembered) == 1
     assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1
     assert warm_counts(transforms, problem.lipschitz, (0, x), remembered[1:]) == 0
+    # asking for the value too costs no transform
+    assert warm_counts(transforms, problem.partial_grad, (0, x, True), remembered) == 1
+    assert warm_counts(transforms, problem.partial_grad, (1, x, True), remembered) == 1
 
 
 def test_warm_convlasso_oracles_make_no_spatial_round_trip(transforms):
@@ -274,3 +333,5 @@ def test_warm_convlasso_oracles_make_no_spatial_round_trip(transforms):
     assert warm_counts(transforms, problem.partial_grad, (1, x), remembered) == 1
     assert warm_counts(transforms, problem.lipschitz, (0, x), remembered[1:]) == 0
     assert warm_counts(transforms, problem.lipschitz, (1, x), remembered[:1]) == 0
+    assert warm_counts(transforms, problem.partial_grad, (0, x, True), remembered) == 1
+    assert warm_counts(transforms, problem.partial_grad, (1, x, True), remembered) == 1

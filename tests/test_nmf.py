@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import trace_column
 
+from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
 from ipalm.nmf import (
     DataError,
@@ -10,8 +11,6 @@ from ipalm.nmf import (
     load_matrix_csv,
     load_pgm_dir,
     make_nmf_problem,
-    nmf_grad_B,
-    nmf_grad_C,
     nmf_lipschitz,
     nmf_objective,
     save_matrix_csv,
@@ -19,6 +18,16 @@ from ipalm.nmf import (
 from ipalm.imageops import write_pgm
 from ipalm.solver import make_state, run, run_state
 from ipalm.synthetic import synth_nmf
+
+
+def nmf_grad_B(A, B, C):
+    """The problem's partial gradient in B, ``(B C - A) C^T``."""
+    return make_nmf_problem(A, r=B.shape[1], s=B.shape[0]).partial_grad(0, BlockVector([B, C]))
+
+
+def nmf_grad_C(A, B, C):
+    """The problem's partial gradient in C, ``B^T (B C - A)``."""
+    return make_nmf_problem(A, r=B.shape[1], s=B.shape[0]).partial_grad(1, BlockVector([B, C]))
 
 
 def test_grads_zero_cases():

@@ -32,11 +32,14 @@ def one_block_quadratic():
     def eval_H(x, above=None):
         return 0.5 * x.norm_sq()
 
+    def partial_grad(i, x, value=False):
+        return (x[0].copy(), eval_H(x)) if value else x[0].copy()
+
     return ProblemSpec(
         num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
-        partial_grad=lambda i, x: x[0].copy(),
+        partial_grad=partial_grad,
         prox=lambda i, t, p: p,
         convex=(False,),
         lipschitz=lambda i, x: 1.0,
@@ -164,6 +167,30 @@ def test_make_state_rejects_exact_mode_without_moduli_naming_the_problem():
     make_state(no_moduli, x0, Static(0.0, 0.0), backtracking=True)
 
 
+def test_backtracking_asks_partial_grad_for_the_value_and_exact_moduli_do_not():
+    # a partial_grad without ``value`` runs with exact moduli, and fails with
+    # a TypeError at the first block step of a line search
+    plain = dataclasses.replace(one_block_quadratic(), partial_grad=lambda i, x: x[0].copy())
+    x0 = BlockVector([np.ones(3)])
+    run_state(make_state(plain, x0, Static(0.0, 0.0)), plain, 2, 0.0)
+    state = make_state(plain, x0, Static(0.0, 0.0), backtracking=True)
+    with pytest.raises(TypeError, match="value"):
+        ipalm_iterate(state, plain)
+    # with backtracking, h is evaluated only at candidates: its base-point
+    # value comes with the gradient
+    calls = []
+    raw = one_block_quadratic()
+
+    def eval_H(x, above=None):
+        calls.append(above)
+        return raw.eval_H(x, above)
+
+    problem = dataclasses.replace(raw, eval_H=eval_H)
+    state = make_state(problem, x0, Static(0.0, 0.0), backtracking=True)
+    ipalm_iterate(state, problem)
+    assert calls and all(above is not None for above in calls)
+
+
 def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_problem():
     problem = _unevaluated(one_block_quadratic())
     x0 = BlockVector([np.ones(2)])
@@ -188,9 +215,9 @@ def test_a_wrong_shape_prox_output_stops_the_sweep_at_that_block(backtracking):
     nmf = make_nmf_problem(inst["A"], r=3, s=2)
     grads = []
 
-    def partial_grad(i, x):
+    def partial_grad(i, x, value=False):
         grads.append(i)
-        return nmf.partial_grad(i, x)
+        return nmf.partial_grad(i, x, value)
 
     def prox(i, t, p):
         out = nmf.prox(i, t, p)
@@ -261,11 +288,14 @@ def test_backtracking_on_a_pinned_block_keeps_its_modulus_at_the_floor():
     def eval_H(x, above=None):
         return float(x[0].sum())
 
+    def partial_grad(i, x, value=False):
+        return (np.ones_like(x[0]), eval_H(x)) if value else np.ones_like(x[0])
+
     problem = ProblemSpec(
         num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
-        partial_grad=lambda i, x: np.ones_like(x[0]),
+        partial_grad=partial_grad,
         prox=lambda i, t, p: prox_nonneg(p),
         convex=(True,),
         name="pinned",

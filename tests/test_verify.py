@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 
-from ipalm.blockmodel import ProblemSpec
+from ipalm.bid import BidParams, init_bid, make_bid_problem
+from ipalm.blockmodel import BlockVector, ProblemSpec
 from ipalm.config import RunConfig
+from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.schedules import delta_star
 from ipalm.solver import run
-from ipalm.synthetic import synth_nmf
+from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 from ipalm.verify import (
     check_c1_descent,
     check_gradients,
@@ -46,11 +50,18 @@ def test_prox_inequality_fixed_point_case():
 def test_gradient_check_flags_wrong_gradients():
     inst = synth_nmf(seed=3)
     good = make_nmf_problem(inst["A"], r=3, s=2)
+
+    def scaled(i, x, value=False):
+        if value:
+            g, h = good.partial_grad(i, x, value=True)
+            return 1.01 * g, h
+        return 1.01 * good.partial_grad(i, x)
+
     bad = ProblemSpec(
         num_blocks=2,
         eval_F=good.eval_F,
         eval_H=good.eval_H,
-        partial_grad=lambda i, x: 1.01 * good.partial_grad(i, x),
+        partial_grad=scaled,
         prox=good.prox,
         convex=good.convex,
         lipschitz=good.lipschitz,
@@ -58,7 +69,44 @@ def test_gradient_check_flags_wrong_gradients():
     )
     x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
     assert check_gradients(good, x0, seed=3).ok
-    assert not check_gradients(bad, x0, seed=3).ok
+    report = check_gradients(bad, x0, seed=3)
+    assert not report.ok
+    # the value rows hold: the scaled gradient is consistent with itself
+    assert {r.trial for r in report.violations} <= {
+        f"block{i}/dir{j}" for i in range(2) for j in range(20)}
+
+
+def _value_cases():
+    inst = synth_nmf(seed=3)
+    nmf_problem = make_nmf_problem(inst["A"], r=3, s=2)
+    yield nmf_problem, init_nmf(inst["A"], r=3, s=2, seed=3)
+    f = synth_bid(size=16, kernel=3, seed=3)["f"]
+    params = BidParams(kernel_shape=(3, 3))
+    yield make_bid_problem(f, params), init_bid(f, params)
+    f = synth_convlasso(size=12, seed=3)["f"]
+    x = init_convlasso(f, p=3, l=3, seed=3)
+    rng = np.random.default_rng(3)
+    yield (make_convlasso_problem(f, p=3, l=3, lam=0.05),
+           BlockVector([x[0], 0.1 * rng.standard_normal(x[1].shape)]))
+
+
+def test_gradient_check_holds_partial_grad_to_the_value_contract():
+    for problem, x in _value_cases():
+        report = check_gradients(problem, x, n_dirs=2, seed=3)
+        assert report.ok, report.violations[:3]
+        assert [r.trial for r in report.rows if r.trial.endswith("/value")] == [
+            "block0/value", "block1/value"]
+
+        def off_by_one(i, x, value=False, _grad=problem.partial_grad):
+            if value:
+                g, h = _grad(i, x, value=True)
+                return g, h + 1.0
+            return _grad(i, x)
+
+        bad = dataclasses.replace(problem, partial_grad=off_by_one)
+        report = check_gradients(bad, x, n_dirs=2, seed=3)
+        assert [r.trial for r in report.violations] == ["block0/value", "block1/value"]
+        assert "eval_H=" in report.violations[0].detail
 
 
 def _c1_setup(seed, lipschitz_scale=1.0, iters=200):
