@@ -33,15 +33,12 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
 from .prox import prox_filter_constraint, prox_l1
 
 
-def gaussian_filter(l: int, sigma: float = None) -> np.ndarray:
-    """l-by-l sampled Gaussian normalized to sum one; ``sigma`` defaults to
-    ``l/4``, the width of the pinned low-pass filter."""
+def gaussian_filter(l: int) -> np.ndarray:
+    """l-by-l sampled Gaussian of width ``l/4`` normalized to sum one: the
+    pinned low-pass filter."""
     if l < 1 or l % 2 == 0:
         raise ValueError(f"filter size must be odd and positive, got {l}")
-    if sigma is None:
-        sigma = l / 4.0
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = l / 4.0
     ax = np.arange(l) - (l - 1) / 2.0
     gx = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
     g = np.outer(gx, gx)
@@ -102,10 +99,7 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:
         if i == 0:
-            out = np.empty_like(q)
-            for j in range(q.shape[0]):
-                out[j] = prox_filter_constraint(q[j])
-            return out
+            return prox_filter_constraint(q)
         return prox_l1(q, lam / t)
 
     def lipschitz(i: int, x: BlockVector) -> float:
@@ -129,8 +123,8 @@ def init_convlasso(f: np.ndarray, p: int, l: int, seed: int = 0) -> BlockVector:
     set; free coefficients: zero."""
     rng = np.random.default_rng(seed)
     d_free = rng.normal(size=(p - 1, l, l))
-    for j in range(p - 1):
-        d_free[j] = prox_filter_constraint(d_free[j] / max(np.abs(d_free[j]).max(), 1.0))
+    scale = np.maximum(np.abs(d_free).max(axis=(1, 2), keepdims=True), 1.0)
+    d_free = prox_filter_constraint(d_free / scale)
     v_free = np.zeros((p - 1,) + np.asarray(f).shape)
     return BlockVector([d_free, v_free])
 
@@ -148,25 +142,19 @@ def dump_dictionary_pgm(d: np.ndarray, path) -> None:
     p, l, _ = d.shape
     cols = int(np.ceil(np.sqrt(p)))
     rows = int(np.ceil(p / cols))
-    pad = 1
-    mosaic = np.zeros((rows * (l + pad) + pad, cols * (l + pad) + pad))
-    for j in range(p):
-        tile = d[j]
-        lo, hi = tile.min(), tile.max()
-        tile = (tile - lo) / (hi - lo) if hi > lo else np.zeros_like(tile)
-        rr, cc = divmod(j, cols)
-        r0 = pad + rr * (l + pad)
-        c0 = pad + cc * (l + pad)
-        mosaic[r0 : r0 + l, c0 : c0 + l] = tile
-    write_pgm(path, mosaic)
+    lo = d.min(axis=(1, 2), keepdims=True)
+    span = d.max(axis=(1, 2), keepdims=True) - lo
+    # one cell per grid slot: the tile, then a one-pixel gap below and right
+    cells = np.zeros((rows * cols, l + 1, l + 1))
+    np.divide(d - lo, span, out=cells[:p, :l, :l], where=span > 0)
+    grid = cells.reshape(rows, cols, l + 1, l + 1).transpose(0, 2, 1, 3)
+    write_pgm(path, np.pad(grid.reshape(rows * (l + 1), cols * (l + 1)), ((1, 0), (1, 0))))
 
 
 def sparsity_report_csv(v: np.ndarray, path) -> None:
     """Per-coefficient-image nonzero fraction, one row per slot."""
-    lines = ["slot,nonzero_fraction"]
-    for j in range(v.shape[0]):
-        frac = float((v[j] != 0).mean())
-        lines.append(f"{j},{frac:.17g}")
+    fractions = (v != 0).mean(axis=(1, 2))
+    lines = ["slot,nonzero_fraction"] + [f"{j},{frac:.17g}" for j, frac in enumerate(fractions)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

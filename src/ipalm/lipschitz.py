@@ -25,10 +25,24 @@ class EstimationError(RuntimeError):
 # every line search; the estimates below return the raw value.
 MODULUS_FLOOR = 1e-12
 
-# Factor on a dense top eigenvalue, so that step rules built on it never
-# undershoot the true modulus; its margin is far above the eigensolver's own
-# rounding error on the small Gram matrices it is used for.
+# Factor on every exact modulus, so that step rules built on it never
+# undershoot the true one: its margin is far above a dense eigensolver's
+# rounding error on the small Gram matrices, and ten times the power
+# iteration's tolerance.
 SAFEGUARD = 1.0 + 1e-8
+
+# The power iteration's policy: it stops once two successive Rayleigh
+# quotients agree to ``POWER_TOL`` relative, within ``POWER_STEPS`` steps.
+POWER_TOL = 1e-9
+POWER_STEPS = 1000
+
+# The line search's policy.  Each call starts from ``SHRINK`` times the
+# block's last accepted modulus (``START`` before the first call) and climbs
+# the levels ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up.
+START = 1.0
+GROWTH = 2.0
+SHRINK = 0.5
+MAX_ROUNDS = 60
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -47,51 +61,44 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[-1]) * SAFEGUARD
 
 
-def operator_norm(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    shape: tuple,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> float:
+def operator_norm(matvec: Callable[[np.ndarray], np.ndarray], shape: tuple) -> float:
     """Largest eigenvalue of a symmetric PSD operator given as a matvec, by
     power iteration.
 
     Deterministic start (normalized all-ones array), which assumes a top
     eigenvector not orthogonal to it; that holds for an entrywise-nonnegative
     operator such as the BID kernel normal operator (Perron-Frobenius).  The
-    converged Rayleigh quotient is multiplied by the safeguard ``1 + 10*tol``
-    so that step rules built on the result never undershoot the true modulus
-    by more than the iteration tolerance.
+    converged Rayleigh quotient is multiplied by ``SAFEGUARD`` so that step
+    rules built on the result never undershoot the true modulus by more than
+    the iteration tolerance.  A step whose Rayleigh quotient or image norm is
+    not finite (an operator whose image overflows) raises ``EstimationError``
+    at once.
     """
     v = np.full(shape, 1.0)
     v /= np.sqrt(v.size)
     lam_prev = np.inf
     gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_STEPS):
         w = matvec(v)
         lam = float(np.vdot(v, w).real)
         nw = float(np.sqrt(np.vdot(w, w).real))
+        if not (math.isfinite(lam) and math.isfinite(nw)):
+            raise EstimationError(
+                f"operator power iteration reached a non-finite value "
+                f"(Rayleigh quotient {lam:.3e}, image norm {nw:.3e})"
+            )
         if nw == 0.0:
             return 0.0
         v = w / nw
         gap = abs(lam - lam_prev)
-        if gap <= tol * max(abs(lam), 1e-300):
-            return lam * (1.0 + 10.0 * tol)
+        if gap <= POWER_TOL * max(abs(lam), 1e-300):
+            return lam * SAFEGUARD
         lam_prev = lam
     raise EstimationError(
-        f"operator power iteration did not converge in {max_iter} iterations "
+        f"operator power iteration did not converge in {POWER_STEPS} iterations "
         f"(last gap {gap:.3e})",
         gap=gap,
     )
-
-
-# The line search's policy.  Each call starts from ``SHRINK`` times the
-# block's last accepted modulus (``START`` before the first call) and climbs
-# the levels ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up.
-START = 1.0
-GROWTH = 2.0
-SHRINK = 0.5
-MAX_ROUNDS = 60
 
 
 def backtrack_L(

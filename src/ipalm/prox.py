@@ -88,20 +88,26 @@ def prox_l1(p: np.ndarray, w: float) -> np.ndarray:
 
 
 def prox_filter_constraint(d: np.ndarray) -> np.ndarray:
-    """Projection onto {zero mean} intersected with the unit l2 ball.
+    """Projection of every filter onto {zero mean} intersected with the unit
+    l2 ball.
 
-    Computed sequentially: subtract the mean, then scale into the ball if
-    needed.  The sequential formula is exact for this pair of sets: the
-    zero-mean set is a linear subspace containing the ball's center, the
-    first step is the orthogonal projection onto it, and radial scaling
-    stays inside the subspace, so the composition satisfies the variational
-    characterization of the projection onto the intersection.
+    Filters span the last two axes, so a ``(k, l, l)`` stack is projected
+    filter by filter in one call; a 1-D array is one filter.  Computed
+    sequentially: subtract the mean, then scale into the ball if needed.
+    The sequential formula is exact for this pair of sets: the zero-mean set
+    is a linear subspace containing the ball's center, the first step is the
+    orthogonal projection onto it, and radial scaling stays inside the
+    subspace, so the composition satisfies the variational characterization
+    of the projection onto the intersection.
     """
     d = np.asarray(d, dtype=np.float64)
-    if d.size < 2:
+    f = np.atleast_2d(d)
+    size = f.shape[-2] * f.shape[-1]
+    if size < 2:
         raise ValueError("filter must have at least 2 entries")
-    out = d - d.mean()
-    nrm = float(np.sqrt(np.vdot(out, out).real))
-    if nrm > 1.0:
-        out = out / nrm
-    return out
+    out = f - f.mean(axis=(-2, -1), keepdims=True)
+    # one 1x1 product per filter: its squared norm, bitwise the one-filter
+    # dot product, which an elementwise sum of squares is not
+    flat = out.reshape(out.shape[:-2] + (1, size))
+    nrm = np.sqrt(np.matmul(flat, np.swapaxes(flat, -1, -2)))
+    return (out / np.maximum(nrm, 1.0)).reshape(d.shape)

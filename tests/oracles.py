@@ -4,7 +4,8 @@ The convolution loops are O(M*N) references for the FFT views in
 `ipalm.imageops`; the centred loops roll around the corner-anchored ones.
 The BID references recompute the smooth term and its gradients in the image
 domain from the centred views with no remembered spectra, the convlasso
-references do the same filter by filter on complete stacks, and
+references do the same filter by filter on complete stacks,
+``filter_projection_ref`` is the per-filter loop of the filter projection, and
 ``fourier_energy`` is the corner-padded reference for the convlasso moduli;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
 `ipalm.bid` and `ipalm.convlasso` swapped for an empty one.
@@ -215,6 +216,19 @@ def convlasso_grads(d: np.ndarray, v: np.ndarray, f: np.ndarray):
         gv[j] = centered_corr_image(r, d[j])
         gd[j] = centered_corr_kernel(r, v[j], d[j].shape)
     return gd, gv
+
+
+def filter_projection_ref(stack: np.ndarray) -> np.ndarray:
+    """The one-filter projection onto {zero mean} intersected with the unit
+    l2 ball, filter by filter along the first axis of ``stack``: subtract the
+    mean, then divide by the norm when it is above one."""
+    out = np.empty_like(stack, dtype=np.float64)
+    for j, d in enumerate(np.asarray(stack, dtype=np.float64)):
+        out[j] = d - d.mean()
+        nrm = float(np.sqrt(np.vdot(out[j], out[j]).real))
+        if nrm > 1.0:
+            out[j] = out[j] / nrm
+    return out
 
 
 def fourier_energy(stack: np.ndarray, shape) -> float:

@@ -191,9 +191,9 @@ def test_kernel_power_iteration_runs_on_the_dense_normal_operator(monkeypatch, s
     b = random_kernel(rng, kshape)
     seen = {}
 
-    def spy(matvec, op_shape, **kwargs):
+    def spy(matvec, op_shape):
         seen["matvec"], seen["shape"] = matvec, op_shape
-        return operator_norm(matvec, op_shape, **kwargs)
+        return operator_norm(matvec, op_shape)
 
     monkeypatch.setattr(bid, "operator_norm", spy)
     bid_lipschitz(1, u, b, params)

@@ -25,7 +25,7 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 67
 BID_BACKTRACKING = 314
-CONVLASSO_BACKTRACKING = 170
+CONVLASSO_BACKTRACKING = 164
 
 
 def package_calls_per_sweep(state, problem) -> int:

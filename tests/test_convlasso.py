@@ -5,6 +5,7 @@ from oracles import (
     convlasso_grads,
     convlasso_objective,
     convlasso_residual,
+    filter_projection_ref,
     fourier_energy,
     trace_column,
 )
@@ -12,8 +13,10 @@ from oracles import (
 from ipalm import DataError
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
+from ipalm.imageops import write_pgm
 from ipalm.convlasso import (
     assemble_stacks,
+    dump_dictionary_pgm,
     dump_outputs,
     gaussian_filter,
     init_convlasso,
@@ -45,22 +48,27 @@ def loop_objective(d, v, f, lam):
 
 
 def test_gaussian_filter_normalized():
-    g = gaussian_filter(5, 1.25)
+    g = gaussian_filter(5)
     assert g.shape == (5, 5)
     assert g.sum() == pytest.approx(1.0)
     assert g[2, 2] == g.max()  # peak at the center
     with pytest.raises(ValueError):
-        gaussian_filter(4, 1.0)
+        gaussian_filter(4)
 
 
-def test_gaussian_filter_width_defaults_to_a_quarter_of_its_size():
-    assert np.array_equal(gaussian_filter(5), gaussian_filter(5, 1.25))
+def test_gaussian_filter_width_is_a_quarter_of_its_size():
+    # the closed-form sampled Gaussian exp(-(i^2 + j^2) / (2 sigma^2)) with
+    # sigma = l/4 and offsets from the centre, normalized to sum one
+    for l in (1, 3, 5, 11):
+        i, j = np.mgrid[:l, :l] - (l - 1) / 2
+        ref = np.exp(-(i**2 + j**2) / (2 * (l / 4) ** 2))
+        assert np.allclose(gaussian_filter(l), ref / ref.sum(), rtol=1e-14, atol=0)
 
 
 def test_objective_single_fixed_pair_is_constant():
     rng = np.random.default_rng(91)
     f = rng.uniform(0, 1, (8, 8))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d = g[None]
     v = f[None]
     val = convlasso_objective(d, v, f, lam=0.3, g=g)
@@ -72,7 +80,7 @@ def test_objective_single_fixed_pair_is_constant():
 def test_objective_all_free_coefficients_zero():
     rng = np.random.default_rng(92)
     f = rng.uniform(0, 1, (8, 8))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d = np.stack([g, rng.standard_normal((3, 3))])
     v = np.stack([f, np.zeros_like(f)])
     from ipalm.imageops import centered_conv
@@ -85,7 +93,7 @@ def test_objective_all_free_coefficients_zero():
 def test_objective_matches_loop_oracle():
     rng = np.random.default_rng(93)
     f = rng.uniform(0, 1, (6, 6))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d = np.stack([g, rng.standard_normal((3, 3)), rng.standard_normal((3, 3))])
     v = np.stack([f, rng.standard_normal((6, 6)), rng.standard_normal((6, 6))])
     fast = convlasso_objective(d, v, f, lam=0.2)
@@ -96,7 +104,7 @@ def test_objective_matches_loop_oracle():
 def test_objective_contract_error_on_mutated_fixed_slots():
     rng = np.random.default_rng(94)
     f = rng.uniform(0, 1, (6, 6))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d = np.stack([g * 1.001, rng.standard_normal((3, 3))])
     v = np.stack([f, np.zeros_like(f)])
     with pytest.raises(ContractError):
@@ -110,7 +118,7 @@ def test_objective_contract_error_on_mutated_fixed_slots():
 def test_grads_zero_at_zero_residual():
     # constant image: the fixed low-pass reproduces it exactly, free slots zero
     f = np.full((8, 8), 0.37)
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d = np.stack([g, np.zeros((3, 3))])
     v = np.stack([f, np.zeros_like(f)])
     assert np.abs(convlasso_residual(d, v, f)).max() <= 1e-14
@@ -121,7 +129,7 @@ def test_grads_zero_at_zero_residual():
 def test_grads_delta_filter_passes_residual_through():
     rng = np.random.default_rng(95)
     f = rng.uniform(0, 1, (8, 8))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     delta = np.zeros((3, 3))
     delta[1, 1] = 1.0
     d = np.stack([g, delta])
@@ -152,8 +160,22 @@ def test_problem_gradients_match_finite_differences():
 
 
 def _random_feasible_point(rng, shape, p, l):
-    d = np.stack([prox_filter_constraint(rng.standard_normal((l, l))) for _ in range(p - 1)])
+    d = prox_filter_constraint(rng.standard_normal((p - 1, l, l)))
     return BlockVector([d, rng.standard_normal((p - 1,) + shape)])
+
+
+def test_filter_block_prox_and_init_match_the_per_filter_loop():
+    # one call on the whole filter stack, bit for bit the loop over filters
+    rng = np.random.default_rng(105)
+    f = rng.uniform(0, 1, (9, 8))
+    for p, l in ((2, 3), (8, 5), (12, 7)):
+        problem = make_convlasso_problem(f, p=p, l=l, lam=0.1)
+        q = rng.standard_normal((p - 1, l, l)) * rng.uniform(0.01, 10.0, (p - 1, 1, 1))
+        q[-1] += 3.0
+        assert np.array_equal(problem.prox(0, 2.0, q), filter_projection_ref(q))
+        d = np.random.default_rng(p).normal(size=(p - 1, l, l))
+        scaled = np.stack([dj / max(np.abs(dj).max(), 1.0) for dj in d])
+        assert np.array_equal(init_convlasso(f, p, l, seed=p)[0], filter_projection_ref(scaled))
 
 
 @pytest.mark.parametrize("shape", [(10, 7), (9, 12)])
@@ -165,7 +187,7 @@ def test_problem_oracles_match_loop_references(shape):
     p, l, lam = 5, 3, 0.2
     problem = make_convlasso_problem(f, p=p, l=l, lam=lam)
     x = _random_feasible_point(rng, shape, p, l)
-    d, v = assemble_stacks(x, f, gaussian_filter(l, l / 4.0))
+    d, v = assemble_stacks(x, f, gaussian_filter(l))
     ref = convlasso_objective(d, v, f, lam=lam)
     assert abs(problem.eval_F(x) - ref) <= 1e-12 * abs(ref)
     gd, gv = convlasso_grads(d, v, f)
@@ -240,7 +262,7 @@ def test_iterates_keep_filter_constraints_and_fixed_slots():
     f = inst["f"]
     problem = make_convlasso_problem(f, p=5, l=3, lam=0.05)
     x0 = init_convlasso(f, p=5, l=3, seed=98)
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     cfg = RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4)
     state = make_state(problem, x0, block_kinds(problem, cfg), backtracking=True)
     from ipalm.solver import ipalm_iterate
@@ -265,7 +287,7 @@ def test_objective_decomposition_recomputed_independently():
     x0 = init_convlasso(f, p=4, l=3, seed=99)
     state = run(problem, x0, RunConfig(schedule="static-c", alpha_bar=0.2,
                                        beta_bar=0.2, iters=15, tol=0.0))
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     d, v = assemble_stacks(state.x_cur, f, g)
     direct = convlasso_objective(d, v, f, lam=lam, g=g)
     assert abs(state.trace.rows[-1].F - direct) <= 1e-10 * (1.0 + abs(direct))
@@ -285,9 +307,29 @@ def test_dump_outputs(tmp_path):
     inst = synth_convlasso(seed=101)
     f = inst["f"]
     x0 = init_convlasso(f, p=4, l=3, seed=101)
-    g = gaussian_filter(3, 0.75)
+    g = gaussian_filter(3)
     dump_outputs(x0, f, g, tmp_path)
     assert (tmp_path / "dictionary.pgm").exists()
     report = (tmp_path / "sparsity.csv").read_text().strip().split("\n")
     assert report[0] == "slot,nonzero_fraction"
     assert len(report) == 5  # header + fixed slot + 3 free slots
+
+
+@pytest.mark.parametrize("p", [1, 4, 5])
+def test_dictionary_mosaic_puts_each_stretched_tile_in_its_cell(tmp_path, p):
+    # tile j, stretched to [0, 1], starts at row 1 + (j // cols)*(l + 1) and
+    # column 1 + (j % cols)*(l + 1); a constant tile and empty cells stay black
+    rng = np.random.default_rng(106 + p)
+    l = 3
+    d = rng.standard_normal((p, l, l))
+    d[-1] = 0.4
+    cols = int(np.ceil(np.sqrt(p)))
+    rows = int(np.ceil(p / cols))
+    want = np.zeros((rows * (l + 1) + 1, cols * (l + 1) + 1))
+    for j, tile in enumerate(d):
+        r0, c0 = (1 + k * (l + 1) for k in divmod(j, cols))
+        if tile.max() > tile.min():
+            want[r0 : r0 + l, c0 : c0 + l] = (tile - tile.min()) / (tile.max() - tile.min())
+    dump_dictionary_pgm(d, tmp_path / "got.pgm")
+    write_pgm(tmp_path / "want.pgm", want)
+    assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()

@@ -215,6 +215,21 @@ def test_cli_bid_smooth_part_overflow_exits_3_naming_the_cause(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam, quotient", [("1e200", "5.163e+203"), ("1e300", "5.163e+303")])
+def test_cli_bid_exact_kernel_modulus_overflow_exits_3_naming_the_value(tmp_path, capsys, lam,
+                                                                        quotient):
+    # the kernel block's normal operator scales with lam: its image norm
+    # overflows in the first power step, which stops the run
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--lam", lam, "--iters", "5", "--exact-lipschitz",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("error: operator power iteration reached a non-finite value "
+                   f"(Rayleigh quotient {quotient}, image norm inf)\n")
+    assert not out.exists()
+
+
 def test_cli_bid_line_search_reaches_a_huge_data_weight(tmp_path):
     # the image block's modulus is about lam = 1e30, far more than 60
     # doublings above the start; the rejected candidates' curvature carries

@@ -67,15 +67,36 @@ def test_spectral_norm_rejects_non_finite(bad):
         spectral_norm(M)
 
 
-def test_operator_norm_reports_nonconvergence():
-    with pytest.raises(EstimationError) as err:
-        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,), max_iter=2)
+def test_operator_norm_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr("ipalm.lipschitz.POWER_STEPS", 2)
+    with pytest.raises(EstimationError, match="did not converge in 2 iterations") as err:
+        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,))
     assert np.isfinite(err.value.gap)
 
 
-def test_estimation_error_survives_pickling():
+def test_operator_norm_rejects_an_overflowing_image():
+    # ||w|| overflows while the Rayleigh quotient is still finite; dividing
+    # by it would zero the iterate and report a zero modulus
+    with pytest.raises(EstimationError, match=r"Rayleigh quotient 1\.000e\+160, image norm inf"):
+        operator_norm(lambda v: 1e160 * v, (4,))
+
+
+def test_operator_norm_stops_at_the_first_non_finite_step():
+    calls = []
+
+    def nan_matvec(v):
+        calls.append(v)
+        return np.full(v.shape, np.nan)
+
+    with pytest.raises(EstimationError, match="Rayleigh quotient nan, image norm nan"):
+        operator_norm(nan_matvec, (3, 3))
+    assert len(calls) == 1
+
+
+def test_estimation_error_survives_pickling(monkeypatch):
+    monkeypatch.setattr("ipalm.lipschitz.POWER_STEPS", 2)
     with pytest.raises(EstimationError) as err:
-        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,), max_iter=2)
+        operator_norm(lambda v: np.diag([4.0, 1.0]) @ v, (2,))
     back = pickle.loads(pickle.dumps(err.value))
     assert type(back) is EstimationError
     assert str(back) == str(err.value)
