@@ -8,6 +8,7 @@ convolution data term; both nonsmooth terms are convex indicator functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .imageops import (  # noqa: F401
     phi_value,
     remember_last,
 )
-from .lipschitz import operator_norm
+from .lipschitz import EstimationError, operator_norm
 from .prox import prox_box01, prox_simplex
 
 
@@ -126,14 +127,23 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     the ``b.size``-square Gram, entry ``((i,j), (i',j'))`` the autocorrelation
     ``irfft2(lam*|uhat|^2)`` at ``(i-i', j-j')``, when it has no more entries
     than the image; otherwise one forward and one inverse transform.  The
-    kernel modulus is 0 on a zero image; the solver floors it.
+    kernel modulus is 0 on a zero image; the solver floors it.  A Gram
+    weight ``lam*|uhat|^2`` that overflows raises ``EstimationError``
+    before the Gram is formed.
     """
     if block == 0:
         bhat_sq = np.abs(kernel_spectrum(b, u.shape)) ** 2
         return 2.0 * params.theta * _DIFF_NORM_SQ_BOUND + params.lam * float(bhat_sq.max())
     if block == 1:
         u_hat = image_spectrum(u)
-        weight = params.lam * (u_hat.real**2 + u_hat.imag**2)
+        power = u_hat.real**2 + u_hat.imag**2
+        peak = float(power.max())
+        if not math.isfinite(params.lam * peak):
+            raise EstimationError(
+                f"kernel modulus: the Gram weight lam*|u_hat|^2 is not finite "
+                f"(lam {params.lam:.4g}, largest |u_hat|^2 {peak:.4g})"
+            )
+        weight = params.lam * power
         if b.size**2 <= u.size:
             _check_kernel_fits(u.shape, b.shape)
             auto = np.fft.irfft2(weight, s=u.shape)
@@ -214,7 +224,6 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         return bid_lipschitz(i, x[0], x[1], params)
 
     return ProblemSpec(
-        num_blocks=2,
         eval_F=eval_F,
         eval_H=eval_H,
         partial_grad=partial_grad,

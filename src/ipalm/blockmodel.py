@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -27,52 +27,41 @@ def check_data(a, name: str) -> np.ndarray:
     return a
 
 
-class BlockVector:
-    """Ordered list of dense float64 tensors treated as a single variable.
+class BlockVector(tuple):
+    """Ordered tuple of dense float64 tensors treated as a single variable.
 
-    Blocks are stored as-is and must not be mutated after construction; all
-    operations return new instances.  The squared norm of the whole vector is
-    the sum of per-block squared norms, which is what makes per-block step
-    measurements add up to the full step measurement.
+    Indexing, ``len``, iteration, ``==`` and ``+`` are the tuple's own; the
+    vector cannot be hashed, as its blocks cannot.  Blocks must not be
+    mutated after construction; all operations return new instances.  The
+    squared norm of the whole vector is the sum of per-block squared norms,
+    which is what makes per-block step measurements add up to the full step
+    measurement.
     """
 
-    __slots__ = ("_blocks",)
+    __slots__ = ()
 
-    def __init__(self, blocks: Sequence[np.ndarray]):
-        self._blocks = tuple(np.asarray(b, dtype=np.float64) for b in blocks)
-        if not self._blocks:
+    def __new__(cls, blocks: Iterable[np.ndarray]):
+        self = super().__new__(cls, [np.asarray(b, dtype=np.float64) for b in blocks])
+        if not self:
             raise ValueError("BlockVector needs at least one block")
-
-    @property
-    def blocks(self) -> tuple:
-        return self._blocks
-
-    @property
-    def shapes(self) -> tuple:
-        return tuple(b.shape for b in self._blocks)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._blocks[i]
+        return self
 
     def with_block(self, i: int, value: np.ndarray) -> "BlockVector":
         """New vector with block ``i`` replaced (shape must match)."""
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != self._blocks[i].shape:
+        if value.shape != self[i].shape:
             raise ShapeMismatchError(
-                f"block {i}: expected shape {self._blocks[i].shape}, got {value.shape}"
+                f"block {i}: expected shape {self[i].shape}, got {value.shape}"
             )
-        parts = list(self._blocks)
+        parts = list(self)
         parts[i] = value
         return BlockVector(parts)
 
     def norm_sq(self) -> float:
-        return float(sum(np.vdot(b, b).real for b in self._blocks))
+        return float(sum(np.vdot(b, b).real for b in self))
 
     def __repr__(self) -> str:
-        return f"BlockVector(shapes={self.shapes})"
+        return f"BlockVector(shapes={tuple(b.shape for b in self)})"
 
 
 def extrapolate(
@@ -98,7 +87,7 @@ def step_deltas(x_next: BlockVector, x_cur: BlockVector) -> np.ndarray:
     Their sum equals half the squared norm of the full step.
     """
     out = np.empty(len(x_next))
-    for i, (a, b) in enumerate(zip(x_next.blocks, x_cur.blocks)):
+    for i, (a, b) in enumerate(zip(x_next, x_cur)):
         d = a - b
         out[i] = 0.5 * float(np.vdot(d, d).real)
     return out
@@ -114,8 +103,6 @@ class ProblemSpec:
 
     Parameters
     ----------
-    num_blocks : int
-        Number of variable blocks.
     eval_F : callable
         Full objective on a BlockVector; ``inf`` on infeasible points.
     eval_H : callable
@@ -140,6 +127,7 @@ class ProblemSpec:
         and raises `ShapeMismatchError` naming the block and the iteration.
     convex : tuple of bool
         Per-block flag: is ``f_i`` convex.  Convex blocks admit larger steps.
+        There is one flag per block, so ``num_blocks`` is its length.
     lipschitz : callable or None
         ``lipschitz(i, x)`` -> partial Lipschitz modulus of ``grad_i H`` with
         the other blocks fixed at ``x``; it may be 0, as the solver floors
@@ -149,7 +137,6 @@ class ProblemSpec:
         moduli or backtracking (``RunConfig.backtrack``).
     """
 
-    num_blocks: int
     eval_F: Callable[[BlockVector], float]
     eval_H: Callable[..., float]
     partial_grad: Callable[..., np.ndarray]
@@ -158,8 +145,10 @@ class ProblemSpec:
     lipschitz: Optional[Callable[[int, BlockVector], float]] = None
     name: str = ""
 
+    @property
+    def num_blocks(self) -> int:
+        return len(self.convex)
+
     def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if len(self.convex) != self.num_blocks:
-            raise ValueError("convex flags must have one entry per block")
+        if not self.convex:
+            raise ValueError("a problem needs at least one block; convex is empty")

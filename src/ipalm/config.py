@@ -67,8 +67,8 @@ def block_kinds(problem, config: RunConfig) -> tuple:
         return (Dynamic(),) * problem.num_blocks
     return tuple(
         Static(config.alpha_bar, config.beta_bar, config.epsilon,
-               convex=bool(config.schedule == "static-c" and problem.convex[i]))
-        for i in range(problem.num_blocks)
+               convex=bool(config.schedule == "static-c" and convex))
+        for convex in problem.convex
     )
 
 

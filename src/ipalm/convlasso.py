@@ -107,7 +107,6 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
         return float((np.abs(spectra) ** 2).sum(axis=0).max())
 
     return ProblemSpec(
-        num_blocks=2,
         eval_F=eval_F,
         eval_H=eval_H,
         partial_grad=partial_grad,

@@ -15,8 +15,8 @@ one pointwise product and an adjoint the product with the conjugate;
 full-size correlation; ``parseval_weights`` takes ``0.5*||r||^2`` from the
 half spectrum of ``r``, so a data term never leaves the DFT domain.
 
-``remember_last`` gives a pure array function a one-entry memory, so an
-oracle that sees the same operand again (the block a line search holds
+``remember_last`` gives a pure function of one array a one-entry memory,
+so an oracle that sees the same operand again (the block a line search holds
 fixed) reuses its transform instead of recomputing it.  This module owns
 the two spectrum memos that BID and convlasso share: ``image_spectrum``
 (``rfft2`` of an image or a stack of them) and ``kernel_spectrum``
@@ -112,35 +112,29 @@ def phi_grad(x: np.ndarray, theta: float, value: bool = False):
     return (out, penalty) if value else out
 
 
-def _memo_key(arg):
-    if isinstance(arg, np.ndarray):
-        return arg.shape, arg.dtype.str, arg.tobytes()
-    return type(arg), arg
-
-
 def remember_last(fn):
-    """``fn``, a pure function of arrays and plain values, with a memory of
-    its last call: one slot, shared by all callers.
+    """``fn(a, *rest)``, a pure function of one array and plain values, with
+    a memory of its last call: one slot, shared by all callers.
 
-    A call whose positional arguments equal the remembered ones returns the
-    remembered result; any other call runs ``fn`` and takes the slot.
-    Arrays compare by shape, dtype and bytes (so ``-0.0`` and ``0.0`` differ
-    and a hit is bitwise what a fresh call returns), other values by type
-    and ``==``.  The key is a copy, so an argument mutated in place misses;
-    array results come back read-only, so no caller can alter the slot.
-    Key and result share one tuple that one assignment replaces, so even
-    callers on several threads never get another call's result.
+    A call whose arguments equal the remembered ones returns the remembered
+    result; any other call runs ``fn`` and takes the slot.  The key is
+    ``a``'s shape, dtype and bytes (so ``-0.0`` and ``0.0`` differ and a hit
+    is bitwise what a fresh call returns), then the type and value of each
+    plain argument.  The bytes are a copy, so an array mutated in place
+    misses; array results come back read-only, so no caller can alter the
+    slot.  Key and result share one tuple that one assignment replaces, so
+    even callers on several threads never get another call's result.
     """
     slot = (None, None)
 
     @functools.wraps(fn)
-    def remembered(*args):
+    def remembered(a, *rest):
         nonlocal slot
-        key = tuple(_memo_key(a) for a in args)
+        key = a.shape, a.dtype.str, a.tobytes(), tuple(map(type, rest)), rest
         last_key, last_result = slot
         if last_key == key:
             return last_result
-        result = fn(*args)
+        result = fn(a, *rest)
         if isinstance(result, np.ndarray):
             result.flags.writeable = False
         slot = key, result

@@ -88,7 +88,6 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
         return nmf_lipschitz(i, x[0], x[1])
 
     return ProblemSpec(
-        num_blocks=2,
         eval_F=eval_F,
         eval_H=eval_H,
         partial_grad=partial_grad,

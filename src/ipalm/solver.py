@@ -158,7 +158,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     """Advance the state by one full sweep over the blocks (in place)."""
     k = state.k + 1
     x_cur, x_prev = state.x_cur, state.x_prev
-    mixed_blocks = list(x_cur.blocks)
+    mixed_blocks = list(x_cur)
     alphas, betas, taus, deltas_used, Ls = [], [], [], [], []
     tau = delta = None
 
@@ -181,7 +181,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         parts[i] = block_value
         return problem.eval_H(BlockVector(parts), above)
 
-    for i in range(problem.num_blocks):
+    for i in range(len(x_cur)):
         kind = state.kinds[i]
         alpha, beta = inertial_coeffs(kind, k)
         y = extrapolate(x_cur, x_prev, alpha, i)

@@ -19,6 +19,14 @@ from .prox import prox_box01, prox_l1, prox_nonneg
 from .schedules import delta_star, descent_coefficients, tau_for_delta
 from .solver import SolverTrace
 
+# check_gradients: the central-difference step, and the relative and absolute
+# tolerances a direction passes within; check_c1_descent: the slack relative
+# to 1 + |Psi(k)|
+FD_STEP = 1e-6
+FD_REL_TOL = 1e-4
+FD_ABS_TOL = 1e-7
+C1_SLACK = 1e-8
+
 
 @dataclass
 class CheckRow:
@@ -198,17 +206,12 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
     return report
 
 
-def check_c1_descent(
-    trace: SolverTrace,
-    deltas: Sequence[float],
-    rho1: float,
-    slack: float = 1e-8,
-) -> Report:
+def check_c1_descent(trace: SolverTrace, deltas: Sequence[float], rho1: float) -> Report:
     """Sufficient-decrease check on a recorded run.
 
     With the Lyapunov values rebuilt from constant step weights, asserts
 
-        Psi(k) - Psi(k+1) >= rho1 * (2*D(k+1) + 2*D(k)) - slack*(1+|Psi(k)|)
+        Psi(k) - Psi(k+1) >= rho1 * (2*D(k+1) + 2*D(k)) - C1_SLACK*(1+|Psi(k)|)
 
     for every consecutive pair, where ``D(k)`` is the half squared step into
     iterate ``k`` (the squared distance between consecutive two-iterate
@@ -222,27 +225,22 @@ def check_c1_descent(
     for k in range(len(psi) - 1):
         drop = psi[k] - psi[k + 1]
         need = rho1 * (2.0 * d_tot[k + 1] + 2.0 * d_tot[k])
-        ok = drop >= need - slack * (1.0 + abs(psi[k]))
+        ok = drop >= need - C1_SLACK * (1.0 + abs(psi[k]))
         detail = "" if ok else f"drop={drop:.6e} needed={need:.6e}"
         report.add(k, ok, detail)
     return report
 
 
 def check_gradients(
-    problem: ProblemSpec,
-    x: BlockVector,
-    n_dirs: int = 20,
-    seed: int = 0,
-    step: float = 1e-6,
-    rel_tol: float = 1e-4,
-    abs_tol: float = 1e-7,
+    problem: ProblemSpec, x: BlockVector, n_dirs: int = 20, seed: int = 0
 ) -> Report:
     """Central finite differences of the smooth part against the partial
     gradients, along random unit directions per block.  A direction passes
-    when the mismatch is within the relative or the absolute tolerance,
-    whichever is looser.  Each block's ``value`` row checks the contract the
-    line search relies on: ``partial_grad(i, x, value=True)`` returns the
-    same gradient and ``eval_H(x)`` to 1e-12 relative."""
+    when the mismatch is within the relative or the absolute tolerance
+    (``FD_REL_TOL``, ``FD_ABS_TOL``), whichever is looser.  Each block's
+    ``value`` row checks the contract the line search relies on:
+    ``partial_grad(i, x, value=True)`` returns the same gradient and
+    ``eval_H(x)`` to 1e-12 relative."""
     rng = np.random.default_rng(seed)
     report = Report("gradients")
     h_x = problem.eval_H(x)
@@ -257,11 +255,11 @@ def check_gradients(
             e = rng.standard_normal(x[i].shape)
             e /= np.sqrt(np.vdot(e, e).real)
             analytic = float(np.vdot(grad, e).real)
-            plus = problem.eval_H(x.with_block(i, x[i] + step * e))
-            minus = problem.eval_H(x.with_block(i, x[i] - step * e))
-            fd = (plus - minus) / (2.0 * step)
+            plus = problem.eval_H(x.with_block(i, x[i] + FD_STEP * e))
+            minus = problem.eval_H(x.with_block(i, x[i] - FD_STEP * e))
+            fd = (plus - minus) / (2.0 * FD_STEP)
             err = abs(fd - analytic)
-            ok = err <= max(rel_tol * abs(analytic), abs_tol)
+            ok = err <= max(FD_REL_TOL * abs(analytic), FD_ABS_TOL)
             detail = "" if ok else f"fd={fd:.9e} analytic={analytic:.9e} err={err:.3e}"
             report.add(f"block{i}/dir{j}", ok, detail)
     return report
@@ -337,8 +335,8 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
     bid_desk_params = bid.BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5))
     bid_c1_problem = bid.make_bid_problem(bid_desk["f"], bid_desk_params)
     reports.append(renamed(
-        c1_for(bid_c1_problem, bid.init_bid(bid_desk["f"], bid_desk_params),
-               (True, True), iters=200, step_scale=(1.0, 5.0)),
+        c1_for(bid_c1_problem, bid.init_bid(bid_desk["f"], bid_desk_params), (True, True),
+               iters=200, step_scale=(1.0, bid_desk_params.kernel_step_scale)),
         "c1_descent_bid"))
 
     if out_dir is not None:

@@ -91,7 +91,7 @@ def centered_corr_kernel_direct(r: np.ndarray, u: np.ndarray, shape) -> np.ndarr
 
 def block_norms_sq(x: BlockVector) -> np.ndarray:
     """Squared norm of each block."""
-    return np.array([float(np.vdot(b, b).real) for b in x.blocks])
+    return np.array([float(np.vdot(b, b).real) for b in x])
 
 
 def trace_column(trace, name: str) -> np.ndarray:
@@ -101,9 +101,10 @@ def trace_column(trace, name: str) -> np.ndarray:
 
 def block_axpy(a: float, x: BlockVector, y: BlockVector) -> BlockVector:
     """Return ``a*x + y`` blockwise."""
-    if x.shapes != y.shapes:
-        raise ShapeMismatchError(f"shapes {x.shapes} vs {y.shapes}")
-    return BlockVector([a * xb + yb for xb, yb in zip(x.blocks, y.blocks)])
+    x_shapes, y_shapes = [b.shape for b in x], [b.shape for b in y]
+    if x_shapes != y_shapes:
+        raise ShapeMismatchError(f"shapes {x_shapes} vs {y_shapes}")
+    return BlockVector([a * xb + yb for xb, yb in zip(x, y)])
 
 
 def lyapunov_psi(

@@ -401,7 +401,7 @@ def _bid_bt_run(monkeypatch, problem, f, params, schedule, sweeps):
                        step_scale=(1.0, params.kernel_step_scale))
     run_state(state, problem, iters=sweeps, tol=0.0)
     rows = [repr(dataclasses.replace(row, seconds=0.0)) for row in state.trace.rows]
-    return rows, [b.tobytes() for b in state.x_cur.blocks], tested
+    return rows, [b.tobytes() for b in state.x_cur], tested
 
 
 def _without_above(problem):

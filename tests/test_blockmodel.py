@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from oracles import InertialParams, block_axpy, block_norms_sq
@@ -7,6 +9,7 @@ from ipalm import bid, nmf
 from ipalm.blockmodel import (
     BlockVector,
     DataError,
+    ProblemSpec,
     ShapeMismatchError,
     check_data,
     extrapolate,
@@ -18,20 +21,88 @@ def random_bv(rng, shapes=((3, 2), (4,))):
     return BlockVector([rng.standard_normal(s) for s in shapes])
 
 
+def test_block_vector_converts_every_block_to_float64():
+    ints, floats32 = np.arange(6).reshape(2, 3), np.ones(4, dtype=np.float32)
+    x = BlockVector([ints, floats32, [1, 2]])
+    assert [b.dtype for b in x] == [np.float64] * 3
+    assert np.array_equal(x[0], ints) and np.array_equal(x[1], floats32)
+    assert np.array_equal(x[2], [1.0, 2.0])
+    f64 = np.zeros(3)
+    assert BlockVector([f64])[0] is f64  # float64 blocks are held as they are
+
+
+def test_block_vector_rejects_an_empty_vector():
+    with pytest.raises(ValueError, match="at least one block"):
+        BlockVector([])
+
+
+def test_block_vector_indexes_iterates_and_measures_as_a_tuple():
+    blocks = [np.zeros((2, 2)), np.ones(3), np.full(1, 7.0)]
+    x = BlockVector(blocks)
+    assert isinstance(x, tuple) and len(x) == 3
+    assert all(a is b for a, b in zip(x, blocks))
+    assert x[1] is blocks[1] and x[-1] is blocks[2]
+    assert type(x[1:]) is tuple and len(x[1:]) == 2
+    first, *rest = x
+    assert first is blocks[0] and len(rest) == 2
+    with pytest.raises(IndexError):
+        x[3]
+    with pytest.raises(TypeError):
+        hash(x)  # its blocks cannot be hashed
+
+
+def test_block_vector_pickles_with_its_type_and_bits():
+    rng = np.random.default_rng(7)
+    x = BlockVector([rng.standard_normal((3, 2)), np.array([-0.0, np.inf]), np.arange(4.0)])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        y = pickle.loads(pickle.dumps(x, protocol=protocol))
+        assert type(y) is BlockVector and len(y) == len(x)
+        assert [(b.shape, b.dtype, b.tobytes()) for b in y] == [
+            (b.shape, b.dtype, b.tobytes()) for b in x
+        ]
+
+
+def test_block_vector_has_no_instance_dict():
+    x = BlockVector([np.zeros(2)])
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def _spec(convex):
+    return ProblemSpec(
+        eval_F=lambda x: 0.0,
+        eval_H=lambda x, above=None: 0.0,
+        partial_grad=lambda i, x, value=False: np.zeros_like(x[i]),
+        prox=lambda i, t, p: p,
+        convex=convex,
+    )
+
+
+def test_problem_spec_counts_one_block_per_convex_flag():
+    for convex in ((True,), (False, True), (True, False, True)):
+        assert _spec(convex).num_blocks == len(convex)
+
+
+def test_problem_spec_rejects_an_empty_convex_tuple():
+    with pytest.raises(ValueError, match="at least one block"):
+        _spec(())
+
+
 def test_axpy_zero_coefficient_is_identity():
     rng = np.random.default_rng(0)
     x, y = random_bv(rng), random_bv(rng)
     out = block_axpy(0.0, x, y)
-    for ob, yb in zip(out.blocks, y.blocks):
+    for ob, yb in zip(out, y):
         assert np.array_equal(ob, yb)
 
 
 def test_axpy_unit_coefficient_on_zero():
     rng = np.random.default_rng(1)
     x = random_bv(rng)
-    zero = BlockVector([np.zeros_like(b) for b in x.blocks])
+    zero = BlockVector([np.zeros_like(b) for b in x])
     out = block_axpy(1.0, x, zero)
-    for ob, xb in zip(out.blocks, x.blocks):
+    for ob, xb in zip(out, x):
         assert np.array_equal(ob, xb)
 
 
@@ -46,7 +117,7 @@ def test_axpy_hand_example_against_loop_oracle():
     a = 1.37
     x, y = random_bv(rng), random_bv(rng)
     out = block_axpy(a, x, y)
-    for ob, xb, yb in zip(out.blocks, x.blocks, y.blocks):
+    for ob, xb, yb in zip(out, x, y):
         expect = np.empty_like(xb)
         for idx in np.ndindex(xb.shape):
             expect[idx] = a * xb[idx] + yb[idx]
@@ -99,7 +170,7 @@ def test_step_deltas_sum_property():
     for _ in range(20):
         x, y = random_bv(rng), random_bv(rng)
         d = step_deltas(x, y)
-        diff_sq = sum(float(np.sum((a - b) ** 2)) for a, b in zip(x.blocks, y.blocks))
+        diff_sq = sum(float(np.sum((a - b) ** 2)) for a, b in zip(x, y))
         assert d.sum() == pytest.approx(0.5 * diff_sq, rel=1e-14)
 
 

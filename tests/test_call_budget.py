@@ -23,9 +23,10 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
-NMF_DESK_EXACT = 67
-BID_BACKTRACKING = 314
-CONVLASSO_BACKTRACKING = 164
+NMF_DESK_EXACT = 41
+BID_BACKTRACKING = 184
+BID_EXACT = 137
+CONVLASSO_BACKTRACKING = 82
 
 
 def package_calls_per_sweep(state, problem) -> int:
@@ -54,18 +55,27 @@ def test_nmf_desk_exact_sweep_stays_within_its_call_budget():
     assert package_calls_per_sweep(state, problem) <= NMF_DESK_EXACT
 
 
-def test_bid_backtracking_sweep_stays_within_its_call_budget():
+def bid_calls_per_sweep(backtracking: bool) -> int:
     # the bid-bt benchmark instance: 64x64 image, 7x7 kernel, static-c with
-    # alpha=beta=0.4, backtracking, kernel step scale 5
+    # alpha=beta=0.4, kernel step scale 5
     params = BidParams(lam=1e6, theta=1e4, kernel_shape=(7, 7), kernel_step_scale=5.0)
     f = synth_bid(size=64, kernel=7, seed=1)["f"]
     problem = make_bid_problem(f, params)
     kinds = block_kinds(problem, RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4))
     state = make_state(
         problem, init_bid(f, params), kinds,
-        backtracking=True, step_scale=(1.0, params.kernel_step_scale),
+        backtracking=backtracking, step_scale=(1.0, params.kernel_step_scale),
     )
-    assert package_calls_per_sweep(state, problem) <= BID_BACKTRACKING
+    return package_calls_per_sweep(state, problem)
+
+
+def test_bid_backtracking_sweep_stays_within_its_call_budget():
+    assert bid_calls_per_sweep(backtracking=True) <= BID_BACKTRACKING
+
+
+def test_bid_exact_sweep_stays_within_its_call_budget():
+    # the same instance with closed-form moduli, the path bid-cli-exact runs
+    assert bid_calls_per_sweep(backtracking=False) <= BID_EXACT
 
 
 def test_convlasso_backtracking_sweep_stays_within_its_call_budget():

@@ -230,6 +230,19 @@ def test_cli_bid_exact_kernel_modulus_overflow_exits_3_naming_the_value(tmp_path
     assert not out.exists()
 
 
+def test_cli_bid_exact_gram_weight_overflow_exits_3_with_no_numpy_warning(tmp_path, capsys):
+    # lam*|u_hat|^2 overflows before the kernel Gram is formed; the suite
+    # turns RuntimeWarning into an error, so a numpy overflow warning fails here
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--lam", "1e305", "--iters", "5",
+               "--exact-lipschitz", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == ("error: kernel modulus: the Gram weight lam*|u_hat|^2 is not finite "
+                   "(lam 1e+305, largest |u_hat|^2 1.291e+06)\n")
+    assert not out.exists()
+
+
 def test_cli_bid_line_search_reaches_a_huge_data_weight(tmp_path):
     # the image block's modulus is about lam = 1e30, far more than 60
     # doublings above the start; the rejected candidates' curvature carries

@@ -1,3 +1,5 @@
+import dataclasses
+
 import ipalm
 
 # The package's public names.  A change here is a change to the public
@@ -43,3 +45,10 @@ def test_public_names_are_the_listed_ones():
 def test_every_public_name_resolves():
     missing = [name for name in ipalm.__all__ if not hasattr(ipalm, name)]
     assert missing == []
+
+
+def test_problem_spec_init_fields_are_the_ones_the_benchmark_tracer_replaces():
+    # benchmarks/tracing.py rebuilds a problem with dataclasses.replace,
+    # naming the oracles it wraps; a field it names must stay an init field
+    names = [f.name for f in dataclasses.fields(ipalm.ProblemSpec) if f.init]
+    assert names == ["eval_F", "eval_H", "partial_grad", "prox", "convex", "lipschitz", "name"]

@@ -36,7 +36,6 @@ def one_block_quadratic():
         return (x[0].copy(), eval_H(x)) if value else x[0].copy()
 
     return ProblemSpec(
-        num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
         partial_grad=partial_grad,
@@ -292,7 +291,6 @@ def test_backtracking_on_a_pinned_block_keeps_its_modulus_at_the_floor():
         return (np.ones_like(x[0]), eval_H(x)) if value else np.ones_like(x[0])
 
     problem = ProblemSpec(
-        num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
         partial_grad=partial_grad,
@@ -326,7 +324,6 @@ def test_exact_modulus_zero_of_a_custom_problem_is_floored():
         return 0.0
 
     problem = ProblemSpec(
-        num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
         partial_grad=lambda i, x: np.zeros_like(x[0]),
@@ -347,7 +344,6 @@ def test_divergence_error_carries_trace():
         return -0.5 * x.norm_sq()
 
     problem = ProblemSpec(
-        num_blocks=1,
         eval_F=eval_H,
         eval_H=eval_H,
         partial_grad=lambda i, x: -x[0],
@@ -553,7 +549,7 @@ def test_prox_inequality_spot_check_during_run():
         ipalm_iterate(state, problem)
         row = state.trace.rows[-1]
         x_next = state.x_cur
-        frozen = [x_cur.blocks[1], x_next.blocks[0]]  # other-block values per slot
+        frozen = [x_cur[1], x_next[0]]  # other-block values per slot
         for i in range(2):
             beta = row.beta[i]
             if beta == 0.0:

@@ -58,7 +58,6 @@ def test_gradient_check_flags_wrong_gradients():
         return 1.01 * good.partial_grad(i, x)
 
     bad = ProblemSpec(
-        num_blocks=2,
         eval_F=good.eval_F,
         eval_H=good.eval_H,
         partial_grad=scaled,
@@ -113,7 +112,6 @@ def _c1_setup(seed, lipschitz_scale=1.0, iters=200):
     inst = synth_nmf(seed=seed)
     base = make_nmf_problem(inst["A"], r=3, s=2)
     problem = ProblemSpec(
-        num_blocks=2,
         eval_F=base.eval_F,
         eval_H=base.eval_H,
         partial_grad=base.partial_grad,
@@ -164,7 +162,6 @@ def test_c1_descent_detects_understepped_run():
     inst = synth_nmf(seed=6)
     base = make_nmf_problem(inst["A"], r=3, s=2)
     broken = ProblemSpec(
-        num_blocks=2,
         eval_F=base.eval_F,
         eval_H=base.eval_H,
         partial_grad=base.partial_grad,
