@@ -125,11 +125,12 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
     operator (power iteration).  In the DFT domain that operator multiplies
     the kernel spectrum by ``lam*|uhat|^2``.  A power step is one matvec with
     the ``b.size``-square Gram, entry ``((i,j), (i',j'))`` the autocorrelation
-    ``irfft2(lam*|uhat|^2)`` at ``(i-i', j-j')``, when it has no more entries
-    than the image; otherwise one forward and one inverse transform.  The
-    kernel modulus is 0 on a zero image; the solver floors it.  A Gram
-    weight ``lam*|uhat|^2`` that overflows raises ``EstimationError``
-    before the Gram is formed.
+    ``irfft2(lam*|uhat|^2)`` at ``(i-i', j-j')``, read off the centred
+    ``(2*n1-1, 2*n2-1)`` window of that transform, when it has no more
+    entries than the image; otherwise the kernel's spectrum times the weight
+    and its centred window back.  The kernel modulus is 0 on a zero image;
+    the solver floors it.  A Gram weight ``lam*|uhat|^2`` that overflows
+    raises ``EstimationError`` before the Gram is formed.
     """
     if block == 0:
         bhat_sq = np.abs(kernel_spectrum(b, u.shape)) ** 2
@@ -146,14 +147,15 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
         weight = params.lam * power
         if b.size**2 <= u.size:
             _check_kernel_fits(u.shape, b.shape)
-            auto = np.fft.irfft2(weight, s=u.shape)
+            n1, n2 = b.shape
+            lags = centered_kernel_window(weight, (2 * n1 - 1, 2 * n2 - 1), u.shape)
             i, j = np.indices(b.shape).reshape(2, -1)
-            gram = auto[np.subtract.outer(i, i), np.subtract.outer(j, j)]
+            gram = lags[np.subtract.outer(i, i) + n1 - 1, np.subtract.outer(j, j) + n2 - 1]
             return operator_norm(gram.dot, (b.size,))
 
         def normal_op(k):
             spec = centered_kernel_spectrum(k, u.shape) * weight
-            return centered_kernel_window(np.fft.irfft2(spec, s=u.shape), b.shape)
+            return centered_kernel_window(spec, b.shape, u.shape)
 
         return operator_norm(normal_op, b.shape)
     raise ValueError(f"block index must be 0 or 1, got {block}")
@@ -166,8 +168,11 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     tau: pass ``(1.0, params.kernel_step_scale)`` as the run's ``step_scale``
     for that.  ``lipschitz`` holds the moduli of ``bid_lipschitz``.  The data
     term stays in the DFT domain: ``H`` takes it by Parseval from the
-    residual spectrum ``uhat*bhat - fhat``, and each partial gradient is one
-    inverse transform; asked for ``H`` too, it adds the data term from that
+    residual spectrum ``uhat*bhat - fhat``.  The image gradient's data part
+    is one inverse transform; the kernel gradient is the centred window of
+    the correlation spectrum, with no transform, and raises
+    ``EstimationError`` where ``lam`` scales it past the float range.  Asked
+    for ``H`` too, a partial gradient adds the data term from the residual
     spectrum to the edge penalty (the image block's from the gradient's own
     differences).  A non-finite observation raises ``DataError``."""
     f = check_data(f, "observed image")
@@ -211,8 +216,14 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
                 return edge_grad(x[0], theta) + data_grad
             g, edge = edge_grad(x[0], theta, value=True)
             return g + data_grad, edge + _data(r_hat)
-        full = np.fft.irfft2(r_hat * np.conj(u_hat), s=shape)
-        g = lam * centered_kernel_window(full, x[1].shape)
+        corr = centered_kernel_window(r_hat * np.conj(u_hat), x[1].shape, shape)
+        peak = float(np.abs(corr).max())
+        if not math.isfinite(lam * peak):
+            raise EstimationError(
+                f"kernel gradient: lam times the residual-image correlation is not "
+                f"finite (lam {lam:.4g}, largest |correlation| {peak:.4g})"
+            )
+        g = lam * corr
         return (g, _edge_penalty(x[0], theta) + _data(r_hat)) if value else g
 
     def prox(i: int, t: float, p: np.ndarray) -> np.ndarray:

@@ -51,10 +51,11 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
 
     The data term lives in the DFT domain: the residual spectrum is
     ``fhat*(ghat - 1) + sum_j D_j V_j`` (one batched transform per stack),
-    ``H`` is taken from it by Parseval and each partial gradient is one
-    batched inverse transform (with ``value``, ``H`` from the same
-    spectrum).  ``lipschitz`` is the Fourier energy of the other block's
-    remembered spectra.  A non-finite image raises ``DataError``.
+    ``H`` is taken from it by Parseval.  The coefficient gradient is one
+    batched inverse transform, the filter gradient the centred windows of
+    the correlation spectra with no transform (with ``value``, ``H`` from
+    the same spectrum).  ``lipschitz`` is the Fourier energy of the other
+    block's remembered spectra.  A non-finite image raises ``DataError``.
     """
     f = check_data(f, "image")
     if p < 2:
@@ -91,8 +92,7 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
     def partial_grad(i: int, x: BlockVector, value: bool = False):
         d_hat, v_hat, r_hat = _spectra(x)
         if i == 0:
-            full = np.fft.irfft2(r_hat * np.conj(v_hat), s=shape)
-            g = centered_kernel_window(full, (l, l))
+            g = centered_kernel_window(r_hat * np.conj(v_hat), (l, l), shape)
         else:
             g = np.fft.irfft2(r_hat * np.conj(d_hat), s=shape)
         return (g, _data(r_hat)) if value else g

@@ -7,13 +7,16 @@ pair stays here as the reference that tests check it against, and under
 the names that the benchmark's tracer patches in `ipalm.bid`.
 
 Every convolution takes one convention, an odd kernel anchored at its
-center entry, and runs in the DFT domain on pre-rolled kernel spectra:
-``centered_kernel_spectrum`` transforms a kernel, or a whole stack of them,
-zero-padded with its center entry rolled to the origin, so a convolution is
-one pointwise product and an adjoint the product with the conjugate;
-``centered_kernel_window`` reads a kernel-side adjoint back out of a
-full-size correlation; ``parseval_weights`` takes ``0.5*||r||^2`` from the
-half spectrum of ``r``, so a data term never leaves the DFT domain.
+center entry, and runs in the DFT domain, so a convolution is one pointwise
+product and an adjoint the product with the conjugate.  A kernel's
+transforms are pruned DFTs, products with factors made once per kernel and
+image shape: ``centered_kernel_spectrum`` gives the half spectrum of a
+kernel (or a stack) as ``R @ b @ C`` with no zero padding, and
+``centered_kernel_window`` only the centred kernel window of an inverse
+transform, the kernel-side adjoint.  Both agree with the full-size
+transforms to about 1e-15 of the largest modulus.  ``parseval_weights``
+takes ``0.5*||r||^2`` from the half spectrum of ``r``, so a data term never
+leaves the DFT domain.
 
 ``remember_last`` gives a pure function of one array a one-entry memory,
 so an oracle that sees the same operand again (the block a line search holds
@@ -151,29 +154,37 @@ def _check_kernel_fits(u_shape, b_shape):
 # Centered-kernel views: odd-sized kernels whose entry (n1//2, n2//2) acts as
 # the zero shift.  A kernel with its mass at the window center then blurs
 # without translating, which is the natural convention for blur kernels and
-# dictionary filters.  The centring is folded into the kernel spectrum and
-# the kernel window.
+# dictionary filters.  The centring is folded into the DFT factors.
 
 
-def _window_index(shape, full_shape):
-    """Index of the centred ``shape`` window inside a ``full_shape`` array:
-    kernel entry ``(k, l)`` sits at the shift ``(k - n1//2, l - n2//2)``
-    modulo the image size."""
-    c1, c2 = shape[0] // 2, shape[1] // 2
-    rows = (np.arange(shape[0]) - c1) % full_shape[0]
-    cols = (np.arange(shape[1]) - c2) % full_shape[1]
-    return ..., rows[:, None], cols
+@functools.lru_cache(maxsize=16)
+def _dft_factors(kernel_shape, shape):
+    """DFT factors of a centred ``n1 x n2`` kernel in an ``m x n`` image:
+    ``R[p, k] = exp(-2 pi i p (k - n1//2) / m)``, ``C[l, q] = exp(-2 pi i q
+    (l - n2//2) / n)`` as its real view, and the inverses ``conj(R).T`` and
+    ``conj(C).T`` with the ``1/(m*n)`` scale and the doubled columns (other
+    than DC and Nyquist) of ``irfft`` folded in, the latter real with rows
+    ``Re``, ``-Im`` interleaved: the real view of a complex ``Z`` times it is
+    ``Re(Z @ conj(C).T)``."""
+    (n1, n2), (m, n) = kernel_shape, shape
+    rows = np.exp(-2j * np.pi * (np.arange(m)[:, None] * (np.arange(n1) - n1 // 2) % m) / m)
+    cols = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] - n2 // 2) * np.arange(n // 2 + 1) % n) / n)
+    cols_inv = cols.conj().T * 2.0 * parseval_weights(shape)[:, None]
+    cols_inv = np.stack([cols_inv.real, -cols_inv.imag], axis=1).reshape(-1, n2)
+    factors = rows, cols.view(np.float64), rows.conj().T, cols_inv
+    for factor in factors:
+        factor.flags.writeable = False
+    return factors
 
 
 def centered_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
     """``rfft2`` of the centred kernel ``b`` (or a stack of kernels along
     leading axes) zero-padded to the image ``shape``, center entry at the
-    origin."""
+    origin, as the product ``R @ b @ C`` of its DFT factors."""
     b = np.asarray(b, dtype=np.float64)
     _check_kernel_fits(shape, b.shape[-2:])
-    padded = np.zeros(b.shape[:-2] + tuple(shape))
-    padded[_window_index(b.shape[-2:], shape)] = b
-    return np.fft.rfft2(padded)
+    rows, cols, _, _ = _dft_factors(b.shape[-2:], tuple(shape))
+    return rows @ (b @ cols).view(np.complex128)
 
 
 # During a line search one block stays fixed, and every candidate sees its
@@ -195,10 +206,12 @@ def parseval_weights(shape) -> np.ndarray:
     return weights
 
 
-def centered_kernel_window(full: np.ndarray, shape) -> np.ndarray:
-    """The centred kernel window of ``shape`` read out of a full-size
-    correlation (or a stack of them along leading axes)."""
-    return full[_window_index(shape, full.shape[-2:])]
+def centered_kernel_window(spec: np.ndarray, shape, image_shape) -> np.ndarray:
+    """The centred ``shape`` window of ``irfft2(spec, s=image_shape)`` (or of
+    a stack of them along leading axes), as the product of the half spectrum
+    ``spec`` with the inverse DFT factors; no other entry is formed."""
+    _, _, rows_inv, cols_inv = _dft_factors(tuple(shape), tuple(image_shape))
+    return (rows_inv @ spec).view(np.float64) @ cols_inv
 
 
 def centered_conv(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,8 +233,7 @@ def centered_corr_kernel(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     _check_kernel_fits(u.shape, shape)
-    full = np.fft.irfft2(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), s=u.shape)
-    return centered_kernel_window(full, shape)
+    return centered_kernel_window(np.fft.rfft2(r) * np.conj(np.fft.rfft2(u)), shape, u.shape)
 
 
 def read_pgm(path) -> np.ndarray:

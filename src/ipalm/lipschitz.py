@@ -10,7 +10,8 @@ import numpy as np
 
 class EstimationError(RuntimeError):
     """A Lipschitz estimate failed: no convergence within its round budget,
-    or a non-finite input.  ``gap`` is the last residual; for backtracking
+    or a non-finite input (BID's kernel gradient raises it too, where
+    ``lam`` scales the gradient past the float range).  ``gap`` is the last residual; for backtracking
     whose last candidate's ``eval_H`` stopped early it is a lower bound on
     how far that candidate missed the descent lemma."""
 

@@ -6,7 +6,9 @@ The BID references recompute the smooth term and its gradients in the image
 domain from the centred views with no remembered spectra, the convlasso
 references do the same filter by filter on complete stacks,
 ``filter_projection_ref`` is the per-filter loop of the filter projection, and
-``fourier_energy`` is the corner-padded reference for the convlasso moduli;
+``fourier_energy`` is the corner-padded reference for the convlasso moduli,
+``padded_kernel_spectrum`` and ``irfft_kernel_window`` the full-size
+transforms that the DFT-factor kernel transforms replace;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
 `ipalm.bid` and `ipalm.convlasso` swapped for an empty one.
 The rest are small block-vector, Lyapunov and trace helpers checked against
@@ -87,6 +89,31 @@ def centered_corr_image_direct(r: np.ndarray, b: np.ndarray) -> np.ndarray:
 def centered_corr_kernel_direct(r: np.ndarray, u: np.ndarray, shape) -> np.ndarray:
     c1, c2 = _center(shape)
     return circ_corr_kernel_direct(r, np.roll(u, (-c1, -c2), axis=(0, 1)), shape)
+
+
+def _centred_index(shape, full_shape):
+    """Index of the centred ``shape`` window inside a ``full_shape`` array:
+    kernel entry ``(k, l)`` sits at the shift ``(k - n1//2, l - n2//2)``
+    modulo the image size."""
+    rows = (np.arange(shape[0]) - shape[0] // 2) % full_shape[0]
+    cols = (np.arange(shape[1]) - shape[1] // 2) % full_shape[1]
+    return ..., rows[:, None], cols
+
+
+def padded_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
+    """``rfft2`` of the centred kernel ``b`` (or a stack along leading axes)
+    zero-padded to ``shape``, center entry rolled to the origin: the
+    full-size reference for `imageops.centered_kernel_spectrum`."""
+    b = np.asarray(b, dtype=np.float64)
+    padded = np.zeros(b.shape[:-2] + tuple(shape))
+    padded[_centred_index(b.shape[-2:], shape)] = b
+    return np.fft.rfft2(padded)
+
+
+def irfft_kernel_window(spec: np.ndarray, shape, image_shape) -> np.ndarray:
+    """The centred ``shape`` window of the full ``irfft2(spec, s=image_shape)``:
+    the full-size reference for `imageops.centered_kernel_window`."""
+    return np.fft.irfft2(spec, s=image_shape)[_centred_index(shape, image_shape)]
 
 
 def block_norms_sq(x: BlockVector) -> np.ndarray:

@@ -243,6 +243,20 @@ def test_cli_bid_exact_gram_weight_overflow_exits_3_with_no_numpy_warning(tmp_pa
     assert not out.exists()
 
 
+def test_cli_bid_exact_kernel_gradient_overflow_exits_3_with_no_numpy_warning(tmp_path, capsys):
+    # lam times the residual-image correlation leaves the float range in the
+    # kernel gradient, which comes before the kernel modulus in a block step
+    out = tmp_path / "out"
+    rc = main(["bid", "--kernel-size", "3", "--lam", "1.7e308", "--iters", "5",
+               "--exact-lipschitz", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel gradient: lam times the residual-image correlation "
+                          "is not finite (lam 1.7e+308, largest |correlation| ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_bid_line_search_reaches_a_huge_data_weight(tmp_path):
     # the image block's modulus is about lam = 1e30, far more than 60
     # doublings above the start; the rejected candidates' curvature carries

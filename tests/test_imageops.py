@@ -212,8 +212,7 @@ def test_stacked_kernel_spectrum_and_window_match_per_slice_direct():
     assert spec.shape == (4, 9, 4)
     convs = np.fft.irfft2(np.fft.rfft2(u) * spec, s=u.shape)
     rs = rng.standard_normal((4, 9, 7))
-    fulls = np.fft.irfft2(np.fft.rfft2(rs) * np.conj(np.fft.rfft2(u)), s=u.shape)
-    windows = centered_kernel_window(fulls, (3, 5))
+    windows = centered_kernel_window(np.fft.rfft2(rs) * np.conj(np.fft.rfft2(u)), (3, 5), u.shape)
     assert windows.shape == (4, 3, 5)
     for j in range(4):
         assert np.allclose(convs[j], centered_conv_direct(u, stack[j]), atol=1e-12)
