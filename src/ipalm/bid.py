@@ -163,8 +163,8 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
 
 def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     """ProblemSpec with block 0 = image (box [0,1]) and block 1 = kernel
-    (unit simplex).  Both nonsmooth terms are convex, so both blocks use the
-    tighter convex step rule.  The problem does not scale the kernel block's
+    (unit simplex).  Both nonsmooth terms are convex, so static-c gives both
+    blocks the prox factor 2.  The problem does not scale the kernel block's
     tau: pass ``(1.0, params.kernel_step_scale)`` as the run's ``step_scale``
     for that.  ``lipschitz`` holds the moduli of ``bid_lipschitz``.  The data
     term stays in the DFT domain: ``H`` takes it by Parseval from the

@@ -20,11 +20,10 @@ class RunConfig:
 
     ``schedule`` selects the parameter regime:
 
-    * ``static-nc`` -- constant coefficients, nonconvex step rule on every
+    * ``static-nc`` -- constant coefficients, prox factor ``c = 1`` on every
       block (always sound, conservative);
-    * ``static-c`` -- constant coefficients, convex step rule on blocks whose
-      nonsmooth term is convex and the nonconvex rule elsewhere (the usual
-      choice);
+    * ``static-c`` -- constant coefficients, ``c = 2`` on blocks whose
+      nonsmooth term is convex and ``c = 1`` elsewhere (the usual choice);
     * ``dynamic`` -- coefficients ``(k-1)/(k+2)`` with ``tau = L`` (heuristic).
 
     ``backtrack`` picks where the moduli come from; the line search's own

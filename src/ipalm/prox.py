@@ -39,10 +39,6 @@ def prox_l0_nonneg_cols(P: np.ndarray, s: int) -> np.ndarray:
     if s < 0:
         raise ValueError(f"sparsity level must be >= 0, got {s}")
     clamped = np.maximum(P, 0.0)
-    if s == 0:
-        return np.zeros_like(clamped)
-    if s == m:
-        return clamped
     # stable argsort of the negated column: ties resolve to the lower index
     order = np.argsort(-clamped, axis=0, kind="stable")
     out = np.zeros_like(clamped)

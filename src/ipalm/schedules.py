@@ -2,10 +2,12 @@
 
 Two kinds of schedule are supported:
 
-* static -- constant extrapolation coefficients.  The nonconvex step rule is
-  valid for arbitrary nonsmooth block terms and requires
-  ``alpha < (1-eps)/2``; with ``convex=True`` it is the tighter rule that a
-  convex nonsmooth term permits (roughly twice larger steps, ``alpha < 1-eps``);
+* static -- constant extrapolation coefficients.  Each rule is written once
+  in the prox factor ``c``: ``c = 2`` on a block whose nonsmooth term is
+  convex (``convex=True``; its prox inequality gains one more ``tau``) and
+  ``c = 1`` for an arbitrary nonsmooth term.  The rule needs
+  ``alpha < c*(1-eps)/2`` and, at ``eps = 0``, steps with
+  ``tau = (1+2*beta)/(c-2*alpha) * L``;
 * dynamic -- accelerated-style coefficients ``(k-1)/(k+2)`` with plain ``1/L``
   steps.  Empirically the fastest regime but not covered by the descent
   theory, so runs in this mode are flagged as heuristic.
@@ -22,10 +24,19 @@ class ParameterDomainError(ValueError):
     """Inertial parameters violate the bounds required by the step rule."""
 
 
+def _bound_error(subject: str, alpha_bar: float, eps: float, convex: bool):
+    """The rejection of ``alpha_bar >= c*(1-eps)/2``; ``{}`` in ``subject`` is the convexity."""
+    bound = "1-eps" if convex else "(1-eps)/2"
+    return ParameterDomainError(
+        f"{subject.format('convex' if convex else 'nonconvex')} needs alpha_bar < {bound}; "
+        f"got alpha_bar={alpha_bar}, eps={eps}"
+    )
+
+
 @dataclass(frozen=True)
 class Static:
-    """Constant (alpha, beta); ``convex`` picks the tighter step rule that a
-    convex block term permits."""
+    """Constant (alpha, beta); ``convex`` sets the prox factor ``c`` to 2, the
+    larger steps that a convex block term permits (1 otherwise)."""
 
     alpha_bar: float
     beta_bar: float
@@ -39,16 +50,9 @@ class Static:
             raise ParameterDomainError(f"beta_bar must be >= 0 and finite, got {self.beta_bar}")
         if not 0.0 <= self.eps < math.inf:
             raise ParameterDomainError(f"eps must be >= 0 and finite, got {self.eps}")
-        if self.convex and not 1.0 - self.eps - self.alpha_bar > 0.0:
-            raise ParameterDomainError(
-                f"static convex schedule needs alpha_bar < 1-eps; "
-                f"got alpha_bar={self.alpha_bar}, eps={self.eps}"
-            )
-        if not self.convex and not 1.0 - self.eps - 2.0 * self.alpha_bar > 0.0:
-            raise ParameterDomainError(
-                f"static nonconvex schedule needs alpha_bar < (1-eps)/2; "
-                f"got alpha_bar={self.alpha_bar}, eps={self.eps}"
-            )
+        c = 2.0 if self.convex else 1.0
+        if not c * (1.0 - self.eps) - 2.0 * self.alpha_bar > 0.0:
+            raise _bound_error("static {} schedule", self.alpha_bar, self.eps, self.convex)
 
 
 @dataclass(frozen=True)
@@ -67,28 +71,17 @@ def delta_star(
     lambda_plus: float,
     convex: bool = False,
 ) -> float:
-    """Lyapunov step weight for given coefficient bounds and Lipschitz bound.
-
-    Nonconvex rule: ``(alpha_bar + beta_bar) * lambda_plus / (1 - eps - 2*alpha_bar)``.
-    Convex rule: ``(alpha_bar + 2*beta_bar) * lambda_plus / (2*(1 - eps - alpha_bar))``.
+    """Lyapunov step weight for given coefficient bounds and Lipschitz bound:
+    ``(alpha_bar + c*beta_bar) * lambda_plus / (c*(1-eps) - 2*alpha_bar)``
+    with prox factor ``c = 2`` on a convex block, 1 otherwise.
     """
     if lambda_plus <= 0.0:
         raise ParameterDomainError(f"lambda_plus must be positive, got {lambda_plus}")
-    if convex:
-        den = 2.0 * (1.0 - eps - alpha_bar)
-        if den <= 0.0:
-            raise ParameterDomainError(
-                f"convex step weight needs alpha_bar < 1-eps; got "
-                f"alpha_bar={alpha_bar}, eps={eps}"
-            )
-        return (alpha_bar + 2.0 * beta_bar) * lambda_plus / den
-    den = 1.0 - eps - 2.0 * alpha_bar
+    c = 2.0 if convex else 1.0
+    den = c * (1.0 - eps) - 2.0 * alpha_bar
     if den <= 0.0:
-        raise ParameterDomainError(
-            f"nonconvex step weight needs alpha_bar < (1-eps)/2; got "
-            f"alpha_bar={alpha_bar}, eps={eps}"
-        )
-    return (alpha_bar + beta_bar) * lambda_plus / den
+        raise _bound_error("{} step weight", alpha_bar, eps, convex)
+    return (alpha_bar + c * beta_bar) * lambda_plus / den
 
 
 def tau_for_delta(
@@ -99,15 +92,14 @@ def tau_for_delta(
     eps: float = 0.0,
     convex: bool = False,
 ) -> float:
-    """Step parameter ``tau`` for a given (possibly constant) step weight.
-
-    Nonconvex: ``((1+eps)*delta + (1+beta)*L) / (1 - alpha)``.
-    Convex: same numerator over ``2 - alpha``.
+    """Step parameter ``tau = ((1+eps)*delta + (1+beta)*L) / (c - alpha)`` for
+    a given (possibly constant) step weight, prox factor ``c`` as in
+    ``delta_star``.
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
-    num = (1.0 + eps) * delta + (1.0 + beta) * L
-    return num / (2.0 - alpha) if convex else num / (1.0 - alpha)
+    c = 2.0 if convex else 1.0
+    return ((1.0 + eps) * delta + (1.0 + beta) * L) / (c - alpha)
 
 
 def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None):
@@ -116,10 +108,9 @@ def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None
     For the static regimes, a pinned step weight ``delta`` gives
     ``tau_for_delta`` of it; with none, ``delta`` is computed from the
     instantaneous coefficients (at ``eps=0`` the pair collapses to the closed
-    forms ``tau = (1+2*beta)/(1-2*alpha) * L`` for nonconvex blocks and
-    ``tau = (1+2*beta)/(2*(1-alpha)) * L`` for convex ones).  The dynamic
-    regime sets no step weight: it returns ``tau = L`` and an undefined (NaN)
-    delta.
+    form ``tau = (1+2*beta)/(c-2*alpha) * L``, prox factor ``c = 2`` on a
+    convex block and 1 otherwise).  The dynamic regime sets no step weight:
+    it returns ``tau = L`` and an undefined (NaN) delta.
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
@@ -150,18 +141,16 @@ def descent_coefficients(
     ``g`` multiplies the incoming step measure, ``h`` the previous one, in
     the Lyapunov decrease decomposition:
 
-    * nonconvex: ``g = tau*(1-alpha) - (1+beta)*L - delta``
-    * convex: ``g = tau*(2-alpha) - (1+beta)*L - delta`` (the tighter
-      proximal bound for a convex block term contributes an extra ``tau``)
-    * both: ``h = delta - tau*alpha - L*beta``
+    * ``g = tau*(c-alpha) - (1+beta)*L - delta``, prox factor ``c`` as in
+      ``delta_star`` (the tighter proximal bound for a convex block term
+      contributes the extra ``tau``)
+    * ``h = delta - tau*alpha - L*beta``
 
     With ``delta_star``/``tau_for_delta`` parameters, ``g`` equals
     ``eps*delta_star`` exactly and ``h`` is at least ``eps*delta_star``.
     """
-    if convex:
-        g = tau * (2.0 - alpha) - (1.0 + beta) * L - delta
-    else:
-        g = tau * (1.0 - alpha) - (1.0 + beta) * L - delta
+    c = 2.0 if convex else 1.0
+    g = tau * (c - alpha) - (1.0 + beta) * L - delta
     h = delta - tau * alpha - L * beta
     return g, h
 
@@ -169,6 +158,6 @@ def descent_coefficients(
 def inertial_coeffs(kind: ScheduleKind, k: int):
     """(alpha, beta) for iteration ``k`` under the given schedule."""
     if isinstance(kind, Dynamic):
-        c = dynamic_coeff(k)
-        return c, c
+        coeff = dynamic_coeff(k)
+        return coeff, coeff
     return kind.alpha_bar, kind.beta_bar

@@ -159,7 +159,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     k = state.k + 1
     x_cur, x_prev = state.x_cur, state.x_prev
     mixed_blocks = list(x_cur)
-    alphas, betas, taus, deltas_used, Ls = [], [], [], [], []
+    steps = []  # per block: (alpha, beta, tau, delta, L)
     tau = delta = None
 
     # step and h_eval act on the block the loop below is at
@@ -207,31 +207,28 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
                 f"non-finite values in block {i} at iteration {k}", state.trace
             )
         mixed_blocks[i] = x_new
-        alphas.append(alpha)
-        betas.append(beta)
-        taus.append(tau)
-        deltas_used.append(delta)
-        Ls.append(L)
+        steps.append((alpha, beta, tau, delta, L))
 
+    alphas, betas, taus, deltas, Ls = zip(*steps)
     x_next = BlockVector(mixed_blocks)
     bdeltas = step_deltas(x_next, x_cur)
     F = float(problem.eval_F(x_next))
     if not math.isfinite(F):
         raise DivergenceError(f"non-finite objective at iteration {k}", state.trace)
-    if any(math.isnan(d) for d in deltas_used):
+    if any(math.isnan(d) for d in deltas):
         psi = None
     else:
-        psi = F + float(np.asarray(deltas_used) @ bdeltas)
+        psi = F + float(np.asarray(deltas) @ bdeltas)
     state.trace.rows.append(
         TraceRow(
             k=k,
             F=F,
             Psi=psi,
-            delta=tuple(deltas_used),
-            L=tuple(Ls),
-            tau=tuple(taus),
-            alpha=tuple(alphas),
-            beta=tuple(betas),
+            delta=deltas,
+            L=Ls,
+            tau=taus,
+            alpha=alphas,
+            beta=betas,
             block_deltas=tuple(bdeltas),
             step_norm=float(np.sqrt(2.0 * bdeltas.sum())),
             seconds=time.perf_counter() - state.t0,

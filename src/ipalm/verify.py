@@ -124,6 +124,8 @@ def check_prox_inequality(trials: int = 1000, seed: int = 0, dim_max: int = 10) 
     assertion exercises the variance-optimal coupling
     ``s = L_h ||u-w|| / ||u+-u||``.
     """
+    if trials < 1:
+        raise ValueError(f"proximal-bound trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = Report("prox_inequality")
     slack = 1e-9
@@ -173,17 +175,19 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
     Over random tuples (eps, coefficient bounds, instantaneous coefficients,
     Lipschitz values), the descent coefficients built from the closed-form
     step weight and step parameter must satisfy ``g == eps*delta`` exactly
-    (to roundoff) and ``h >= eps*delta``, in both the nonconvex and convex
-    variants.  Boundary points ``alpha == alpha_bar`` are probed explicitly.
+    (to roundoff) and ``h >= eps*delta``, for prox factors ``c`` 1 and 2 with
+    ``alpha_bar < c*(1-eps)/2``.  Boundary points are probed explicitly.
     """
+    if n_points < 1:
+        raise ValueError(f"step-rule grid points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     report = Report("step_rule_identities")
     eps_choices = (0.0, 0.01, 0.1)
     for trial in range(n_points):
         eps = eps_choices[trial % len(eps_choices)]
         convex = bool(trial % 2)
-        limit = (1.0 - eps) if convex else 0.5 * (1.0 - eps)
-        alpha_bar = float(rng.uniform(0.0, 0.999) * limit)
+        c = 2.0 if convex else 1.0
+        alpha_bar = float(rng.uniform(0.0, 0.999) * (c * (1.0 - eps) / 2.0))
         beta_bar = float(rng.uniform(0.0, 2.0))
         lam = float(rng.uniform(0.1, 10.0))
         # boundary probe on a slice of the grid, interior sample otherwise

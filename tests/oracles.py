@@ -10,7 +10,9 @@ references do the same filter by filter on complete stacks,
 ``padded_kernel_spectrum`` and ``irfft_kernel_window`` the full-size
 transforms that the DFT-factor kernel transforms replace;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
-`ipalm.bid` and `ipalm.convlasso` swapped for an empty one.
+`ipalm.bid` and `ipalm.convlasso` swapped for an empty one.  The ``*_two_branch``
+functions are the static step rules written once per convexity, the
+references for `ipalm.schedules`' one formula in the prox factor.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records, or read out of them.
 """
@@ -33,6 +35,7 @@ from ipalm.imageops import (
     phi_value,
     remember_last,
 )
+from ipalm.schedules import ParameterDomainError
 
 
 def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,3 +284,43 @@ def with_empty_memos(fn, *args):
     finally:
         for module, name, memo in saved:
             setattr(module, name, memo)
+
+
+def static_bound_two_branch(alpha_bar: float, eps: float, convex: bool) -> bool:
+    """Does ``Static`` accept ``alpha_bar`` (given its other checks pass)?"""
+    if convex:
+        return 1.0 - eps - alpha_bar > 0.0
+    return 1.0 - eps - 2.0 * alpha_bar > 0.0
+
+
+def delta_star_two_branch(alpha_bar, beta_bar, eps, lambda_plus, convex=False) -> float:
+    """``schedules.delta_star`` with one branch per convexity."""
+    if lambda_plus <= 0.0:
+        raise ParameterDomainError(f"lambda_plus must be positive, got {lambda_plus}")
+    if convex:
+        den = 2.0 * (1.0 - eps - alpha_bar)
+        if den <= 0.0:
+            raise ParameterDomainError("convex step weight needs alpha_bar < 1-eps")
+        return (alpha_bar + 2.0 * beta_bar) * lambda_plus / den
+    den = 1.0 - eps - 2.0 * alpha_bar
+    if den <= 0.0:
+        raise ParameterDomainError("nonconvex step weight needs alpha_bar < (1-eps)/2")
+    return (alpha_bar + beta_bar) * lambda_plus / den
+
+
+def tau_for_delta_two_branch(alpha, beta, delta, L, eps=0.0, convex=False) -> float:
+    """``schedules.tau_for_delta`` with one branch per convexity."""
+    if L <= 0.0:
+        raise ParameterDomainError(f"L must be positive, got {L}")
+    num = (1.0 + eps) * delta + (1.0 + beta) * L
+    return num / (2.0 - alpha) if convex else num / (1.0 - alpha)
+
+
+def descent_coefficients_two_branch(alpha, beta, delta, tau, L, convex=False):
+    """``schedules.descent_coefficients`` with one branch per convexity."""
+    if convex:
+        g = tau * (2.0 - alpha) - (1.0 + beta) * L - delta
+    else:
+        g = tau * (1.0 - alpha) - (1.0 + beta) * L - delta
+    h = delta - tau * alpha - L * beta
+    return g, h

@@ -552,6 +552,18 @@ def test_cli_verify_deterministic_reports(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("counts", [["--trials", "-3", "--points", "0"],
+                                    ["--trials", "0", "--points", "5"],
+                                    ["--trials", "5", "--points", "-1"]])
+def test_cli_verify_without_trials_exits_2_with_no_report(tmp_path, capsys, counts):
+    out = tmp_path / "v"
+    assert main(["verify", *counts, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_synth_writes_instances(tmp_path):
     for problem, expect in (
         ("nmf", "nmf_A.csv"),

@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec
@@ -27,6 +28,14 @@ def test_step_rule_battery_clean():
 def test_prox_inequality_battery_clean():
     report = check_prox_inequality(trials=300, seed=1)
     assert report.ok, [r.detail for r in report.violations[:3]]
+
+
+@pytest.mark.parametrize("check, count", [
+    (check_step_rule_identities, "n_points"), (check_prox_inequality, "trials")])
+@pytest.mark.parametrize("n", [0, -3])
+def test_randomized_checks_reject_fewer_than_one_trial(check, count, n):
+    with pytest.raises(ValueError, match="at least 1"):
+        check(**{count: n})
 
 
 def test_prox_inequality_fixed_point_case():
