@@ -51,6 +51,18 @@ def _fmt17(v) -> str:
     return f"{v:.17g}"
 
 
+def _seed(raw: str) -> int:
+    """``--seed`` of the commands that take no ``RunConfig``; a run's seed is
+    checked by ``RunConfig`` itself."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     # defaults are None sentinels so that precedence is explicit flag, then
     # config file, then the built-in RunConfig defaults
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000, help="proximal-bound trials")
     p.add_argument("--points", type=int, default=10000, help="step-rule grid points")
     p.add_argument("--out", default=None, help="directory for per-check CSV reports")
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write synthetic desk instances")
     p.add_argument("--problem", choices=("nmf", "bid", "convlasso"), default="nmf")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -54,6 +54,8 @@ class RunConfig:
             raise ConfigError(f"tol must be >= 0, got {self.tol}")
         if self.iters < 1:
             raise ConfigError(f"iters must be >= 1, got {self.iters}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if any(k < 0 for k in self.checkpoints):
             raise ConfigError(f"checkpoints must be >= 0, got {self.checkpoints}")
         if self.jobs < 1:

@@ -41,7 +41,10 @@ def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
 
 
 def _feasible(B: np.ndarray, C: np.ndarray, s: int) -> bool:
-    if (B < 0).any() or (C < 0).any():
+    # fmin skips NaN entries as (B < 0).any() does, where min() would return
+    # NaN; initial=0 keeps a factor with no entries feasible
+    if (np.fmin.reduce(B, axis=None, initial=0.0) < 0
+            or np.fmin.reduce(C, axis=None, initial=0.0) < 0):
         return False
     return int((B != 0).sum(axis=0).max(initial=0)) <= s
 

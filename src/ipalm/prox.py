@@ -38,13 +38,11 @@ def prox_l0_nonneg_cols(P: np.ndarray, s: int) -> np.ndarray:
         raise ValueError(f"sparsity level s={s} exceeds column length m={m}")
     if s < 0:
         raise ValueError(f"sparsity level must be >= 0, got {s}")
-    clamped = np.maximum(P, 0.0)
-    # stable argsort of the negated column: ties resolve to the lower index
-    order = np.argsort(-clamped, axis=0, kind="stable")
-    out = np.zeros_like(clamped)
-    keep = order[:s, :]
-    cols = np.arange(P.shape[1])
-    out[keep, cols[None, :]] = clamped[keep, cols[None, :]]
+    out = np.maximum(P, 0.0)
+    # stable argsort of the negated column: ties resolve to the lower index;
+    # the rows past the first s of each column's order are zeroed in place
+    order = np.argsort(-out, axis=0, kind="stable")
+    out[order[s:], np.arange(P.shape[1])] = 0.0
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -154,6 +155,12 @@ def initial_trace_row(problem: ProblemSpec, x0: BlockVector, heuristic: bool) ->
     )
 
 
+# ``BlockVector(parts)`` without the per-block conversion.  Every part the
+# solver passes is float64 already: a block of an iterate, an extrapolation
+# of one, or a prox output that ``step`` converted.
+_vector = partial(tuple.__new__, BlockVector)
+
+
 def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     """Advance the state by one full sweep over the blocks (in place)."""
     k = state.k + 1
@@ -168,7 +175,8 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         nonlocal tau, delta
         tau, delta = tau_step(alpha, beta, L, kind, const_delta)
         tau *= scale
-        x_new = problem.prox(i, tau, y - grad / tau)
+        # float64 here, once: the vectors `_vector` builds rely on it
+        x_new = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)
         if x_new.shape != y.shape:  # y has block i's shape
             raise ShapeMismatchError(
                 f"{problem.name}: the prox of block {i} at iteration {k} returned "
@@ -179,15 +187,16 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     def h_eval(block_value, above=None):
         parts = list(mixed_blocks)
         parts[i] = block_value
-        return problem.eval_H(BlockVector(parts), above)
+        return problem.eval_H(_vector(parts), above)
 
     for i in range(len(x_cur)):
         kind = state.kinds[i]
         alpha, beta = inertial_coeffs(kind, k)
         y = extrapolate(x_cur, x_prev, alpha, i)
-        z = extrapolate(x_cur, x_prev, beta, i)
+        # with beta == alpha the gradient point is the prox anchor
+        z = y if beta == alpha else extrapolate(x_cur, x_prev, beta, i)
         mixed_blocks[i] = z
-        mixed = BlockVector(mixed_blocks)
+        mixed = _vector(mixed_blocks)
         scale = state.step_scale[i]
         const_delta = None if state.constant_delta is None else state.constant_delta[i]
         if state.backtrack is None:
@@ -210,7 +219,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         steps.append((alpha, beta, tau, delta, L))
 
     alphas, betas, taus, deltas, Ls = zip(*steps)
-    x_next = BlockVector(mixed_blocks)
+    x_next = _vector(mixed_blocks)
     bdeltas = step_deltas(x_next, x_cur)
     F = float(problem.eval_F(x_next))
     if not math.isfinite(F):
@@ -230,7 +239,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
             alpha=alphas,
             beta=betas,
             block_deltas=tuple(bdeltas),
-            step_norm=float(np.sqrt(2.0 * bdeltas.sum())),
+            step_norm=math.sqrt(2.0 * float(bdeltas.sum())),
             seconds=time.perf_counter() - state.t0,
         )
     )
@@ -308,11 +317,12 @@ def make_state(
 
 def run_state(state: SolverState, problem: ProblemSpec, iters: int, tol: float) -> SolverTrace:
     """Drive an assembled state for ``iters`` sweeps or until the relative
-    step criterion ``||x_new - x|| <= tol*(1 + ||x||)`` fires."""
+    step criterion ``||x_new - x|| <= tol*(1 + ||x||)`` fires; with
+    ``tol == 0`` it fires on an exactly zero step, whatever ``||x||`` is."""
     if iters < 1:
         raise ValueError(f"iteration budget must be >= 1, got {iters}")
     for _ in range(iters):
-        ref = math.sqrt(state.x_cur.norm_sq())
+        ref = math.sqrt(state.x_cur.norm_sq()) if tol > 0 else 0.0
         ipalm_iterate(state, problem)
         if state.trace.rows[-1].step_norm <= tol * (1.0 + ref):
             break

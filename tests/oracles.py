@@ -7,6 +7,8 @@ domain from the centred views with no remembered spectra, the convlasso
 references do the same filter by filter on complete stacks,
 ``filter_projection_ref`` is the per-filter loop of the filter projection, and
 ``fourier_energy`` is the corner-padded reference for the convlasso moduli,
+``prox_l0_nonneg_cols_ref`` and ``nmf_feasible_ref`` the gather-and-scatter
+projection and the elementwise sign test that the NMF oracles replace,
 ``padded_kernel_spectrum`` and ``irfft_kernel_window`` the full-size
 transforms that the DFT-factor kernel transforms replace;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
@@ -260,6 +262,27 @@ def filter_projection_ref(stack: np.ndarray) -> np.ndarray:
         if nrm > 1.0:
             out[j] = out[j] / nrm
     return out
+
+
+def prox_l0_nonneg_cols_ref(P: np.ndarray, s: int) -> np.ndarray:
+    """The columnwise projection onto {nonnegative, at most ``s`` nonzeros}
+    by gather and scatter: clamp at zero, stable-sort each negated column,
+    and copy the first ``s`` rows of the order into a zero matrix."""
+    clamped = np.maximum(np.asarray(P, dtype=np.float64), 0.0)
+    order = np.argsort(-clamped, axis=0, kind="stable")
+    out = np.zeros_like(clamped)
+    keep = order[:s, :]
+    cols = np.arange(clamped.shape[1])
+    out[keep, cols[None, :]] = clamped[keep, cols[None, :]]
+    return out
+
+
+def nmf_feasible_ref(B: np.ndarray, C: np.ndarray, s: int) -> bool:
+    """Is ``(B, C)`` in the NMF constraint set: no entry below zero in either
+    factor, and at most ``s`` nonzeros in every column of ``B``."""
+    if (B < 0).any() or (C < 0).any():
+        return False
+    return int((B != 0).sum(axis=0).max(initial=0)) <= s
 
 
 def fourier_energy(stack: np.ndarray, shape) -> float:

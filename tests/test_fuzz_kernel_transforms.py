@@ -1,8 +1,13 @@
 """Property test: the DFT-factor kernel transforms in `ipalm.imageops` agree
 with the full-size ones they replace, the zero-padded ``rfft2`` and the
-windowed ``irfft2``, to 1e-12 of the largest modulus, for odd kernel sides
-from 1 up to the image side, stacks of 1-8 kernels and even and odd image
-sides."""
+windowed ``irfft2``, to 1e-12 of the full-size transform's largest modulus,
+for odd kernel sides from 1 up to the image side, stacks of 1-8 kernels and
+even and odd image sides.
+
+The window is measured against the whole ``irfft2``, not against itself: a
+small window can cancel to far below the transform it is cut from (one
+1x1 window of a 5x47 transform is 4.5e-6 against 0.25), and there the
+reference's own rounding is a larger share of it than 1e-12."""
 
 import numpy as np
 import pytest
@@ -28,16 +33,19 @@ def transform_cases(draw):
     return (m, n), (n1, n2), depth
 
 
-def close(got, want):
+def close(got, want, scale=None):
+    """``got`` is within TOL of ``scale``, by default ``want``'s largest modulus."""
     assert got.shape == want.shape
-    return np.abs(got - want).max() <= TOL * np.abs(want).max()
+    scale = np.abs(want).max() if scale is None else scale
+    return np.abs(got - want).max() <= TOL * scale
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
 @given(case=transform_cases(), seed=st.integers(0, 2**32 - 1))
 @example(case=((256, 256), (31, 31), 2), seed=0)  # the paper's BID scale
 @example(case=((64, 63), (63, 63), 1), seed=1)
 @example(case=((1, 2), (1, 1), 8), seed=2)
+@example(case=((5, 47), (1, 1), 5), seed=597)  # a window that cancels to 4.5e-6
 def test_factor_transforms_match_full_size_references(case, seed):
     shape, kshape, depth = case
     rng = np.random.default_rng(seed)
@@ -47,7 +55,8 @@ def test_factor_transforms_match_full_size_references(case, seed):
     # any half spectrum, Hermitian or not: both read it as irfft2 does
     half = (depth, shape[0], shape[1] // 2 + 1)
     spec = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+    full = np.abs(np.fft.irfft2(spec, s=shape))
     assert close(centered_kernel_window(spec, kshape, shape),
-                 irfft_kernel_window(spec, kshape, shape))
+                 irfft_kernel_window(spec, kshape, shape), full.max())
     assert close(centered_kernel_window(spec[0], kshape, shape),
-                 irfft_kernel_window(spec[0], kshape, shape))
+                 irfft_kernel_window(spec[0], kshape, shape), full[0].max())

@@ -95,6 +95,25 @@ def test_config_rejects_negative_checkpoints_and_fewer_than_one_job(values):
         RunConfig(**values)
 
 
+def test_config_file_rejects_a_negative_seed_naming_it(tmp_path):
+    path = tmp_path / "seed.cfg"
+    path.write_text("iters=2\nseed=-1\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", [["nmf", "--iters", "2"], ["synth"], ["verify"]])
+def test_cli_rejects_a_negative_seed_naming_it(command, tmp_path, capsys):
+    # synth and verify take no RunConfig: argparse rejects their seed and exits
+    try:
+        rc = main(command + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
     from ipalm import cli
 

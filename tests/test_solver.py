@@ -50,8 +50,10 @@ def test_gradient_method_recovery_one_step_to_zero():
     problem = one_block_quadratic()
     x0 = BlockVector([np.array([3.0, -2.0, 0.5])])
     state = make_state(problem, x0, Static(0.0, 0.0))
-    run_state(state, problem, iters=1, tol=0.0)
+    trace = run_state(state, problem, iters=50, tol=0.0)
     assert np.array_equal(state.x_cur[0], np.zeros(3))
+    # the second step, out of 0, is exactly zero: tol == 0 stops there
+    assert [row.step_norm > 0.0 for row in trace.rows[1:]] == [True, False]
 
 
 def reference_palm_nmf(A, B, C, s, iters):
@@ -260,6 +262,52 @@ def test_run_infinite_tol_stops_after_one_iteration():
         RunConfig(schedule="static-nc", iters=500, tol=math.inf, backtrack=False),
     ).trace
     assert len(trace) == 2  # initial row + one iteration
+
+
+def run_state_forming_every_norm(state, problem, iters, tol):
+    """The relative step stop with ``||x||`` formed before every sweep,
+    whatever ``tol`` is."""
+    for _ in range(iters):
+        ref = math.sqrt(state.x_cur.norm_sq())
+        ipalm_iterate(state, problem)
+        if state.trace.rows[-1].step_norm <= tol * (1.0 + ref):
+            break
+    return state.trace
+
+
+def _nmf_state(schedule):
+    inst = synth_nmf(seed=6)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=6)
+    return make_state(problem, x0, block_kinds(problem, RunConfig(schedule=schedule))), problem
+
+
+def test_zero_tol_stops_on_a_zero_step_from_an_iterate_whose_norm_overflows():
+    # ||x||^2 overflows; tol*(1 + ||x||) would be 0*inf, NaN, and never stop
+    problem = ProblemSpec(
+        eval_F=lambda x: 0.0, eval_H=lambda x, above=None: 0.0,
+        partial_grad=lambda i, x, value=False: np.zeros_like(x[0]),
+        prox=lambda i, t, p: p, convex=(True,), lipschitz=lambda i, x: 0.0,
+    )
+    state = make_state(problem, BlockVector([np.full(2, 1e200)]), Static(0.0, 0.0))
+    assert math.isinf(state.x_cur.norm_sq())
+    assert len(run_state(state, problem, iters=5, tol=0.0)) == 2
+
+
+@pytest.mark.parametrize("schedule", ["static-c", "dynamic"])
+def test_zero_tol_runs_the_whole_budget_while_the_steps_are_nonzero(schedule):
+    trace = run_state(*_nmf_state(schedule), iters=30, tol=0.0)
+    assert len(trace) == 31
+    assert min(row.step_norm for row in trace.rows[1:]) > 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-1, 1e-2, 1e-3, 1e-4, math.inf])
+@pytest.mark.parametrize("schedule", ["static-c", "dynamic"])
+def test_positive_tol_stops_on_the_sweep_of_the_norm_formed_every_sweep(schedule, tol):
+    trace = run_state(*_nmf_state(schedule), iters=300, tol=tol)
+    want = run_state_forming_every_norm(*_nmf_state(schedule), iters=300, tol=tol)
+    assert len(trace) == len(want)
+    assert [row.step_norm for row in trace.rows] == [row.step_norm for row in want.rows]
 
 
 def test_run_determinism_bitwise():
