@@ -54,10 +54,7 @@ def _fmt17(v) -> str:
 def _seed(raw: str) -> int:
     """``--seed`` of the commands that take no ``RunConfig``; a run's seed is
     checked by ``RunConfig`` itself."""
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    seed = int(raw)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
