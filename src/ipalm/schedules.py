@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 
@@ -78,10 +79,9 @@ def delta_star(
     if lambda_plus <= 0.0:
         raise ParameterDomainError(f"lambda_plus must be positive, got {lambda_plus}")
     c = 2.0 if convex else 1.0
-    den = c * (1.0 - eps) - 2.0 * alpha_bar
-    if den <= 0.0:
+    if c * (1.0 - eps) - 2.0 * alpha_bar <= 0.0:
         raise _bound_error("{} step weight", alpha_bar, eps, convex)
-    return (alpha_bar + c * beta_bar) * lambda_plus / den
+    return _static_rule(eps, convex)(alpha_bar, beta_bar, lambda_plus)[1]
 
 
 def tau_for_delta(
@@ -98,12 +98,12 @@ def tau_for_delta(
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
-    c = 2.0 if convex else 1.0
-    return ((1.0 + eps) * delta + (1.0 + beta) * L) / (c - alpha)
+    return _static_rule(eps, convex, delta)(alpha, beta, L)[0]
 
 
 def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None):
-    """Per-iteration ``(tau, delta)`` under the given schedule regime.
+    """Per-iteration ``(tau, delta)`` under the given schedule regime: the
+    checked form of ``step_rule(kind, delta)(alpha, beta, L)``.
 
     For the static regimes, a pinned step weight ``delta`` gives
     ``tau_for_delta`` of it; with none, ``delta`` is computed from the
@@ -114,11 +114,44 @@ def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
-    if isinstance(kind, Dynamic):
-        return L, math.nan
-    if delta is None:
+    if delta is None and isinstance(kind, Static):
+        # the checked weight; the pinned rule then forms tau as the unpinned one does
         delta = delta_star(alpha, beta, kind.eps, L, convex=kind.convex)
-    return tau_for_delta(alpha, beta, delta, L, kind.eps, convex=kind.convex), delta
+    return step_rule(kind, delta)(alpha, beta, L)
+
+
+def step_rule(kind: ScheduleKind, delta=None):
+    """One block's step rule, compiled: ``rule(alpha, beta, L) -> (tau, delta)``
+    gives the bits of ``tau_step(alpha, beta, L, kind, delta)`` and checks
+    nothing, so the solver compiles it once per run from a checked kind and
+    pinned ``delta``, and calls it with positive moduli."""
+    if isinstance(kind, Dynamic):
+        return _dynamic_step
+    return _static_rule(kind.eps, kind.convex, delta)
+
+
+def _static_rule(eps: float, convex: bool, delta=None):
+    """The static rule, the one home of its formula: the constants ``c``,
+    ``c*(1-eps)`` and ``1+eps`` are formed once and bound to the step, which
+    does the rest of the float operations in their order; ``delta`` is the
+    instantaneous weight unless pinned."""
+    c = 2.0 if convex else 1.0
+    if delta is None:
+        return partial(_weighted_step, c, c * (1.0 - eps), 1.0 + eps)
+    return partial(_pinned_step, c, 1.0 + eps, delta)
+
+
+def _weighted_step(c, c_eps, one_eps, alpha, beta, L):
+    weight = (alpha + c * beta) * L / (c_eps - 2.0 * alpha)
+    return (one_eps * weight + (1.0 + beta) * L) / (c - alpha), weight
+
+
+def _pinned_step(c, one_eps, delta, alpha, beta, L):
+    return (one_eps * delta + (1.0 + beta) * L) / (c - alpha), delta
+
+
+def _dynamic_step(alpha, beta, L):
+    return L, math.nan
 
 
 def dynamic_coeff(k: int) -> float:

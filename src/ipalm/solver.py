@@ -8,6 +8,14 @@ the smooth part at the mixed point (already-updated blocks before ``i``,
 ``z_i`` in slot ``i``, not-yet-updated blocks after), and applies the block's
 proximal map to ``y_i - grad/tau``.  With ``alpha = beta = 0`` the sweep is
 exactly the non-inertial alternating proximal-gradient method.
+
+`make_state` checks every setting once and compiles the run's plan: per
+block, its schedule kind, its step rule (``schedules.step_rule`` of the kind
+and the pinned step weight, which gives ``tau_step``'s bits unchecked) and
+its step scale.  A sweep then does per block only the coefficients, the
+extrapolation, the oracles, the rule, the prox with its shape and
+finiteness checks, and the block's half squared step; the trace row is
+assembled once, after the last block.
 """
 
 from __future__ import annotations
@@ -20,10 +28,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate, step_deltas
+from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from .config import block_kinds
 from .lipschitz import MODULUS_FLOOR, START, backtrack_L
-from .schedules import Dynamic, inertial_coeffs, tau_step
+from .schedules import Dynamic, Static, inertial_coeffs, step_rule
 
 TRACE_COLUMNS = (
     "k,F,Psi,delta1,delta2,L1,L2,tau1,tau2,alpha1,alpha2,beta1,beta2,"
@@ -123,16 +131,14 @@ class SolverTrace:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: current and previous iterates plus schedule.
-    `make_state` builds it and checks it; build it there."""
+    """Mutable per-run state: current and previous iterates plus the compiled
+    plan.  `make_state` builds it and checks it; build it there."""
 
     x_cur: BlockVector
     x_prev: BlockVector
     k: int
-    kinds: tuple
+    plan: tuple  # per block: (schedule kind, compiled step rule, step scale >= 1)
     backtrack: Optional[list]  # None: exact moduli; else each block's last accepted modulus
-    step_scale: tuple  # per-block tau multiplier >= 1
-    constant_delta: Optional[tuple]  # per-block constant step weight
     trace: SolverTrace = field(default_factory=SolverTrace)
     t0: float = field(default_factory=time.perf_counter)
 
@@ -157,73 +163,88 @@ def initial_trace_row(problem: ProblemSpec, x0: BlockVector, heuristic: bool) ->
 
 # ``BlockVector(parts)`` without the per-block conversion.  Every part the
 # solver passes is float64 already: a block of an iterate, an extrapolation
-# of one, or a prox output that ``step`` converted.
+# of one, or a prox output that ``_prox_point`` converted.
 _vector = partial(tuple.__new__, BlockVector)
 
 
+def _prox_point(problem: ProblemSpec, i: int, k: int, tau: float, y, grad) -> np.ndarray:
+    """Block ``i``'s prox point ``prox_i(tau, y - grad/tau)``, as float64
+    and with the block's shape, at iteration ``k``."""
+    # float64 here, once: the vectors `_vector` builds rely on it
+    x_new = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)
+    if x_new.shape != y.shape:  # y has block i's shape
+        raise ShapeMismatchError(
+            f"{problem.name}: the prox of block {i} at iteration {k} returned "
+            f"shape {x_new.shape}, the block has {y.shape}"
+        )
+    return x_new
+
+
+def _candidate(problem, i, k, rule, alpha, beta, scale, y, grad, L):
+    """The line search's candidate for modulus ``L``: the prox point at the
+    compiled rule's scaled ``tau``."""
+    return _prox_point(problem, i, k, rule(alpha, beta, L)[0] * scale, y, grad)
+
+
+def _h_at(eval_H, blocks: list, i: int, block_value, above=None) -> float:
+    """``H`` at ``blocks`` with block ``i`` replaced by ``block_value``."""
+    parts = list(blocks)
+    parts[i] = block_value
+    return eval_H(_vector(parts), above)
+
+
 def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
-    """Advance the state by one full sweep over the blocks (in place)."""
+    """Advance the state by one full sweep over the blocks (in place), by
+    the plan `make_state` compiled."""
     k = state.k + 1
     x_cur, x_prev = state.x_cur, state.x_prev
     mixed_blocks = list(x_cur)
+    backtrack = state.backtrack
     steps = []  # per block: (alpha, beta, tau, delta, L)
-    tau = delta = None
+    bdeltas = np.empty(len(x_cur))
 
-    # step and h_eval act on the block the loop below is at
-    def step(L):
-        """The prox point for modulus ``L``; sets the block's tau and delta."""
-        nonlocal tau, delta
-        tau, delta = tau_step(alpha, beta, L, kind, const_delta)
-        tau *= scale
-        # float64 here, once: the vectors `_vector` builds rely on it
-        x_new = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)
-        if x_new.shape != y.shape:  # y has block i's shape
-            raise ShapeMismatchError(
-                f"{problem.name}: the prox of block {i} at iteration {k} returned "
-                f"shape {x_new.shape}, the block has {y.shape}"
-            )
-        return x_new
-
-    def h_eval(block_value, above=None):
-        parts = list(mixed_blocks)
-        parts[i] = block_value
-        return problem.eval_H(_vector(parts), above)
-
-    for i in range(len(x_cur)):
-        kind = state.kinds[i]
+    for i, (kind, rule, scale) in enumerate(state.plan):
         alpha, beta = inertial_coeffs(kind, k)
         y = extrapolate(x_cur, x_prev, alpha, i)
         # with beta == alpha the gradient point is the prox anchor
         z = y if beta == alpha else extrapolate(x_cur, x_prev, beta, i)
         mixed_blocks[i] = z
         mixed = _vector(mixed_blocks)
-        scale = state.step_scale[i]
-        const_delta = None if state.constant_delta is None else state.constant_delta[i]
-        if state.backtrack is None:
+        if backtrack is None:
             grad = problem.partial_grad(i, mixed)
             L = max(float(problem.lipschitz(i, mixed)), MODULUS_FLOOR)
-            x_new = step(L)
         else:
-            # H at the base point comes from the gradient's own pass; the
-            # accepted modulus is the last one tested, so tau and delta are
-            # the accepted step's
+            # H at the base point comes from the gradient's own pass
             grad, h_z = problem.partial_grad(i, mixed, value=True)
-            L, x_new, _ = backtrack_L(h_eval, h_z, grad, z, step, state.backtrack[i])
-            state.backtrack[i] = L
-
-        if not np.isfinite(x_new).all():
+            L, x_new, _ = backtrack_L(
+                partial(_h_at, problem.eval_H, mixed_blocks, i), h_z, grad, z,
+                partial(_candidate, problem, i, k, rule, alpha, beta, scale, y, grad),
+                backtrack[i],
+            )
+            backtrack[i] = L
+        # with backtracking, the accepted modulus's tau and delta: the line
+        # search's last candidate was built from them
+        tau, delta = rule(alpha, beta, L)
+        tau *= scale
+        if backtrack is None:
+            x_new = _prox_point(problem, i, k, tau, y, grad)
+        d = x_new - x_cur[i]
+        dd = float(np.vdot(d, d).real)
+        # a finite squared step has a finite x_new; only a non-finite one
+        # needs the entrywise check
+        if not math.isfinite(dd) and not np.isfinite(x_new).all():
             raise DivergenceError(
                 f"non-finite values in block {i} at iteration {k}", state.trace
             )
         mixed_blocks[i] = x_new
+        bdeltas[i] = 0.5 * dd
         steps.append((alpha, beta, tau, delta, L))
 
-    alphas, betas, taus, deltas, Ls = zip(*steps)
     x_next = _vector(mixed_blocks)
-    bdeltas = step_deltas(x_next, x_cur)
     F = float(problem.eval_F(x_next))
     if not math.isfinite(F):
         raise DivergenceError(f"non-finite objective at iteration {k}", state.trace)
+    alphas, betas, taus, deltas, Ls = zip(*steps)
     if any(math.isnan(d) for d in deltas):
         psi = None
     else:
@@ -251,7 +272,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
 
 def make_state(
     problem: ProblemSpec,
-    x0: BlockVector,
+    x0,
     kinds,
     backtracking: bool = False,
     step_scale=None,
@@ -260,13 +281,17 @@ def make_state(
     """Assemble a fresh solver state with the first step inertia-free
     (the predecessor of the starting point is the starting point itself).
 
-    ``backtracking`` picks the moduli source for every block: descent-lemma
-    backtracking, each block's line search starting from ``lipschitz.START``,
-    or the problem's closed-form ``lipschitz``, floored at ``MODULUS_FLOOR``.
-    Every setting is checked here; a rejection names the problem and comes
-    before ``F_0``.  A dynamic run's initial row carries no Lyapunov value,
-    like every later row.
+    ``x0`` is taken as ``BlockVector(x0)``: float64 blocks, copy-free when
+    they are float64 already.  ``backtracking`` picks the moduli source for
+    every block: descent-lemma backtracking, each block's line search
+    starting from ``lipschitz.START``, or the problem's closed-form
+    ``lipschitz``, floored at ``MODULUS_FLOOR``.  Every setting is checked
+    here, and each block's step is compiled once for the run from its kind,
+    its step scale and its pinned delta; a rejection names the problem and
+    comes before ``F_0``.  A dynamic run's initial row carries no Lyapunov
+    value, like every later row.
     """
+    x0 = BlockVector(x0)
     nb = len(x0)
     if nb != problem.num_blocks:
         raise ValueError(
@@ -285,6 +310,12 @@ def make_state(
             raise ValueError(
                 f"{problem.name}: {name} needs one entry per block ({nb}), got {value}"
             )
+    for i, kind in enumerate(kinds):
+        if not isinstance(kind, (Static, Dynamic)):
+            raise ValueError(
+                f"{problem.name}: the schedule kind of block {i} must be Static or "
+                f"Dynamic, got {kind!r}"
+            )
     if not all(1.0 <= c < math.inf for c in step_scale):
         raise ValueError(f"{problem.name}: step_scale must be >= 1 and finite, got {step_scale}")
     heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
@@ -297,14 +328,16 @@ def make_state(
         raise ValueError(
             f"{problem.name}: constant_delta must be >= 0 and finite, got {constant_delta}"
         )
+    pinned = constant_delta or (None,) * nb
     state = SolverState(
         x_cur=x0,
         x_prev=x0,
         k=0,
-        kinds=kinds,
+        plan=tuple(
+            (kind, step_rule(kind, delta), scale)
+            for kind, delta, scale in zip(kinds, pinned, step_scale)
+        ),
         backtrack=[START] * nb if backtracking else None,
-        step_scale=step_scale,
-        constant_delta=constant_delta,
     )
     state.trace.rows.append(initial_trace_row(problem, x0, heuristic))
     state.trace.meta["heuristic"] = heuristic

@@ -14,11 +14,15 @@ transforms that the DFT-factor kernel transforms replace;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
 `ipalm.bid` and `ipalm.convlasso` swapped for an empty one.  The ``*_two_branch``
 functions are the static step rules written once per convexity, the
-references for `ipalm.schedules`' one formula in the prox factor.
+references for `ipalm.schedules`' one formula in the prox factor;
+``ipalm_ref`` is the paper's sweep written plainly on them, the reference
+for `ipalm.solver`'s compiled loop, and ``row_bits`` the exact record of a
+trace row that the two are compared on.
 The rest are small block-vector, Lyapunov and trace helpers checked against
 the solver's own records, or read out of them.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +41,8 @@ from ipalm.imageops import (
     phi_value,
     remember_last,
 )
-from ipalm.schedules import ParameterDomainError
+from ipalm.lipschitz import GROWTH, MAX_ROUNDS, MODULUS_FLOOR, SHRINK, START
+from ipalm.schedules import Dynamic, ParameterDomainError
 
 
 def circ_conv_direct(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -347,3 +352,114 @@ def descent_coefficients_two_branch(alpha, beta, delta, tau, L, convex=False):
         g = tau * (1.0 - alpha) - (1.0 + beta) * L - delta
     h = delta - tau * alpha - L * beta
     return g, h
+
+
+def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
+              constant_delta=None, tol=0.0):
+    """The iPALM sweep of Pock & Sabach written plainly: the trace rows, as
+    ``row_bits`` of every `TraceRow` field but ``seconds``, and the final
+    blocks, of ``make_state(...)`` driven by ``run_state(..., iters, tol)``.
+
+    Block ``i`` of sweep ``k`` takes its coefficients from its kind (the
+    dynamic ones are ``(k-1)/(k+2)``), anchors the prox at
+    ``y = x_i + alpha*(x_i - x_i_prev)`` and takes the gradient at
+    ``z = x_i + beta*(x_i - x_i_prev)`` (a zero coefficient takes ``x_i``
+    itself), with the blocks before ``i`` already updated.  Its step comes
+    from the two-branch rules: ``tau = tau_for_delta(delta)`` with the
+    pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
+    ``delta`` on a dynamic block, times the block's step scale.  The modulus
+    is the floored closed form, or the line search of ``backtrack_L``'s
+    documented policy: levels ``SHRINK*L_prev*GROWTH**j`` from the block's
+    last accepted modulus, the descent lemma at ``z`` with its slack, and a
+    rejected level jumping to the highest one at or below the curvature the
+    step showed.  The finiteness checks are left out: the runs it is
+    compared on stay finite.
+    """
+    nb = len(x0)
+    x_cur = x_prev = [np.asarray(b, dtype=np.float64) for b in x0]
+    scale = (1.0,) * nb if step_scale is None else step_scale
+    L_last = [START] * nb
+    heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
+    F = float(problem.eval_F(BlockVector(x_cur)))
+    rows = [row_bits((0, F, None if heuristic else F, None, None, None, None, None,
+                      (0.0,) * nb, 0.0))]
+    for k in range(1, iters + 1):
+        ref = math.sqrt(BlockVector(x_cur).norm_sq()) if tol > 0 else 0.0
+        x_next = list(x_cur)
+        record = []
+        for i, kind in enumerate(kinds):
+            if isinstance(kind, Dynamic):
+                alpha = beta = (k - 1.0) / (k + 2.0)
+            else:
+                alpha, beta = kind.alpha_bar, kind.beta_bar
+            cur, prev = x_cur[i], x_prev[i]
+            y = cur if alpha == 0.0 else cur + alpha * (cur - prev)
+            z = cur if beta == 0.0 else cur + beta * (cur - prev)
+
+            def at(block):
+                parts = list(x_next)
+                parts[i] = block
+                return BlockVector(parts)
+
+            def step(L):
+                if isinstance(kind, Dynamic):
+                    tau, delta = L, math.nan
+                else:
+                    delta = (delta_star_two_branch(alpha, beta, kind.eps, L, kind.convex)
+                             if constant_delta is None else constant_delta[i])
+                    tau = tau_for_delta_two_branch(alpha, beta, delta, L, kind.eps, kind.convex)
+                tau *= scale[i]
+                cand = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)
+                return cand, tau, delta
+
+            if not backtracking:
+                grad = problem.partial_grad(i, at(z))
+                L = max(float(problem.lipschitz(i, at(z))), MODULUS_FLOOR)
+                cand, tau, delta = step(L)
+            else:
+                grad, h_z = problem.partial_grad(i, at(z), value=True)
+                h_z = float(h_z)
+                slack = 1e-12 * (1.0 + abs(h_z))
+                L = max(SHRINK * L_last[i], MODULUS_FLOOR)
+                for _ in range(MAX_ROUNDS + 1):
+                    cand, tau, delta = step(L)
+                    d = cand - z
+                    dd = float(np.vdot(d, d).real)
+                    bound = h_z + float(np.vdot(grad, d).real) + 0.5 * L * dd + slack
+                    h = float(problem.eval_H(at(cand), bound))
+                    if h <= bound:
+                        break
+                    seen = L + 2.0 * (h - bound) / dd if dd > 0 else math.inf
+                    levels = math.log(seen / L, GROWTH)
+                    j = max(1, math.floor(levels)) if math.isfinite(levels) else 1
+                    L = L * GROWTH ** (j - 1) * GROWTH
+                else:
+                    raise AssertionError("the reference line search ran out of rounds")
+                L_last[i] = L
+            x_next[i] = cand
+            record.append((alpha, beta, tau, delta, L))
+        bd = np.array([0.5 * float(np.vdot(a - b, a - b).real) for a, b in zip(x_next, x_cur)])
+        F = float(problem.eval_F(BlockVector(x_next)))
+        alphas, betas, taus, deltas, Ls = (tuple(c) for c in zip(*record))
+        psi = None if any(math.isnan(d) for d in deltas) else F + float(np.asarray(deltas) @ bd)
+        step_norm = math.sqrt(2.0 * float(bd.sum()))
+        rows.append(row_bits((k, F, psi, deltas, Ls, taus, alphas, betas, tuple(bd), step_norm)))
+        x_prev, x_cur = x_cur, x_next
+        if step_norm <= tol * (1.0 + ref):
+            break
+    return rows, x_cur
+
+
+def row_bits(row):
+    """Every field of a trace row but ``seconds`` (a `TraceRow` or a tuple of
+    its fields in order), each value as its type's name and its exact bits."""
+    if not isinstance(row, tuple):
+        row = (row.k, row.F, row.Psi, row.delta, row.L, row.tau, row.alpha, row.beta,
+               row.block_deltas, row.step_norm)
+    return tuple(_bits(v) for v in row)
+
+
+def _bits(v):
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    return type(v).__name__, v.hex() if isinstance(v, float) else v

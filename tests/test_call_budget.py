@@ -26,11 +26,11 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
-NMF_DESK_EXACT = 33
-NMF_DESK_DYNAMIC = 30
-BID_BACKTRACKING = 164
-BID_EXACT = 127
-CONVLASSO_BACKTRACKING = 66
+NMF_DESK_EXACT = 28
+NMF_DESK_DYNAMIC = 29
+BID_BACKTRACKING = 161
+BID_EXACT = 122
+CONVLASSO_BACKTRACKING = 64
 
 # np.fft calls per warm sweep on each transforming instance: the image-side
 # gradient's one inverse transform.  Kernel spectra and kernel-side

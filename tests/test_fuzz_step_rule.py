@@ -1,7 +1,9 @@
 """Property test: the static step rules of `ipalm.schedules`, each written
 once in the prox factor ``c``, give bit for bit the values of the two-branch
 rules they replace, and accept and reject the same coefficient bounds,
-including ``alpha_bar`` exactly at ``(1-eps)/2`` and at ``1-eps``."""
+including ``alpha_bar`` exactly at ``(1-eps)/2`` and at ``1-eps``; the rule
+the solver compiles per block, ``step_rule``, gives the bits of ``tau_step``
+and of the two-branch rules."""
 
 import math
 
@@ -18,10 +20,12 @@ from oracles import (  # noqa: E402
 )
 
 from ipalm.schedules import (  # noqa: E402
+    Dynamic,
     ParameterDomainError,
     Static,
     delta_star,
     descent_coefficients,
+    step_rule,
     tau_for_delta,
     tau_step,
 )
@@ -102,3 +106,41 @@ def test_one_formula_matches_the_two_branch_rules_bitwise(case, pinned):
             delta_star_two_branch(ab, bb, eps, L, convex).hex())
         assert outcome(tau_step, alpha, beta, L, kind, pinned)[0] == outcome(
             tau_for_delta_two_branch, alpha, beta, pinned, L, eps, convex=convex)
+
+
+def hexes(pair):
+    return tuple(v.hex() for v in pair)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=rule_cases(), pinned=st.one_of(st.none(), st.floats(0.0, 1e6)),
+       scale=st.sampled_from([1.0, 1.5, 5.0]),
+       L=st.one_of(st.floats(1e-300, 1e300), st.just(math.inf)))
+@example(case=dict(alpha_bar=0.0, beta_bar=0.0, eps=0.0, lambda_plus=1.0, alpha=0.0,
+                   beta=0.0, L=1.0, convex=False), pinned=None, scale=1.0, L=math.inf)
+def test_the_compiled_rule_gives_the_bits_of_tau_step_and_the_two_branch_rules(
+        case, pinned, scale, L):
+    ab, bb, eps, convex = case["alpha_bar"], case["beta_bar"], case["eps"], case["convex"]
+    # the dynamic rule: tau = L, scaled by the solver, and no step weight
+    tau, delta = step_rule(Dynamic(), pinned)(case["alpha"], case["beta"], L)
+    assert (tau * scale).hex() == (L * scale).hex() and math.isnan(delta)
+    assert outcome(tau_step, case["alpha"], case["beta"], L, Dynamic())[0] == tau.hex()
+    if not static_bound_two_branch(ab, eps, convex):
+        return
+    kind = Static(ab, bb, eps, convex=convex)
+    rule = step_rule(kind, pinned)
+    # the solver's call, at the kind's own coefficients, and any below them
+    for alpha, beta in ((ab, bb), (case["alpha"], case["beta"])):
+        got = rule(alpha, beta, L)
+        assert hexes(got) == outcome(tau_step, alpha, beta, L, kind, pinned)
+        want_delta = (delta_star_two_branch(alpha, beta, eps, L, convex)
+                      if pinned is None else pinned)
+        want_tau = tau_for_delta_two_branch(alpha, beta, want_delta, L, eps, convex)
+        assert hexes(got) == (want_tau.hex(), want_delta.hex())
+        assert (got[0] * scale).hex() == (want_tau * scale).hex()
+        if pinned is not None:
+            assert got[1] is pinned
+    # an overflowed modulus at zero inertia: 0*inf, a NaN step weight, which
+    # the trace records as no Lyapunov value
+    if L == math.inf and ab == bb == 0.0 and pinned is None:
+        assert math.isnan(rule(0.0, 0.0, L)[1])

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
-from oracles import lyapunov_psi, params_at, trace_column
+from oracles import lyapunov_psi, params_at, row_bits, trace_column
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
@@ -190,6 +191,40 @@ def test_backtracking_asks_partial_grad_for_the_value_and_exact_moduli_do_not():
     state = make_state(problem, x0, Static(0.0, 0.0), backtracking=True)
     ipalm_iterate(state, problem)
     assert calls and all(above is not None for above in calls)
+
+
+@pytest.mark.parametrize("kinds, block, shown", [
+    ("static-c", 0, "'static-c'"),
+    ([None, None], 0, "None"),
+    ((Static(0.0, 0.0), "dynamic"), 1, "'dynamic'"),
+])
+def test_make_state_rejects_a_kind_that_is_no_schedule_naming_the_block(kinds, block, shown):
+    # unchecked, the first sweep died with an AttributeError on ``alpha_bar``
+    inst = synth_nmf(seed=3)
+    problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
+    message = rf"nmf\(.*\): the schedule kind of block {block} must be Static or Dynamic, got "
+    with pytest.raises(ValueError, match=message + re.escape(shown)):
+        make_state(problem, x0, kinds)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_make_state_takes_a_list_or_float32_x0_as_its_block_vector(tol):
+    # a list x0 had no ``norm_sq`` for tol > 0, and float32 blocks ran the
+    # first sweep in float32 (F_3 6.928645028, against 6.928644995 from the
+    # same values in float64)
+    inst = synth_nmf(seed=1)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    x0 = init_nmf(inst["A"], r=3, s=2, seed=1)
+    x0_f32 = tuple(b.astype(np.float32) for b in x0)
+
+    def result(start):
+        state = make_state(problem, start, block_kinds(problem, RunConfig()))
+        run_state(state, problem, iters=5, tol=tol)
+        return [row_bits(r) for r in state.trace.rows], [b.tobytes() for b in state.x_cur]
+
+    assert result(list(x0)) == result(x0)
+    assert result(x0_f32) == result(BlockVector(x0_f32))
 
 
 def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_problem():
