@@ -1,8 +1,10 @@
-"""Partial Lipschitz moduli: exact spectral norms and descent-lemma backtracking."""
+"""Partial Lipschitz moduli: exact spectral norms and descent-lemma backtracking
+whose next start follows the curvature each accepted step showed."""
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -38,8 +40,9 @@ POWER_TOL = 1e-9
 POWER_STEPS = 1000
 
 # The line search's policy.  Each call starts from ``SHRINK`` times the
-# block's last accepted modulus (``START`` before the first call) and climbs
-# the levels ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up.
+# block's ``L_prev`` (``START`` before the first call) and climbs the levels
+# ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up; the
+# accepted step's curvature sets the next call's ``L_prev``.
 START = 1.0
 GROWTH = 2.0
 SHRINK = 0.5
@@ -110,36 +113,42 @@ def backtrack_L(
     x_candidate_of_L: Callable[[float], np.ndarray],
     L_prev: float,
 ):
-    """Smallest tested modulus satisfying the descent lemma at its candidate.
+    """Smallest tested modulus satisfying the descent lemma at its candidate,
+    and the ``L_prev`` of the block's next call.
 
     Tests moduli on the levels ``L = SHRINK*L_prev * GROWTH**j`` with rising
-    ``j``, where ``L_prev`` is the block's last accepted modulus, and accepts
-    once ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds,
-    where the candidate ``x+`` is recomputed for every tested ``L``.  The
-    caller passes ``h_x = h(x)`` with the gradient ``h_grad_at`` (the solver
-    takes both from one ``partial_grad(i, x, value=True)`` pass), so
-    ``h_eval`` runs only at candidates.  A tiny relative slack absorbs
-    roundoff at the acceptance boundary, and the first tested modulus is at
-    least ``MODULUS_FLOOR``.  The estimate may thus fall by at most one
-    shrink per call and never settles above ``GROWTH`` times the block's
-    true modulus.
+    ``j``, and accepts once
+    ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds, where
+    the candidate ``x+`` is recomputed for every tested ``L``.  The caller
+    passes ``h_x = h(x)`` with the gradient ``h_grad_at`` (the solver takes
+    both from one ``partial_grad(i, x, value=True)`` pass), so ``h_eval``
+    runs only at candidates.  A tiny relative slack absorbs roundoff at the
+    acceptance boundary, and the first tested modulus is at least
+    ``MODULUS_FLOOR``.
 
-    A rejected candidate shows the curvature along its step,
+    Each candidate shows the curvature along its step,
     ``seen = 2*(h(x+) - h(x) - <grad h(x), d> - slack)/||d||^2`` with
-    ``d = x+ - x``, which is at most the block's true modulus; the next
-    tested level is the highest one at or below ``seen``, and at least one
-    level up.  Only levels the step has already ruled out are skipped, so
-    the accepted modulus stays at most ``GROWTH`` times the true one, as
-    with one level per round.  A non-finite ``seen`` (an ``h`` that
-    overflowed or is NaN) moves one level.  A non-finite ``h(x)`` admits no
-    level, so it raises ``EstimationError`` before any candidate is formed.
+    ``d = x+ - x``, which is at most the block's true modulus.  After a
+    rejection the next tested level is the highest one at or below ``seen``,
+    and at least one level up; a non-finite ``seen`` (an ``h`` that
+    overflowed or is NaN) moves one level.  Only levels the step has already
+    ruled out are skipped, so the accepted modulus stays at most ``GROWTH``
+    times the true one, as with one level per round.  After an acceptance
+    the next call starts at ``L`` when ``seen > SHRINK*L``, and at
+    ``SHRINK*L`` otherwise or after a zero step: the lowest level at or
+    above ``seen``, but at most one shrink down, so the estimate falls by at
+    most one shrink per call and its first probe is not a level this step's
+    curvature lies above.  A non-finite ``h(x)`` admits no level, so it
+    raises ``EstimationError`` before any candidate is formed.
 
     Each candidate is evaluated as ``h_eval(x+, above=rhs + slack)``: a value
     returned early lies above that bound and rejects as h itself would (see
     ``ProblemSpec.eval_H``); it is a lower bound on ``h(x+)``, so ``seen``
     stays a lower bound on the curvature, and the ``gap`` of an exhausted
     search is a lower bound on the last miss.  Mutates nothing and returns
-    ``(L, x+, tested)`` with the list of every tested modulus.
+    ``(L, x+, tested, L_next)`` with the list of every tested modulus and the
+    ``L_prev`` of the next call (``L/SHRINK`` or ``L``, capped at the largest
+    float).
     """
     if not 0 < L_prev < math.inf:
         raise ValueError(f"L_prev must be positive and finite, got {L_prev}")
@@ -157,10 +166,12 @@ def backtrack_L(
         rhs = h_x + float(np.vdot(h_grad_at, d).real) + 0.5 * L * dd
         bound = rhs + slack
         lhs = float(h_eval(cand, above=bound))
+        # the curvature along d; a zero step shows none (NaN)
+        seen = L + 2.0 * (lhs - bound) / dd if dd > 0 else math.nan
         if lhs <= bound:
-            return L, cand, tested
+            L_next = min(L / SHRINK, sys.float_info.max) if seen > SHRINK * L else L
+            return L, cand, tested, L_next
         # skip to the highest level at or below the curvature seen along d
-        seen = L + 2.0 * (lhs - bound) / dd if dd > 0 else math.inf
         levels = math.log(seen / L, GROWTH)
         j = max(1, math.floor(levels)) if math.isfinite(levels) else 1
         L = L * GROWTH ** (j - 1) * GROWTH  # GROWTH**j alone can overflow

@@ -138,7 +138,9 @@ class SolverState:
     x_prev: BlockVector
     k: int
     plan: tuple  # per block: (schedule kind, compiled step rule, step scale >= 1)
-    backtrack: Optional[list]  # None: exact moduli; else each block's last accepted modulus
+    # None: exact moduli; else each block's next ``backtrack_L`` ``L_prev``:
+    # its next line search starts at ``SHRINK`` times it
+    backtrack: Optional[list]
     trace: SolverTrace = field(default_factory=SolverTrace)
     t0: float = field(default_factory=time.perf_counter)
 
@@ -216,12 +218,11 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         else:
             # H at the base point comes from the gradient's own pass
             grad, h_z = problem.partial_grad(i, mixed, value=True)
-            L, x_new, _ = backtrack_L(
+            L, x_new, _, backtrack[i] = backtrack_L(
                 partial(_h_at, problem.eval_H, mixed_blocks, i), h_z, grad, z,
                 partial(_candidate, problem, i, k, rule, alpha, beta, scale, y, grad),
                 backtrack[i],
             )
-            backtrack[i] = L
         # with backtracking, the accepted modulus's tau and delta: the line
         # search's last candidate was built from them
         tau, delta = rule(alpha, beta, L)
@@ -283,8 +284,8 @@ def make_state(
 
     ``x0`` is taken as ``BlockVector(x0)``: float64 blocks, copy-free when
     they are float64 already.  ``backtracking`` picks the moduli source for
-    every block: descent-lemma backtracking, each block's line search
-    starting from ``lipschitz.START``, or the problem's closed-form
+    every block: descent-lemma backtracking, each block's first line search
+    with ``L_prev = lipschitz.START``, or the problem's closed-form
     ``lipschitz``, floored at ``MODULUS_FLOOR``.  Every setting is checked
     here, and each block's step is compiled once for the run from its kind,
     its step scale and its pinned delta; a rejection names the problem and

@@ -369,16 +369,18 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
     pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
     ``delta`` on a dynamic block, times the block's step scale.  The modulus
     is the floored closed form, or the line search of ``backtrack_L``'s
-    documented policy: levels ``SHRINK*L_prev*GROWTH**j`` from the block's
-    last accepted modulus, the descent lemma at ``z`` with its slack, and a
-    rejected level jumping to the highest one at or below the curvature the
-    step showed.  The finiteness checks are left out: the runs it is
-    compared on stay finite.
+    documented policy: levels ``start*GROWTH**j`` from the block's start
+    level (``SHRINK*START`` at its first call), the descent lemma at ``z``
+    with its slack, and a rejected level jumping to the highest one at or
+    below the curvature the step showed.  The next call starts at the
+    accepted level when the accepted step's curvature lies above one shrink
+    below it, and one shrink below otherwise.  The finiteness checks are
+    left out: the runs it is compared on stay finite.
     """
     nb = len(x0)
     x_cur = x_prev = [np.asarray(b, dtype=np.float64) for b in x0]
     scale = (1.0,) * nb if step_scale is None else step_scale
-    L_last = [START] * nb
+    start = [SHRINK * START] * nb
     heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
     F = float(problem.eval_F(BlockVector(x_cur)))
     rows = [row_bits((0, F, None if heuristic else F, None, None, None, None, None,
@@ -420,7 +422,7 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
                 grad, h_z = problem.partial_grad(i, at(z), value=True)
                 h_z = float(h_z)
                 slack = 1e-12 * (1.0 + abs(h_z))
-                L = max(SHRINK * L_last[i], MODULUS_FLOOR)
+                L = max(start[i], MODULUS_FLOOR)
                 for _ in range(MAX_ROUNDS + 1):
                     cand, tau, delta = step(L)
                     d = cand - z
@@ -435,7 +437,9 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
                     L = L * GROWTH ** (j - 1) * GROWTH
                 else:
                     raise AssertionError("the reference line search ran out of rounds")
-                L_last[i] = L
+                # the curvature the accepted step showed; a zero step shows none
+                seen = 2.0 * (h - h_z - float(np.vdot(grad, d).real) - slack) / dd if dd else 0.0
+                start[i] = L if seen > SHRINK * L else SHRINK * L
             x_next[i] = cand
             record.append((alpha, beta, tau, delta, L))
         bd = np.array([0.5 * float(np.vdot(a - b, a - b).real) for a, b in zip(x_next, x_cur)])

@@ -28,9 +28,9 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 28
 NMF_DESK_DYNAMIC = 29
-BID_BACKTRACKING = 161
+BID_BACKTRACKING = 136
 BID_EXACT = 122
-CONVLASSO_BACKTRACKING = 64
+CONVLASSO_BACKTRACKING = 53
 
 # np.fft calls per warm sweep on each transforming instance: the image-side
 # gradient's one inverse transform.  Kernel spectra and kernel-side

@@ -11,7 +11,7 @@ from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from ipalm.config import RunConfig, block_kinds
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
-from ipalm.lipschitz import MODULUS_FLOOR, START, spectral_norm
+from ipalm.lipschitz import MODULUS_FLOOR, SHRINK, START, spectral_norm
 from ipalm.nmf import init_nmf, make_nmf_problem
 from ipalm.prox import prox_l0_nonneg_cols, prox_nonneg
 from ipalm.schedules import Dynamic, Static
@@ -240,9 +240,15 @@ def test_make_state_gives_each_block_its_own_default_line_search():
     x0 = init_nmf(inst["A"], r=3, s=2, seed=1)
     state = make_state(problem, x0, Static(0.0, 0.0), backtracking=True)
     assert state.backtrack == [START, START]
-    # each block carries its own accepted modulus into the next sweep
+    # each block carries its own start level into the next sweep: its
+    # accepted modulus, or one shrink below it
     ipalm_iterate(state, problem)
-    assert state.backtrack == list(state.trace.rows[1].L)
+    starts = [SHRINK * b for b in state.backtrack]
+    assert all(s in (L, SHRINK * L) for s, L in zip(starts, state.trace.rows[1].L))
+    # and the next sweep's search climbs the levels from there
+    ipalm_iterate(state, problem)
+    for s, L in zip(starts, state.trace.rows[2].L):
+        assert L >= s and math.log2(L / s).is_integer()
 
 
 @pytest.mark.parametrize("backtracking", [False, True], ids=["exact", "backtracking"])
