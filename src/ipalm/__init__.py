@@ -8,20 +8,16 @@ from .blockmodel import (
     ProblemSpec,
     ShapeMismatchError,
     extrapolate,
-    step_deltas,
 )
 from .config import ConfigError, RunConfig, block_kinds, load_config
 from .lipschitz import EstimationError, backtrack_L, spectral_norm
 from .schedules import (
     Dynamic,
     ParameterDomainError,
-    ScheduleKind,
     Static,
     delta_star,
-    dynamic_coeff,
     descent_coefficients,
     tau_for_delta,
-    tau_step,
 )
 from .solver import (
     DivergenceError,
@@ -43,7 +39,6 @@ __all__ = [
     "ParameterDomainError",
     "ProblemSpec",
     "RunConfig",
-    "ScheduleKind",
     "ShapeMismatchError",
     "SolverState",
     "SolverTrace",
@@ -51,7 +46,6 @@ __all__ = [
     "backtrack_L",
     "block_kinds",
     "delta_star",
-    "dynamic_coeff",
     "extrapolate",
     "ipalm_iterate",
     "descent_coefficients",
@@ -60,9 +54,7 @@ __all__ = [
     "run",
     "run_state",
     "spectral_norm",
-    "step_deltas",
     "tau_for_delta",
-    "tau_step",
 ]
 
 __version__ = "0.1.0"

@@ -81,18 +81,6 @@ def extrapolate(
     return cur + coeff * (cur - x_prev[block])
 
 
-def step_deltas(x_next: BlockVector, x_cur: BlockVector) -> np.ndarray:
-    """Per-block half squared step lengths ``0.5*||x_next_i - x_cur_i||^2``.
-
-    Their sum equals half the squared norm of the full step.
-    """
-    out = np.empty(len(x_next))
-    for i, (a, b) in enumerate(zip(x_next, x_cur)):
-        d = a - b
-        out[i] = 0.5 * float(np.vdot(d, d).real)
-    return out
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Objective contract: smooth coupling term plus per-block nonsmooth terms.

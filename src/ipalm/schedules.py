@@ -1,6 +1,9 @@
 """Per-iteration inertial and step parameter rules.
 
-Two kinds of schedule are supported:
+Each schedule kind owns its rule: ``kind.coeffs(k)`` gives the inertial pair
+``(alpha, beta)`` of iteration ``k``, and ``kind.rule(delta)`` compiles the
+step ``(alpha, beta, L) -> (tau, delta)``, which checks nothing.  Two kinds
+are supported:
 
 * static -- constant extrapolation coefficients.  Each rule is written once
   in the prox factor ``c``: ``c = 2`` on a block whose nonsmooth term is
@@ -11,6 +14,9 @@ Two kinds of schedule are supported:
 * dynamic -- accelerated-style coefficients ``(k-1)/(k+2)`` with plain ``1/L``
   steps.  Empirically the fastest regime but not covered by the descent
   theory, so runs in this mode are flagged as heuristic.
+
+``delta_star`` and ``tau_for_delta`` are the checked doors to the static
+formula.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Union
 
 
 class ParameterDomainError(ValueError):
@@ -32,6 +37,12 @@ def _bound_error(subject: str, alpha_bar: float, eps: float, convex: bool):
         f"{subject.format('convex' if convex else 'nonconvex')} needs alpha_bar < {bound}; "
         f"got alpha_bar={alpha_bar}, eps={eps}"
     )
+
+
+def _prox_factors(eps: float, convex: bool):
+    """The static rule's constants ``c``, ``c*(1-eps)`` and ``1+eps``."""
+    c = 2.0 if convex else 1.0
+    return c, c * (1.0 - eps), 1.0 + eps
 
 
 @dataclass(frozen=True)
@@ -55,14 +66,42 @@ class Static:
         if not c * (1.0 - self.eps) - 2.0 * self.alpha_bar > 0.0:
             raise _bound_error("static {} schedule", self.alpha_bar, self.eps, self.convex)
 
+    def coeffs(self, k: int):
+        """``(alpha, beta)`` at iteration ``k``: the constant bounds."""
+        return self.alpha_bar, self.beta_bar
+
+    def rule(self, delta=None):
+        """The compiled step: ``delta`` is the instantaneous step weight
+        ``delta_star(alpha, beta, eps, L)`` unless pinned, and ``tau`` is
+        ``tau_for_delta`` of it.  The constants are formed once and bound."""
+        return partial(_static_step, *_prox_factors(self.eps, self.convex), delta)
+
 
 @dataclass(frozen=True)
 class Dynamic:
     """alpha = beta = (k-1)/(k+2), tau = L.  Heuristic mode: no step-weight
     delta is defined, hence no Lyapunov value is tracked for such runs."""
 
+    def coeffs(self, k: int):
+        """``alpha = beta = (k-1)/(k+2)`` at iteration ``k >= 1``."""
+        coeff = (k - 1.0) / (k + 2.0)
+        return coeff, coeff
 
-ScheduleKind = Union[Static, Dynamic]
+    def rule(self, delta=None):
+        """The compiled step: ``tau = L`` and an undefined (NaN) ``delta``."""
+        return _dynamic_step
+
+
+def _static_step(c, c_eps, one_eps, delta, alpha, beta, L):
+    """The static rule, the one home of its formula, in the constants of
+    `_prox_factors`; ``delta`` is the instantaneous weight unless pinned."""
+    if delta is None:
+        delta = (alpha + c * beta) * L / (c_eps - 2.0 * alpha)
+    return (one_eps * delta + (1.0 + beta) * L) / (c - alpha), delta
+
+
+def _dynamic_step(alpha, beta, L):
+    return L, math.nan
 
 
 def delta_star(
@@ -78,10 +117,10 @@ def delta_star(
     """
     if lambda_plus <= 0.0:
         raise ParameterDomainError(f"lambda_plus must be positive, got {lambda_plus}")
-    c = 2.0 if convex else 1.0
-    if c * (1.0 - eps) - 2.0 * alpha_bar <= 0.0:
+    c, c_eps, one_eps = _prox_factors(eps, convex)
+    if c_eps - 2.0 * alpha_bar <= 0.0:
         raise _bound_error("{} step weight", alpha_bar, eps, convex)
-    return _static_rule(eps, convex)(alpha_bar, beta_bar, lambda_plus)[1]
+    return _static_step(c, c_eps, one_eps, None, alpha_bar, beta_bar, lambda_plus)[1]
 
 
 def tau_for_delta(
@@ -98,67 +137,7 @@ def tau_for_delta(
     """
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
-    return _static_rule(eps, convex, delta)(alpha, beta, L)[0]
-
-
-def tau_step(alpha: float, beta: float, L: float, kind: ScheduleKind, delta=None):
-    """Per-iteration ``(tau, delta)`` under the given schedule regime: the
-    checked form of ``step_rule(kind, delta)(alpha, beta, L)``.
-
-    For the static regimes, a pinned step weight ``delta`` gives
-    ``tau_for_delta`` of it; with none, ``delta`` is computed from the
-    instantaneous coefficients (at ``eps=0`` the pair collapses to the closed
-    form ``tau = (1+2*beta)/(c-2*alpha) * L``, prox factor ``c = 2`` on a
-    convex block and 1 otherwise).  The dynamic regime sets no step weight:
-    it returns ``tau = L`` and an undefined (NaN) delta.
-    """
-    if L <= 0.0:
-        raise ParameterDomainError(f"L must be positive, got {L}")
-    if delta is None and isinstance(kind, Static):
-        # the checked weight; the pinned rule then forms tau as the unpinned one does
-        delta = delta_star(alpha, beta, kind.eps, L, convex=kind.convex)
-    return step_rule(kind, delta)(alpha, beta, L)
-
-
-def step_rule(kind: ScheduleKind, delta=None):
-    """One block's step rule, compiled: ``rule(alpha, beta, L) -> (tau, delta)``
-    gives the bits of ``tau_step(alpha, beta, L, kind, delta)`` and checks
-    nothing, so the solver compiles it once per run from a checked kind and
-    pinned ``delta``, and calls it with positive moduli."""
-    if isinstance(kind, Dynamic):
-        return _dynamic_step
-    return _static_rule(kind.eps, kind.convex, delta)
-
-
-def _static_rule(eps: float, convex: bool, delta=None):
-    """The static rule, the one home of its formula: the constants ``c``,
-    ``c*(1-eps)`` and ``1+eps`` are formed once and bound to the step, which
-    does the rest of the float operations in their order; ``delta`` is the
-    instantaneous weight unless pinned."""
-    c = 2.0 if convex else 1.0
-    if delta is None:
-        return partial(_weighted_step, c, c * (1.0 - eps), 1.0 + eps)
-    return partial(_pinned_step, c, 1.0 + eps, delta)
-
-
-def _weighted_step(c, c_eps, one_eps, alpha, beta, L):
-    weight = (alpha + c * beta) * L / (c_eps - 2.0 * alpha)
-    return (one_eps * weight + (1.0 + beta) * L) / (c - alpha), weight
-
-
-def _pinned_step(c, one_eps, delta, alpha, beta, L):
-    return (one_eps * delta + (1.0 + beta) * L) / (c - alpha), delta
-
-
-def _dynamic_step(alpha, beta, L):
-    return L, math.nan
-
-
-def dynamic_coeff(k: int) -> float:
-    """Accelerated-style coefficient ``(k-1)/(k+2)`` for iteration ``k >= 1``."""
-    if k < 1:
-        raise ValueError(f"iteration index must be >= 1, got {k}")
-    return (k - 1.0) / (k + 2.0)
+    return _static_step(*_prox_factors(eps, convex), delta, alpha, beta, L)[0]
 
 
 def descent_coefficients(
@@ -186,11 +165,3 @@ def descent_coefficients(
     g = tau * (c - alpha) - (1.0 + beta) * L - delta
     h = delta - tau * alpha - L * beta
     return g, h
-
-
-def inertial_coeffs(kind: ScheduleKind, k: int):
-    """(alpha, beta) for iteration ``k`` under the given schedule."""
-    if isinstance(kind, Dynamic):
-        coeff = dynamic_coeff(k)
-        return coeff, coeff
-    return kind.alpha_bar, kind.beta_bar

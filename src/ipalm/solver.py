@@ -10,9 +10,9 @@ proximal map to ``y_i - grad/tau``.  With ``alpha = beta = 0`` the sweep is
 exactly the non-inertial alternating proximal-gradient method.
 
 `make_state` checks every setting once and compiles the run's plan: per
-block, its schedule kind, its step rule (``schedules.step_rule`` of the kind
-and the pinned step weight, which gives ``tau_step``'s bits unchecked) and
-its step scale.  A sweep then does per block only the coefficients, the
+block, its schedule kind, its compiled step rule (``kind.rule`` of the
+pinned step weight, which checks nothing) and its step scale.  A sweep then
+does per block only the kind's coefficients (``kind.coeffs(k)``), the
 extrapolation, the oracles, the rule, the prox with its shape and
 finiteness checks, and the block's half squared step; the trace row is
 assembled once, after the last block.
@@ -31,7 +31,7 @@ import numpy as np
 from .blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
 from .config import block_kinds
 from .lipschitz import MODULUS_FLOOR, START, backtrack_L
-from .schedules import Dynamic, Static, inertial_coeffs, step_rule
+from .schedules import Dynamic, Static
 
 TRACE_COLUMNS = (
     "k,F,Psi,delta1,delta2,L1,L2,tau1,tau2,alpha1,alpha2,beta1,beta2,"
@@ -137,7 +137,7 @@ class SolverState:
     x_cur: BlockVector
     x_prev: BlockVector
     k: int
-    plan: tuple  # per block: (schedule kind, compiled step rule, step scale >= 1)
+    plan: tuple  # per block: (schedule kind, its kind.rule(delta), step scale >= 1)
     # None: exact moduli; else each block's next ``backtrack_L`` ``L_prev``:
     # its next line search starts at ``SHRINK`` times it
     backtrack: Optional[list]
@@ -206,7 +206,7 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
     bdeltas = np.empty(len(x_cur))
 
     for i, (kind, rule, scale) in enumerate(state.plan):
-        alpha, beta = inertial_coeffs(kind, k)
+        alpha, beta = kind.coeffs(k)
         y = extrapolate(x_cur, x_prev, alpha, i)
         # with beta == alpha the gradient point is the prox anchor
         z = y if beta == alpha else extrapolate(x_cur, x_prev, beta, i)
@@ -335,7 +335,7 @@ def make_state(
         x_prev=x0,
         k=0,
         plan=tuple(
-            (kind, step_rule(kind, delta), scale)
+            (kind, kind.rule(delta), scale)
             for kind, delta, scale in zip(kinds, pinned, step_scale)
         ),
         backtrack=[START] * nb if backtracking else None,

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ipalm import bid, convlasso
-from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, step_deltas
+from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError
 from ipalm.imageops import (
     _check_kernel_fits,
     centered_conv,
@@ -154,7 +154,8 @@ def lyapunov_psi(
     d = np.asarray(delta, dtype=np.float64)
     if (d < 0).any():
         raise ValueError("step weights must be >= 0")
-    return float(problem.eval_F(x_cur)) + float(d @ step_deltas(x_cur, x_prev))
+    half_sq = [0.5 * float(np.vdot(a - b, a - b).real) for a, b in zip(x_cur, x_prev)]
+    return float(problem.eval_F(x_cur)) + float(d @ np.array(half_sq))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from ipalm.blockmodel import (
     ShapeMismatchError,
     check_data,
     extrapolate,
-    step_deltas,
 )
 
 
@@ -155,23 +154,6 @@ def test_extrapolate_rejects_negative_coeff():
     x = BlockVector([np.zeros(2)])
     with pytest.raises(ValueError):
         extrapolate(x, x, -0.1, 0)
-
-
-def test_step_deltas_examples():
-    x = BlockVector([np.array([3.0]), np.array([0.0])])
-    y = BlockVector([np.array([1.0]), np.array([0.0])])
-    d = step_deltas(x, y)
-    assert d == pytest.approx([2.0, 0.0])
-    assert step_deltas(x, x) == pytest.approx([0.0, 0.0])
-
-
-def test_step_deltas_sum_property():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x, y = random_bv(rng), random_bv(rng)
-        d = step_deltas(x, y)
-        diff_sq = sum(float(np.sum((a - b) ** 2)) for a, b in zip(x, y))
-        assert d.sum() == pytest.approx(0.5 * diff_sq, rel=1e-14)
 
 
 def test_norm_additivity_property():

@@ -27,7 +27,7 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 28
-NMF_DESK_DYNAMIC = 29
+NMF_DESK_DYNAMIC = 27
 BID_BACKTRACKING = 136
 BID_EXACT = 122
 CONVLASSO_BACKTRACKING = 53

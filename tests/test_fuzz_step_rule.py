@@ -2,8 +2,9 @@
 once in the prox factor ``c``, give bit for bit the values of the two-branch
 rules they replace, and accept and reject the same coefficient bounds,
 including ``alpha_bar`` exactly at ``(1-eps)/2`` and at ``1-eps``; the rule
-the solver compiles per block, ``step_rule``, gives the bits of ``tau_step``
-and of the two-branch rules."""
+the solver compiles per block, ``kind.rule(delta)``, gives the bits of the
+two-branch rules at the kind's own coefficients ``kind.coeffs(k)`` and at
+any below them."""
 
 import math
 
@@ -25,9 +26,7 @@ from ipalm.schedules import (  # noqa: E402
     Static,
     delta_star,
     descent_coefficients,
-    step_rule,
     tau_for_delta,
-    tau_step,
 )
 
 unit = st.floats(0.0, 1.0)
@@ -100,11 +99,11 @@ def test_one_formula_matches_the_two_branch_rules_bitwise(case, pinned):
             outcome(descent_coefficients_two_branch, alpha, beta, delta, tau, L, convex=convex))
         # the solver's per-block call, at the bounds themselves as instantaneous
         # coefficients, unpinned and pinned
-        assert outcome(tau_step, ab, bb, L, kind) == (
+        assert outcome(kind.rule(), ab, bb, L) == (
             tau_for_delta_two_branch(ab, bb, delta_star_two_branch(ab, bb, eps, L, convex),
                                      L, eps, convex).hex(),
             delta_star_two_branch(ab, bb, eps, L, convex).hex())
-        assert outcome(tau_step, alpha, beta, L, kind, pinned)[0] == outcome(
+        assert outcome(kind.rule(pinned), alpha, beta, L)[0] == outcome(
             tau_for_delta_two_branch, alpha, beta, pinned, L, eps, convex=convex)
 
 
@@ -122,17 +121,16 @@ def test_the_compiled_rule_gives_the_bits_of_tau_step_and_the_two_branch_rules(
         case, pinned, scale, L):
     ab, bb, eps, convex = case["alpha_bar"], case["beta_bar"], case["eps"], case["convex"]
     # the dynamic rule: tau = L, scaled by the solver, and no step weight
-    tau, delta = step_rule(Dynamic(), pinned)(case["alpha"], case["beta"], L)
+    tau, delta = Dynamic().rule(pinned)(case["alpha"], case["beta"], L)
     assert (tau * scale).hex() == (L * scale).hex() and math.isnan(delta)
-    assert outcome(tau_step, case["alpha"], case["beta"], L, Dynamic())[0] == tau.hex()
+    assert tau.hex() == L.hex()
     if not static_bound_two_branch(ab, eps, convex):
         return
     kind = Static(ab, bb, eps, convex=convex)
-    rule = step_rule(kind, pinned)
+    rule = kind.rule(pinned)
     # the solver's call, at the kind's own coefficients, and any below them
-    for alpha, beta in ((ab, bb), (case["alpha"], case["beta"])):
+    for alpha, beta in (kind.coeffs(1), (case["alpha"], case["beta"])):
         got = rule(alpha, beta, L)
-        assert hexes(got) == outcome(tau_step, alpha, beta, L, kind, pinned)
         want_delta = (delta_star_two_branch(alpha, beta, eps, L, convex)
                       if pinned is None else pinned)
         want_tau = tau_for_delta_two_branch(alpha, beta, want_delta, L, eps, convex)

@@ -8,11 +8,8 @@ from ipalm.schedules import (
     ParameterDomainError,
     Static,
     delta_star,
-    dynamic_coeff,
-    inertial_coeffs,
     descent_coefficients,
     tau_for_delta,
-    tau_step,
 )
 
 
@@ -38,53 +35,54 @@ def test_delta_star_domain_errors_name_the_bound():
 
 
 def test_tau_step_closed_forms():
-    tau, delta = tau_step(0.0, 0.0, 3.0, Static(0.0, 0.0))
+    tau, delta = Static(0.0, 0.0).rule()(0.0, 0.0, 3.0)
     assert tau == 3.0 and delta == 0.0  # plain 1/L step
-    tau, _ = tau_step(0.4, 0.4, 1.0, Static(0.4, 0.4))
+    tau, _ = Static(0.4, 0.4).rule()(0.4, 0.4, 1.0)
     assert tau == pytest.approx(9.0, rel=1e-12)
-    tau, _ = tau_step(0.4, 0.4, 1.0, Static(0.4, 0.4, convex=True))
+    tau, _ = Static(0.4, 0.4, convex=True).rule()(0.4, 0.4, 1.0)
     assert tau == pytest.approx(1.5, rel=1e-12)
 
 
 def test_tau_step_closed_forms_match_general_formula_on_grid():
+    rule, rule_c = Static(0.49, 1.0).rule(), Static(0.9, 1.0, convex=True).rule()
     for alpha in (0.0, 0.1, 0.3, 0.45):
         for beta in (0.0, 0.2, 0.7, 1.0):
             for L in (0.5, 1.0, 7.3):
-                tau, _ = tau_step(alpha, beta, L, Static(0.49, 1.0))
+                tau, _ = rule(alpha, beta, L)
                 assert tau == pytest.approx((1 + 2 * beta) / (1 - 2 * alpha) * L, rel=1e-12)
-                tau_c, _ = tau_step(alpha, beta, L, Static(0.9, 1.0, convex=True))
+                tau_c, _ = rule_c(alpha, beta, L)
                 assert tau_c == pytest.approx((1 + 2 * beta) / (2 * (1 - alpha)) * L, rel=1e-12)
-
-
-def test_tau_step_rejects_half_alpha_nonconvex():
-    with pytest.raises(ParameterDomainError):
-        tau_step(0.5, 0.0, 1.0, Static(0.49, 0.0))
 
 
 @pytest.mark.parametrize("kind", [Static(0.3, 0.4, 0.1), Static(0.3, 0.4, 0.1, convex=True)])
 def test_tau_step_with_a_pinned_delta_is_tau_for_delta(kind):
     for delta in (0.0, 0.37, 12.5):
-        tau, got = tau_step(0.2, 0.3, 1.7, kind, delta)
+        tau, got = kind.rule(delta)(0.2, 0.3, 1.7)
         assert got is delta
         assert tau.hex() == tau_for_delta(0.2, 0.3, delta, 1.7, 0.1, convex=kind.convex).hex()
 
 
+def test_tau_for_delta_rejects_a_nonpositive_modulus():
+    for L in (0.0, -1.0):
+        with pytest.raises(ParameterDomainError, match="L must be positive"):
+            tau_for_delta(0.1, 0.1, 1.0, L)
+
+
 def test_tau_step_dynamic():
-    tau, delta = tau_step(0.7, 0.7, 2.5, Dynamic())
+    tau, delta = Dynamic().rule()(0.7, 0.7, 2.5)
     assert tau == 2.5
     assert math.isnan(delta)
 
 
 def test_dynamic_coeff_values_and_monotonicity():
-    assert dynamic_coeff(1) == 0.0
-    assert dynamic_coeff(2) == pytest.approx(0.25)
-    assert dynamic_coeff(8) == pytest.approx(0.7)
+    coeff = Dynamic().coeffs
+    assert coeff(1) == (0.0, 0.0)
+    assert coeff(2)[0] == pytest.approx(0.25)
+    assert coeff(8)[0] == pytest.approx(0.7)
     ks = np.arange(1, 500)
-    vals = np.array([dynamic_coeff(int(k)) for k in ks])
+    vals = np.array([coeff(int(k))[0] for k in ks])
     assert (np.diff(vals) > 0).all()
     assert vals[-1] < 1.0
-    with pytest.raises(ValueError):
-        dynamic_coeff(0)
 
 
 def test_descent_coefficients_boundary_of_descent():
@@ -114,11 +112,12 @@ def test_descent_coefficients_identity_and_inequality_random_grid():
 def test_tau_monotone_in_alpha_and_beta():
     grid = np.linspace(0.0, 0.45, 12)
     for kind in (Static(0.49, 2.0), Static(0.9, 2.0, convex=True)):
+        rule = kind.rule()
         for beta in (0.0, 0.5, 1.0):
-            taus = [tau_step(a, beta, 1.0, kind)[0] for a in grid]
+            taus = [rule(a, beta, 1.0)[0] for a in grid]
             assert all(t2 >= t1 for t1, t2 in zip(taus, taus[1:]))
         for alpha in (0.0, 0.2, 0.4):
-            taus = [tau_step(alpha, b, 1.0, kind)[0] for b in np.linspace(0.0, 2.0, 12)]
+            taus = [rule(alpha, b, 1.0)[0] for b in np.linspace(0.0, 2.0, 12)]
             assert all(t2 >= t1 for t1, t2 in zip(taus, taus[1:]))
 
 
@@ -139,7 +138,7 @@ def test_static_kind_validation():
 
 
 def test_inertial_coeffs():
-    assert inertial_coeffs(Static(0.3, 0.4), 10) == (0.3, 0.4)
-    assert inertial_coeffs(Dynamic(), 1) == (0.0, 0.0)
-    a, b = inertial_coeffs(Dynamic(), 8)
+    assert Static(0.3, 0.4).coeffs(10) == (0.3, 0.4)
+    assert Dynamic().coeffs(1) == (0.0, 0.0)
+    a, b = Dynamic().coeffs(8)
     assert a == b == pytest.approx(0.7)

@@ -5,7 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from oracles import lyapunov_psi, params_at, row_bits, trace_column
+from oracles import (
+    delta_star_two_branch,
+    lyapunov_psi,
+    params_at,
+    row_bits,
+    tau_for_delta_two_branch,
+    trace_column,
+)
 
 from ipalm.bid import BidParams, init_bid, make_bid_problem
 from ipalm.blockmodel import BlockVector, ProblemSpec, ShapeMismatchError, extrapolate
@@ -98,7 +105,8 @@ def test_dynamic_first_iteration_equals_palm_step():
     run_state(s_dyn, problem, iters=1, tol=0.0)
     s_palm = make_state(problem, x0, Static(0.0, 0.0))
     run_state(s_palm, problem, iters=1, tol=0.0)
-    # dynamic_coeff(1) = 0 and tau = L on both paths at zero inertia
+    # the dynamic coefficient (k-1)/(k+2) is 0 at k = 1, and tau = L on both
+    # paths at zero inertia
     assert np.array_equal(s_dyn.x_cur[0], s_palm.x_cur[0])
     assert np.array_equal(s_dyn.x_cur[1], s_palm.x_cur[1])
 
@@ -448,6 +456,24 @@ def test_divergence_error_carries_trace():
     assert len(err.value.trace) >= 1
 
 
+@pytest.mark.parametrize("kinds, pinned", [
+    ((Static(0.3, 0.1), Static(0.5, 0.2, convex=True)), None),
+    ((Static(0.3, 0.1), Static(0.5, 0.2, convex=True)), (2, 0.75)),
+    ((Dynamic(), Static(0.2, 0.2)), None),
+], ids=["static", "pinned", "dynamic"])
+def test_a_state_pickles_with_its_compiled_plan_and_resumes_bitwise(kinds, pinned):
+    inst = synth_nmf(seed=12)
+    problem = make_nmf_problem(inst["A"], r=3, s=2)
+    state = make_state(problem, init_nmf(inst["A"], r=3, s=2, seed=12), kinds,
+                       constant_delta=pinned)
+    run_state(state, problem, iters=2, tol=0.0)
+    copy = pickle.loads(pickle.dumps(state))
+    for s in (state, copy):
+        run_state(s, problem, iters=3, tol=0.0)
+    assert [row_bits(r) for r in copy.trace.rows] == [row_bits(r) for r in state.trace.rows]
+    assert [b.tobytes() for b in copy.x_cur] == [b.tobytes() for b in state.x_cur]
+
+
 def test_divergence_error_survives_pickling():
     """A sweep cell's error comes back from its worker process pickled; it
     must arrive with its message and its trace."""
@@ -537,26 +563,38 @@ def reference_inertial_sweep_nmf(A, B, C, s, kinds, iters):
     Exercises the update structure the zero-inertia comparison cannot see:
     the prox anchor uses the first extrapolation, the gradient the second,
     and the second block's gradient sees the already-updated first block.
-    Step parameters come through the shared schedule rule so the comparison
-    can be exact.
+    The coefficients are written out (the kind's constants, or
+    ``(k-1)/(k+2)``) and the steps come from the two-branch rules of
+    ``tests/oracles.py`` (``tau = L`` on a dynamic block), so the comparison
+    is exact without reading the schedule code it checks.
     """
-    from ipalm.schedules import inertial_coeffs, tau_step
+
+    def coeffs(kind, k):
+        if isinstance(kind, Dynamic):
+            return (k - 1.0) / (k + 2.0), (k - 1.0) / (k + 2.0)
+        return kind.alpha_bar, kind.beta_bar
+
+    def tau(kind, a, b, L):
+        if isinstance(kind, Dynamic):
+            return L
+        delta = delta_star_two_branch(a, b, kind.eps, L, kind.convex)
+        return tau_for_delta_two_branch(a, b, delta, L, kind.eps, kind.convex)
 
     B_prev, C_prev = B.copy(), C.copy()
     B, C = B.copy(), C.copy()
     for k in range(1, iters + 1):
-        a1, b1 = inertial_coeffs(kinds[0], k)
+        a1, b1 = coeffs(kinds[0], k)
         y1 = B if a1 == 0.0 else B + a1 * (B - B_prev)
         z1 = B if b1 == 0.0 else B + b1 * (B - B_prev)
         L1 = max(spectral_norm(C @ C.T), 1e-12)
-        tau1 = tau_step(a1, b1, L1, kinds[0])[0] * 1.0
+        tau1 = tau(kinds[0], a1, b1, L1) * 1.0
         B_new = prox_l0_nonneg_cols(y1 - ((z1 @ C - A) @ C.T) / tau1, s)
 
-        a2, b2 = inertial_coeffs(kinds[1], k)
+        a2, b2 = coeffs(kinds[1], k)
         y2 = C if a2 == 0.0 else C + a2 * (C - C_prev)
         z2 = C if b2 == 0.0 else C + b2 * (C - C_prev)
         L2 = max(spectral_norm(B_new.T @ B_new), 1e-12)
-        tau2 = tau_step(a2, b2, L2, kinds[1])[0] * 1.0
+        tau2 = tau(kinds[1], a2, b2, L2) * 1.0
         C_new = prox_nonneg(y2 - (B_new.T @ (B_new @ z2 - A)) / tau2)
 
         B_prev, C_prev = B, C
