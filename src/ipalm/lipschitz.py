@@ -4,7 +4,6 @@ whose next start follows the curvature each accepted step showed."""
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable
 
 import numpy as np
@@ -39,11 +38,11 @@ SAFEGUARD = 1.0 + 1e-8
 POWER_TOL = 1e-9
 POWER_STEPS = 1000
 
-# The line search's policy.  Each call starts from ``SHRINK`` times the
-# block's ``L_prev`` (``START`` before the first call) and climbs the levels
-# ``SHRINK * L_prev * GROWTH**j``, at most ``MAX_ROUNDS`` moves up; the
-# accepted step's curvature sets the next call's ``L_prev``.
-START = 1.0
+# The line search's policy.  Each call climbs the levels
+# ``L_start * GROWTH**j`` from its block's start level (``START`` at the
+# first call), at most ``MAX_ROUNDS`` moves up; the accepted step's
+# curvature sets the next call's start, at most one ``SHRINK`` down.
+START = 0.5
 GROWTH = 2.0
 SHRINK = 0.5
 MAX_ROUNDS = 60
@@ -111,12 +110,12 @@ def backtrack_L(
     h_grad_at: np.ndarray,
     x: np.ndarray,
     x_candidate_of_L: Callable[[float], np.ndarray],
-    L_prev: float,
+    L_start: float,
 ):
     """Smallest tested modulus satisfying the descent lemma at its candidate,
-    and the ``L_prev`` of the block's next call.
+    and the level the block's next call starts at.
 
-    Tests moduli on the levels ``L = SHRINK*L_prev * GROWTH**j`` with rising
+    Tests moduli on the levels ``L = L_start * GROWTH**j`` with rising
     ``j``, and accepts once
     ``h(x+) <= h(x) + <grad h(x), x+ - x> + (L/2)||x+ - x||^2`` holds, where
     the candidate ``x+`` is recomputed for every tested ``L``.  The caller
@@ -147,16 +146,15 @@ def backtrack_L(
     stays a lower bound on the curvature, and the ``gap`` of an exhausted
     search is a lower bound on the last miss.  Mutates nothing and returns
     ``(L, x+, tested, L_next)`` with the list of every tested modulus and the
-    ``L_prev`` of the next call (``L/SHRINK`` or ``L``, capped at the largest
-    float).
+    next call's start level.
     """
-    if not 0 < L_prev < math.inf:
-        raise ValueError(f"L_prev must be positive and finite, got {L_prev}")
+    if not 0 < L_start < math.inf:
+        raise ValueError(f"L_start must be positive and finite, got {L_start}")
     h_x = float(h_x)
     if not math.isfinite(h_x):
         raise EstimationError(f"the smooth part is {h_x} at the line search's base point")
     slack = 1e-12 * (1.0 + abs(h_x))
-    L = max(SHRINK * L_prev, MODULUS_FLOOR)
+    L = max(L_start, MODULUS_FLOOR)
     tested = []
     for _ in range(MAX_ROUNDS + 1):
         tested.append(L)
@@ -169,8 +167,7 @@ def backtrack_L(
         # the curvature along d; a zero step shows none (NaN)
         seen = L + 2.0 * (lhs - bound) / dd if dd > 0 else math.nan
         if lhs <= bound:
-            L_next = min(L / SHRINK, sys.float_info.max) if seen > SHRINK * L else L
-            return L, cand, tested, L_next
+            return L, cand, tested, L if seen > SHRINK * L else SHRINK * L
         # skip to the highest level at or below the curvature seen along d
         levels = math.log(seen / L, GROWTH)
         j = max(1, math.floor(levels)) if math.isfinite(levels) else 1

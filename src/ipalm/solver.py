@@ -138,8 +138,7 @@ class SolverState:
     x_prev: BlockVector
     k: int
     plan: tuple  # per block: (schedule kind, its kind.rule(delta), step scale >= 1)
-    # None: exact moduli; else each block's next ``backtrack_L`` ``L_prev``:
-    # its next line search starts at ``SHRINK`` times it
+    # None: exact moduli; else the level each block's next line search starts at
     backtrack: Optional[list]
     trace: SolverTrace = field(default_factory=SolverTrace)
     t0: float = field(default_factory=time.perf_counter)
@@ -285,19 +284,17 @@ def make_state(
     ``x0`` is taken as ``BlockVector(x0)``: float64 blocks, copy-free when
     they are float64 already.  ``backtracking`` picks the moduli source for
     every block: descent-lemma backtracking, each block's first line search
-    with ``L_prev = lipschitz.START``, or the problem's closed-form
+    starting at ``lipschitz.START``, or the problem's closed-form
     ``lipschitz``, floored at ``MODULUS_FLOOR``.  Every setting is checked
     here, and each block's step is compiled once for the run from its kind,
     its step scale and its pinned delta; a rejection names the problem and
     comes before ``F_0``.  A dynamic run's initial row carries no Lyapunov
     value, like every later row.
     """
+    nb = problem.num_blocks
+    if len(x0) != nb:
+        raise ValueError(f"{problem.name}: x0 has {len(x0)} blocks, the problem {nb}")
     x0 = BlockVector(x0)
-    nb = len(x0)
-    if nb != problem.num_blocks:
-        raise ValueError(
-            f"{problem.name}: x0 has {nb} blocks, the problem {problem.num_blocks}"
-        )
     if not backtracking and problem.lipschitz is None:
         raise ValueError(
             f"{problem.name}: no closed-form Lipschitz moduli; run with backtracking"

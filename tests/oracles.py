@@ -371,7 +371,7 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
     ``delta`` on a dynamic block, times the block's step scale.  The modulus
     is the floored closed form, or the line search of ``backtrack_L``'s
     documented policy: levels ``start*GROWTH**j`` from the block's start
-    level (``SHRINK*START`` at its first call), the descent lemma at ``z``
+    level (``START`` at its first call), the descent lemma at ``z``
     with its slack, and a rejected level jumping to the highest one at or
     below the curvature the step showed.  The next call starts at the
     accepted level when the accepted step's curvature lies above one shrink
@@ -381,7 +381,7 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
     nb = len(x0)
     x_cur = x_prev = [np.asarray(b, dtype=np.float64) for b in x0]
     scale = (1.0,) * nb if step_scale is None else step_scale
-    start = [SHRINK * START] * nb
+    start = [START] * nb
     heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
     F = float(problem.eval_F(BlockVector(x_cur)))
     rows = [row_bits((0, F, None if heuristic else F, None, None, None, None, None,

@@ -303,6 +303,22 @@ def test_image_modulus_matches_full_spectrum_formula():
         assert abs(bid_lipschitz(0, u, b, params) - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16)])  # spectral and dense Gram power steps
+def test_kernel_modulus_is_zero_on_a_zero_image_and_the_solver_floors_it(shape):
+    f = np.zeros(shape)
+    params = BidParams(kernel_shape=(3, 3))
+    x0 = init_bid(f, params)
+    assert bid_lipschitz(1, f, x0[1], params) == 0.0
+    # the image stays zero, so every sweep steps the kernel at the floor
+    problem = make_bid_problem(f, params)
+    cfg = RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4)
+    state = make_state(problem, x0, block_kinds(problem, cfg))
+    run_state(state, problem, iters=3, tol=0.0)
+    assert not state.x_cur[0].any() and np.isfinite(state.x_cur[1]).all()
+    assert np.isfinite(trace_column(state.trace, "F")).all()
+    assert [r.L[1] for r in state.trace.rows[1:]] == [lipschitz.MODULUS_FLOOR] * 3
+
+
 def test_make_problem_validates_observation():
     params = BidParams(kernel_shape=(3, 3))
     with pytest.raises(DataError):

@@ -137,8 +137,8 @@ def test_backtrack_accepts_immediately_when_started_above():
     L_true = 3.0
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
-    L, x_next, tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), 2.0 * L_true)
-    assert len(tested) == 1 and L == L_true  # SHRINK*L_prev == L_true exactly
+    L, x_next, tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_true)
+    assert len(tested) == 1 and L == L_true
     assert np.allclose(x_next, 0.0)
 
 
@@ -147,7 +147,7 @@ def test_backtrack_grows_to_first_admissible_level():
     h, grad, make_cand = quadratic_problem(L_true)
     x = np.array([1.0])
     L0 = L_true / 10.0
-    L, _, tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), L0 / 0.5)
+    L, _, tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), L0)
     # the accepted level is the first L0*2^j at or above the true curvature
     levels = [L0 * 2.0**j for j in range(10)]
     expected = next(l for l in levels if l >= L_true * (1.0 - 1e-12))
@@ -170,7 +170,7 @@ def test_backtrack_linear_accepts_at_initial_level():
     def cand(L):
         return x - c / L
 
-    L, _, tested, _ = backtrack_L(h, h(x), c, x, cand, 0.02)
+    L, _, tested, _ = backtrack_L(h, h(x), c, x, cand, 0.01)
     assert L == pytest.approx(0.01) and len(tested) == 1
 
 
@@ -189,10 +189,10 @@ def test_backtrack_passes_each_candidate_its_bound():
         # the least value past the bound: a lower bound on h, as the contract asks
         return np.nextafter(above, np.inf) if above is not None and full > above else full
 
-    L, _, tested, _ = backtrack_L(bounded, h(x), grad(x), x, make_cand(x), L_true / 5.0)
+    L, _, tested, _ = backtrack_L(bounded, h(x), grad(x), x, make_cand(x), L_true / 10.0)
     assert len(bounds) == len(tested)
     assert all(b is not None for b in bounds)
-    want, _, want_tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_true / 5.0)
+    want, _, want_tested, _ = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_true / 10.0)
     # both accept the same level; a value just past its bound shows almost no
     # curvature, so its search goes one level per round where the full value
     # skips to 8 * 0.3 = 2.4
@@ -226,7 +226,7 @@ def test_backtrack_climbs_the_levels_and_stays_within_growth_of_the_true_modulus
     for _ in range(200):
         h, g, x, cand, L_true = _quadratic_on_orthant(rng, int(rng.integers(1, 6)))
         start = L_true * 10.0 ** rng.uniform(-8, 0)  # from below the true modulus
-        L, _, tested, _ = backtrack_L(h, h(x), g, x, cand, start / 0.5)
+        L, _, tested, _ = backtrack_L(h, h(x), g, x, cand, start)
         # every tested modulus is start*growth**j, with j strictly rising
         js = [round(math.log(t / start, growth)) for t in tested]
         assert tested == pytest.approx([start * growth**j for j in js], rel=1e-12)
@@ -249,7 +249,7 @@ def test_backtrack_moves_one_level_past_a_non_finite_value():
     def faulty(q, above=None):
         return next(values, h(q))
 
-    L, _, tested, _ = backtrack_L(faulty, h(x), grad(x), x, make_cand(x), 2e-3)
+    L, _, tested, _ = backtrack_L(faulty, h(x), grad(x), x, make_cand(x), 1e-3)
     assert tested[:3] == [1e-3, 2e-3, 4e-3]
     assert len(tested) == 5 and L == tested[-1] == 1e-3 * 2.0**12  # 2.048 < L_true < 4.096
 
@@ -265,7 +265,7 @@ def test_backtrack_fails_cleanly_at_the_top_of_the_float_range(monkeypatch):
 
     monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 3)
     with pytest.raises(EstimationError):
-        backtrack_L(h, 0.0, np.zeros(1), x, lambda L: np.ones(1), 2.0)
+        backtrack_L(h, 0.0, np.zeros(1), x, lambda L: np.ones(1), 1.0)
 
 
 def test_backtrack_detects_wrong_gradient(monkeypatch):
@@ -283,7 +283,7 @@ def test_backtrack_detects_wrong_gradient(monkeypatch):
 
     monkeypatch.setattr("ipalm.lipschitz.MAX_ROUNDS", 30)
     with pytest.raises(EstimationError) as err:
-        backtrack_L(h, h(x), wrong, x, cand, 1.0)
+        backtrack_L(h, h(x), wrong, x, cand, 0.5)
     # each rejection sees a curvature just under 4L, so the search doubles;
     # the message names the last tested modulus, 0.5 * 2**30, and the budget
     assert "after 30 rounds (last tested L 5.369e+08)" in str(err.value)
@@ -295,10 +295,10 @@ def test_backtrack_on_a_constant_curvature_accepts_every_first_probe_after_the_f
     # accepted 4: the next call starts at 4, which the descent lemma accepts
     h, grad, make_cand = quadratic_problem(3.0)
     rng = np.random.default_rng(41)
-    L_prev, rounds = START, []
+    L_start, rounds = START, []
     for _ in range(20):
         x = rng.uniform(-1.0, 1.0, 4)
-        L, _, tested, L_prev = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_prev)
+        L, _, tested, L_start = backtrack_L(h, h(x), grad(x), x, make_cand(x), L_start)
         rounds.append(len(tested))
         assert L == 4.0
     assert rounds[0] > 1 and rounds[1:] == [1] * 19
@@ -307,15 +307,15 @@ def test_backtrack_on_a_constant_curvature_accepts_every_first_probe_after_the_f
 def test_backtrack_starts_one_shrink_lower_after_a_drop_in_curvature():
     x = np.array([1.0, -2.0])
     h3, grad3, cand3 = quadratic_problem(3.0)
-    L, _, tested, L_next = backtrack_L(h3, h3(x), grad3(x), x, cand3(x), 8.0)
-    assert (L, tested, L_next) == (4.0, [4.0], 8.0)
+    L, _, tested, L_next = backtrack_L(h3, h3(x), grad3(x), x, cand3(x), 4.0)
+    assert (L, tested, L_next) == (4.0, [4.0], 4.0)
     # curvature 1.5 is at most one shrink below 4: 4 still passes, and the
     # next call starts one shrink lower, at 2
     h, grad, cand = quadratic_problem(1.5)
     L, _, tested, L_next = backtrack_L(h, h(x), grad(x), x, cand(x), L_next)
-    assert (L, tested, SHRINK * L_next) == (4.0, [4.0], 2.0)
+    assert (L, tested, L_next) == (4.0, [4.0], 2.0)
     L, _, tested, L_next = backtrack_L(h, h(x), grad(x), x, cand(x), L_next)
-    assert (L, tested, SHRINK * L_next) == (2.0, [2.0], 2.0)
+    assert (L, tested, L_next) == (2.0, [2.0], 2.0)
 
 
 def test_backtrack_shrinks_after_a_zero_step():
@@ -323,14 +323,13 @@ def test_backtrack_shrinks_after_a_zero_step():
     # starts one shrink below the accepted level, as it always did
     h, grad, _ = quadratic_problem(3.0)
     x = np.array([1.0])
-    L, _, tested, L_next = backtrack_L(h, h(x), grad(x), x, lambda L: x.copy(), 8.0)
-    assert (L, tested, L_next) == (4.0, [4.0], 4.0)
+    L, _, tested, L_next = backtrack_L(h, h(x), grad(x), x, lambda L: x.copy(), 4.0)
+    assert (L, tested, L_next) == (4.0, [4.0], 2.0)
 
 
 def test_backtrack_keeps_the_next_start_in_the_float_range():
     # a step accepted at the largest float whose curvature lies above one
-    # shrink below it would set the next L_prev past the float range: it is
-    # capped there, so the next call still runs
+    # shrink below it: the next call starts at that level, which is finite
     top = sys.float_info.max
     factors = iter([1.5])
 
@@ -338,12 +337,12 @@ def test_backtrack_keeps_the_next_start_in_the_float_range():
         # curvature 1.5*L along the unit step at the first level, 0.9*L after
         return next(factors, 0.9) * above
 
-    def search(L_prev):
-        return backtrack_L(h, 0.0, np.zeros(1), np.zeros(1), lambda L: np.ones(1), L_prev)
+    def search(L_start):
+        return backtrack_L(h, 0.0, np.zeros(1), np.zeros(1), lambda L: np.ones(1), L_start)
 
-    L, _, tested, L_next = search(top)
+    L, _, tested, L_next = search(SHRINK * top)
     assert tested == [SHRINK * top, top] and L == L_next == top
-    assert search(L_next)[2] == [SHRINK * top]
+    assert search(L_next)[2] == [top]
 
 
 def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
@@ -370,11 +369,11 @@ def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
         assert lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
-def test_backtrack_rejects_a_previous_modulus_that_is_not_positive_and_finite():
+def test_backtrack_rejects_a_start_level_that_is_not_positive_and_finite():
     h, grad, make_cand = quadratic_problem(3.0)
     x = np.array([1.0])
     for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="L_prev must be positive and finite"):
+        with pytest.raises(ValueError, match="L_start must be positive and finite"):
             backtrack_L(h, h(x), grad(x), x, make_cand(x), bad)
 
 

@@ -251,7 +251,7 @@ def test_make_state_gives_each_block_its_own_default_line_search():
     # each block carries its own start level into the next sweep: its
     # accepted modulus, or one shrink below it
     ipalm_iterate(state, problem)
-    starts = [SHRINK * b for b in state.backtrack]
+    starts = list(state.backtrack)
     assert all(s in (L, SHRINK * L) for s, L in zip(starts, state.trace.rows[1].L))
     # and the next sweep's search climbs the levels from there
     ipalm_iterate(state, problem)
@@ -454,6 +454,43 @@ def test_divergence_error_carries_trace():
     with pytest.raises(DivergenceError) as err:
         run_state(state, problem, iters=50, tol=0.0)
     assert len(err.value.trace) >= 1
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("bad_block", [0, 1])
+def test_a_non_finite_prox_output_stops_the_sweep_at_that_block(bad_block, value):
+    # the entrywise check stops the sweep at the block, before the objective
+    # would: the trace and iterate stay those of the sweep before
+    armed = []
+
+    def eval_H(x, above=None):
+        return 0.5 * x.norm_sq()
+
+    def prox(i, t, p):
+        out = p.copy()
+        if armed and i == bad_block:
+            out[-1] = value
+        return out
+
+    problem = ProblemSpec(
+        eval_F=eval_H,
+        eval_H=eval_H,
+        partial_grad=lambda i, x: x[i].copy(),
+        prox=prox,
+        convex=(False, False),
+        lipschitz=lambda i, x: 1.0,
+        name="two quadratics",
+    )
+    state = make_state(problem, [np.ones(2), np.ones(3)], Static(0.2, 0.2))
+    run_state(state, problem, iters=2, tol=0.0)
+    before = [b.tobytes() for b in state.x_cur]
+    armed.append(True)
+    message = f"non-finite values in block {bad_block} at iteration 3"
+    with pytest.raises(DivergenceError, match=message) as err:
+        ipalm_iterate(state, problem)
+    assert err.value.trace is state.trace
+    assert [r.k for r in state.trace.rows] == [0, 1, 2]
+    assert [b.tobytes() for b in state.x_cur] == before
 
 
 @pytest.mark.parametrize("kinds, pinned", [
