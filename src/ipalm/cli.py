@@ -288,7 +288,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ipalm`` parser, built once per process and shared: a build takes
+    about 2 ms, and argparse lays the defaults onto a fresh namespace at every
+    parse, so callers only parse with it.  The handlers are bound at this
+    first build, so patching ``cli.cmd_*`` after the first ``main`` call does
+    not reach ``main``."""
     parser = argparse.ArgumentParser(
         prog="ipalm",
         description="Inertial proximal alternating linearized minimization runner",

@@ -17,6 +17,7 @@ CSV files dropped.  A solve that raises stops the script.
 
 import argparse
 import csv
+import functools
 import hashlib
 import os
 import sys
@@ -54,8 +55,9 @@ def criterion_8(seed, workdir):
             solver.run(problem, x0, RunConfig(schedule=schedule, iters=1000, tol=0.0))
 
 
-def criterion_9(seed, workdir):
-    """Criterion 9's 2,000 backtracking sweeps of blind deconvolution."""
+def criterion_9(seed, workdir, sweeps=2000):
+    """Criterion 9's 2,000 backtracking sweeps of blind deconvolution (the
+    first ``sweeps`` of them)."""
     inst = synth_bid(size=64, kernel=7, seed=1)
     params = BidParams(lam=1e6, theta=1e4, kernel_shape=(7, 7), kernel_step_scale=5.0)
     problem = make_bid_problem(inst["f"], params)
@@ -63,7 +65,7 @@ def criterion_9(seed, workdir):
     cfg = RunConfig(schedule="static-c", alpha_bar=0.4, beta_bar=0.4)
     state = solver.make_state(problem, x0, block_kinds(problem, cfg), backtracking=True,
                               step_scale=(1.0, params.kernel_step_scale))
-    solver.run_state(state, problem, 2000, 0.0)
+    solver.run_state(state, problem, sweeps, 0.0)
 
 
 def workload(name):
@@ -88,8 +90,9 @@ def _file_bytes(path):
     return "\n".join(",".join(r[j] for j in keep) for r in rows).encode()
 
 
-def digest(name, seed):
-    """(number of solves, sha256) of one workload at one seed."""
+def sha256_of(runs):
+    """(number of solves, sha256) of the solves that ``runs(workdir)`` makes
+    and of the files it writes under ``workdir``."""
     states = []
     run_state = solver.run_state
 
@@ -101,7 +104,7 @@ def digest(name, seed):
     with tempfile.TemporaryDirectory() as workdir:
         solver.run_state = recording  # `solver.run` and the workloads call it by this name
         try:
-            RUNS[name](seed, workdir)
+            runs(workdir)
         finally:
             solver.run_state = run_state
         for state in states:
@@ -123,7 +126,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     for name in args.workload:
         for seed in args.seed if name in WORKLOADS else ["-"]:
-            solves, sha = digest(name, seed)
+            solves, sha = sha256_of(functools.partial(RUNS[name], seed))
             print(f"{name} {seed} {solves} {sha}", flush=True)
 
 

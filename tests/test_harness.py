@@ -147,6 +147,47 @@ def test_cli_precedence_flag_over_file_over_default(tmp_path, monkeypatch):
     assert seen[2] == (1.0, 5.0)  # preset applies when nothing is set
 
 
+def test_cli_calls_share_one_parser_and_leak_nothing_between_calls(tmp_path, monkeypatch):
+    import argparse
+
+    from ipalm import cli
+
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha_bar=0.3\nstep_scale=1,2\n")
+    seen = []
+    real_run = cli.run
+
+    def spy(problem, x0, config):
+        seen.append(config)
+        return real_run(problem, x0, config)
+
+    monkeypatch.setattr(cli, "run", spy)
+    bid = ["bid", "--kernel-size", "3", "--iters", "1", "--tol", "0"]
+    assert main(bid) == 0  # warm-up: builds the parser if nothing has yet
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(bid + ["--exact-lipschitz", "--config", str(path), "--step-scale", "1,3"]) == 0
+    assert main(bid) == 0
+    first, second = seen[1:]
+    assert (first.backtrack, first.alpha_bar, first.step_scale) == (False, 0.3, (1.0, 3.0))
+    assert (second.backtrack, second.alpha_bar, second.step_scale) == (True, 0.0, (1.0, 5.0))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--seed", "-1"])
+    assert exc.value.code == 2
+    out = tmp_path / "synth"
+    assert main(["synth", "--problem", "bid", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["bid_b_true.csv", "bid_f.pgm", "bid_u_true.pgm"]
+    assert built == []
+
+
 def test_every_run_flag_sets_the_file_key_of_the_same_name(tmp_path):
     import argparse
 
