@@ -8,6 +8,7 @@ convolution data term; both nonsmooth terms are convex indicator functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .blockmodel import BlockVector, DataError, ProblemSpec, check_data
 from .imageops import (  # noqa: F401
     DIRECTIONS,
     _check_kernel_fits,
-    _valid_window,
+    _edge_windows,
     centered_conv,
     centered_corr_image,
     centered_corr_kernel,
@@ -69,12 +70,7 @@ def _edge_differences(u: np.ndarray):
     """Per direction: its weight, the shifted and base index windows of its
     valid stencils, and the weighted difference over that window.  Pixels
     whose stencil leaves the image have no difference (natural boundary)."""
-    m, n = u.shape
-    for di, dj, w in DIRECTIONS:
-        ilo, ihi = _valid_window(m, di)
-        jlo, jhi = _valid_window(n, dj)
-        base = slice(ilo, ihi), slice(jlo, jhi)
-        shifted = slice(ilo + di, ihi + di), slice(jlo + dj, jhi + dj)
+    for w, shifted, base in _edge_windows(u.shape):
         d = u[shifted] - u[base]
         d *= w
         yield w, shifted, base, d
@@ -115,6 +111,17 @@ _edge_penalty = remember_last(edge_penalty)
 _DIFF_NORM_SQ_BOUND = sum(4.0 * w * w for _, _, w in DIRECTIONS)
 
 
+@functools.lru_cache(maxsize=16)
+def _gram_lag_index(kernel_shape):
+    """Flat index into the ``(2*n1-1, 2*n2-1)`` lag window of each entry of
+    the kernel Gram: entry ``((i,j), (i',j'))`` reads lag ``(i-i', j-j')``."""
+    n1, n2 = kernel_shape
+    i, j = np.indices(kernel_shape).reshape(2, -1)
+    index = (np.subtract.outer(i, i) + n1 - 1) * (2 * n2 - 1) + np.subtract.outer(j, j) + n2 - 1
+    index.flags.writeable = False
+    return index
+
+
 def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -> float:
     """Safe partial moduli for the two blocks.
 
@@ -149,8 +156,7 @@ def bid_lipschitz(block: int, u: np.ndarray, b: np.ndarray, params: BidParams) -
             _check_kernel_fits(u.shape, b.shape)
             n1, n2 = b.shape
             lags = centered_kernel_window(weight, (2 * n1 - 1, 2 * n2 - 1), u.shape)
-            i, j = np.indices(b.shape).reshape(2, -1)
-            gram = lags[np.subtract.outer(i, i) + n1 - 1, np.subtract.outer(j, j) + n2 - 1]
+            gram = lags.take(_gram_lag_index(b.shape))
             return operator_norm(gram.dot, (b.size,))
 
         def normal_op(k):
@@ -188,10 +194,15 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
     def _spectra(x: BlockVector):
         u_hat = image_spectrum(x[0])
         b_hat = kernel_spectrum(x[1], shape)
-        return u_hat, b_hat, u_hat * b_hat - f_hat
+        r_hat = u_hat * b_hat
+        r_hat -= f_hat
+        return u_hat, b_hat, r_hat
 
     def _data(r_hat) -> float:
-        return lam * float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+        t = r_hat.real**2
+        t += r_hat.imag**2
+        t *= weights
+        return lam * float(np.add.reduce(t, None))
 
     def eval_H(x: BlockVector, above=None) -> float:
         # the data term first: above the bound, it decides without the edge term
@@ -213,9 +224,12 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         if i == 0:
             data_grad = lam * np.fft.irfft2(r_hat * np.conj(b_hat), s=shape)
             if not value:
-                return edge_grad(x[0], theta) + data_grad
+                g = edge_grad(x[0], theta)
+                g += data_grad
+                return g
             g, edge = edge_grad(x[0], theta, value=True)
-            return g + data_grad, edge + _data(r_hat)
+            g += data_grad
+            return g, edge + _data(r_hat)
         corr = centered_kernel_window(r_hat * np.conj(u_hat), x[1].shape, shape)
         peak = float(np.abs(corr).max())
         if not math.isfinite(lam * peak):

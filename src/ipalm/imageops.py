@@ -1,10 +1,11 @@
 """Image-domain primitives: directional differences, robust edge penalty,
 circular convolution and its adjoints, and 8-bit PGM I/O.
 
-BID's edge term slices each direction's valid window itself (``DIRECTIONS``
-and ``_valid_window``); the zero-padded ``dir_grad``/``dir_grad_adjoint``
-pair stays here as the reference that tests check it against, and under
-the names that the benchmark's tracer patches in `ipalm.bid`.
+BID's edge term slices each direction's valid window itself, from a table
+of the eight windows built once per image shape (``_edge_windows``); the
+zero-padded ``dir_grad``/``dir_grad_adjoint`` pair stays here as the
+reference that tests check it against, and under the names that the
+benchmark's tracer patches in `ipalm.bid`.
 
 Every convolution takes one convention, an odd kernel anchored at its
 center entry, and runs in the DFT domain, so a convolution is one pointwise
@@ -22,7 +23,8 @@ leaves the DFT domain.
 so an oracle that sees the same operand again (the block a line search holds
 fixed) reuses its transform instead of recomputing it.  This module owns
 the two spectrum memos that BID and convlasso share: ``image_spectrum``
-(``rfft2`` of an image or a stack of them) and ``kernel_spectrum``
+(``rfft2`` of an image or a stack of them, run as its two 1-D passes, bit
+for bit ``np.fft.rfft2``) and ``kernel_spectrum``
 (``centered_kernel_spectrum``)."""
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ def _valid_window(n: int, offset: int):
     lo = max(0, -offset)
     hi = min(n, n - offset)
     return lo, hi
+
+
+@functools.lru_cache(maxsize=16)
+def _edge_windows(shape):
+    """Per direction of ``DIRECTIONS``, for an image of ``shape``: its weight
+    and the shifted and base index windows of its valid stencils."""
+    m, n = shape
+    windows = []
+    for di, dj, w in DIRECTIONS:
+        ilo, ihi = _valid_window(m, di)
+        jlo, jhi = _valid_window(n, dj)
+        windows.append((w, (slice(ilo + di, ihi + di), slice(jlo + dj, jhi + dj)),
+                        (slice(ilo, ihi), slice(jlo, jhi))))
+    return tuple(windows)
 
 
 def dir_grad(u: np.ndarray, p: int) -> np.ndarray:
@@ -95,7 +111,7 @@ def phi_value(x: np.ndarray, theta: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     t = theta * x
     t *= x
-    return float(np.log1p(t, out=t).sum())
+    return float(np.add.reduce(np.log1p(t, out=t), None))
 
 
 def phi_grad(x: np.ndarray, theta: float, value: bool = False):
@@ -108,7 +124,7 @@ def phi_grad(x: np.ndarray, theta: float, value: bool = False):
     den = theta * x
     den *= x
     if value:
-        penalty = float(np.log1p(den).sum())
+        penalty = float(np.add.reduce(np.log1p(den), None))
     den += 1.0
     out = 2.0 * theta * x
     out /= den
@@ -187,10 +203,16 @@ def centered_kernel_spectrum(b: np.ndarray, shape) -> np.ndarray:
     return rows @ (b @ cols).view(np.complex128)
 
 
+def _rfft2(a, _rfft=np.fft.rfft, _fft=np.fft.fft):
+    """``np.fft.rfft2(a)`` bit for bit, as the two 1-D passes it runs,
+    without its argument handling."""
+    return _fft(_rfft(a), axis=-2)
+
+
 # During a line search one block stays fixed, and every candidate sees its
 # spectrum again: BID's image or kernel, convlasso's coefficient or filter
 # stack.  A solve runs one problem, so the two share these slots.
-image_spectrum = remember_last(np.fft.rfft2)
+image_spectrum = remember_last(_rfft2)
 kernel_spectrum = remember_last(centered_kernel_spectrum)
 
 

@@ -249,21 +249,13 @@ def ipalm_iterate(state: SolverState, problem: ProblemSpec) -> SolverState:
         psi = None
     else:
         psi = F + float(np.asarray(deltas) @ bdeltas)
-    state.trace.rows.append(
-        TraceRow(
-            k=k,
-            F=F,
-            Psi=psi,
-            delta=deltas,
-            L=Ls,
-            tau=taus,
-            alpha=alphas,
-            beta=betas,
-            block_deltas=tuple(bdeltas),
-            step_norm=math.sqrt(2.0 * float(bdeltas.sum())),
-            seconds=time.perf_counter() - state.t0,
-        )
-    )
+    # positional: k, F, Psi, delta, L, tau, alpha, beta, block_deltas,
+    # step_norm, seconds
+    state.trace.rows.append(TraceRow(
+        k, F, psi, deltas, Ls, taus, alphas, betas, tuple(bdeltas),
+        math.sqrt(2.0 * float(np.add.reduce(bdeltas, None))),
+        time.perf_counter() - state.t0,
+    ))
     state.x_prev = x_cur
     state.x_cur = x_next
     state.k = k

@@ -298,13 +298,20 @@ def fourier_energy(stack: np.ndarray, shape) -> float:
     return float((np.abs(np.fft.rfft2(stack, s=shape)) ** 2).sum(axis=0).max())
 
 
+# every function that `remember_last` returns runs this one code object, its
+# mark; an `lru_cache` or another `functools.wraps` wrapper has ``__wrapped__``
+# too, and is no memo to empty
+_MEMO_CODE = remember_last(abs).__code__
+
+
 def with_empty_memos(fn, *args):
     """``fn(*args)`` with each module-level memo of `ipalm.bid` and
-    `ipalm.convlasso` (a ``remember_last`` function, so it has
-    ``__wrapped__``) replaced by an empty one for the call; the memos the
-    problems normally use keep their slots."""
+    `ipalm.convlasso` (a ``remember_last`` function, marked by its code)
+    replaced by an empty one for the call; the memos the problems normally
+    use keep their slots, and other wrapped functions are left alone."""
     saved = [(module, name, memo) for module in (bid, convlasso)
-             for name, memo in vars(module).items() if hasattr(memo, "__wrapped__")]
+             for name, memo in vars(module).items()
+             if getattr(memo, "__code__", None) is _MEMO_CODE]
     assert saved, "no memos to empty"
     try:
         for module, name, memo in saved:

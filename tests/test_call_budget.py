@@ -28,9 +28,9 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
 NMF_DESK_EXACT = 28
 NMF_DESK_DYNAMIC = 27
-BID_BACKTRACKING = 136
-BID_EXACT = 122
-CONVLASSO_BACKTRACKING = 53
+BID_BACKTRACKING = 106
+BID_EXACT = 92
+CONVLASSO_BACKTRACKING = 54
 
 # np.fft calls per warm sweep on each transforming instance: the image-side
 # gradient's one inverse transform.  Kernel spectra and kernel-side

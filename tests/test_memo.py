@@ -3,6 +3,7 @@ read-only results, one slot that stays consistent under thread switching,
 and oracles that stay bitwise equal to a computation with empty memos; the
 value ``partial_grad`` returns with the gradient is bitwise ``eval_H``'s."""
 
+import functools
 import sys
 import threading
 
@@ -99,6 +100,17 @@ def test_remember_last_under_thread_switching_stress():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_with_empty_memos_empties_only_remember_last_memos(monkeypatch):
+    # an lru_cache has __wrapped__ as well; re-wrapped as a one-slot memo it
+    # would be called with its arguments shifted
+    cached = functools.lru_cache(maxsize=1)(lambda shape: shape)
+    monkeypatch.setattr(bid, "_cached_helper", cached, raising=False)
+    seen = with_empty_memos(lambda: (bid._cached_helper, bid.image_spectrum))
+    assert seen[0] is cached
+    assert seen[1] is not bid.image_spectrum
+    assert seen[1].__wrapped__ is bid.image_spectrum.__wrapped__
 
 
 # ---------------------------------------------------------------------------
