@@ -73,12 +73,15 @@ def extrapolate(
     is bitwise identical to not extrapolating at all.  Both vectors have the
     same block shapes; the solver's iterates always do.
     """
-    if coeff < 0:
+    if not coeff >= 0:
         raise ValueError(f"extrapolation coefficient must be >= 0, got {coeff}")
     cur = x_cur[block]
     if coeff == 0.0:
         return cur
-    return cur + coeff * (cur - x_prev[block])
+    out = cur - x_prev[block]
+    out *= coeff
+    out += cur
+    return out
 
 
 @dataclass(frozen=True)

@@ -70,31 +70,45 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
     fixed_l1 = float(np.abs(f).sum())
     weights = parseval_weights(shape)
 
+    # In place, each IEEE operation on its plain expression's operands: a
+    # sum or real product may swap them bitwise, a complex product may not
+    # (``r_hat`` stays first).  ``np.add.reduce``/``np.maximum.reduce`` are
+    # what ``sum``, ``mean`` and ``max`` run, without their Python layer.
     def _spectra(x: BlockVector):
         d_hat = kernel_spectrum(x[0], shape)
         v_hat = image_spectrum(x[1])
-        return d_hat, v_hat, base_hat + (d_hat * v_hat).sum(axis=0)
+        r_hat = np.add.reduce(d_hat * v_hat, 0)
+        r_hat += base_hat
+        return d_hat, v_hat, r_hat
 
     def _data(r_hat) -> float:
-        return float(((r_hat.real**2 + r_hat.imag**2) * weights).sum())
+        t = r_hat.real**2
+        t += r_hat.imag**2
+        t *= weights
+        return float(np.add.reduce(t, None))
 
     def eval_H(x: BlockVector, above=None) -> float:
         return _data(_spectra(x)[2])
 
     def eval_F(x: BlockVector) -> float:
         d_free, v_free = x[0], x[1]
-        means = d_free.reshape(p - 1, -1).mean(axis=1)
-        norms = np.sqrt((d_free.reshape(p - 1, -1) ** 2).sum(axis=1))
-        if np.abs(means).max(initial=0.0) > 1e-9 or norms.max(initial=0.0) > 1.0 + 1e-9:
+        flat = d_free.reshape(p - 1, -1)
+        means = np.add.reduce(flat, 1)
+        means /= flat.shape[1]
+        norms = np.sqrt(np.add.reduce(flat**2, 1))
+        if (np.maximum.reduce(np.abs(means), None, initial=0.0) > 1e-9
+                or np.maximum.reduce(norms, None, initial=0.0) > 1.0 + 1e-9):
             return float("inf")
-        return eval_H(x) + lam * (fixed_l1 + float(np.abs(v_free).sum()))
+        return eval_H(x) + lam * (fixed_l1 + float(np.add.reduce(np.abs(v_free), None)))
 
     def partial_grad(i: int, x: BlockVector, value: bool = False):
         d_hat, v_hat, r_hat = _spectra(x)
         if i == 0:
-            g = centered_kernel_window(r_hat * np.conj(v_hat), (l, l), shape)
+            c = np.conj(v_hat)
+            g = centered_kernel_window(np.multiply(r_hat, c, out=c), (l, l), shape)
         else:
-            g = np.fft.irfft2(r_hat * np.conj(d_hat), s=shape)
+            c = np.conj(d_hat)
+            g = np.fft.irfft2(np.multiply(r_hat, c, out=c), s=shape)
         return (g, _data(r_hat)) if value else g
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:

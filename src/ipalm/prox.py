@@ -73,12 +73,17 @@ def prox_simplex(p: np.ndarray) -> np.ndarray:
 
 def prox_l1(p: np.ndarray, w: float) -> np.ndarray:
     """Elementwise soft threshold ``sign(p) * max(|p| - w, 0)`` for ``w >= 0``."""
-    if w < 0:
+    if not w >= 0:
         raise ValueError(f"threshold must be >= 0, got {w}")
     p = np.asarray(p, dtype=np.float64)
     if w == 0.0:
         return p.copy()
-    return np.sign(p) * np.maximum(np.abs(p) - w, 0.0)
+    out = np.abs(p)
+    out -= w
+    np.maximum(out, 0.0, out=out)
+    # sign(p) first, as in the formula; copysign would turn a -0.0 entry's
+    # +0.0 into -0.0
+    return np.multiply(np.sign(p), out, out=out)
 
 
 def prox_filter_constraint(d: np.ndarray) -> np.ndarray:
@@ -99,9 +104,12 @@ def prox_filter_constraint(d: np.ndarray) -> np.ndarray:
     size = f.shape[-2] * f.shape[-1]
     if size < 2:
         raise ValueError("filter must have at least 2 entries")
-    out = f - f.mean(axis=(-2, -1), keepdims=True)
+    mean = np.add.reduce(f, (-2, -1), keepdims=True)
+    mean /= size
+    out = f - mean
     # one 1x1 product per filter: its squared norm, bitwise the one-filter
     # dot product, which an elementwise sum of squares is not
     flat = out.reshape(out.shape[:-2] + (1, size))
     nrm = np.sqrt(np.matmul(flat, np.swapaxes(flat, -1, -2)))
-    return (out / np.maximum(nrm, 1.0)).reshape(d.shape)
+    out /= np.maximum(nrm, 1.0)
+    return out.reshape(d.shape)

@@ -171,8 +171,9 @@ _vector = partial(tuple.__new__, BlockVector)
 def _prox_point(problem: ProblemSpec, i: int, k: int, tau: float, y, grad) -> np.ndarray:
     """Block ``i``'s prox point ``prox_i(tau, y - grad/tau)``, as float64
     and with the block's shape, at iteration ``k``."""
+    q = grad / tau
     # float64 here, once: the vectors `_vector` builds rely on it
-    x_new = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)
+    x_new = np.asarray(problem.prox(i, tau, np.subtract(y, q, out=q)), dtype=np.float64)
     if x_new.shape != y.shape:  # y has block i's shape
         raise ShapeMismatchError(
             f"{problem.name}: the prox of block {i} at iteration {k} returned "

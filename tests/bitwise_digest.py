@@ -38,21 +38,22 @@ from workloads import WORKLOADS, Context  # noqa: E402
 CLOCK_COLUMNS = ("seconds", "time_s")
 
 
-def criterion_8(seed, workdir):
+def criterion_8(seed, workdir, sweeps=1000):
     """The 20 runs of criterion 8: both schedules on five NMF (exact moduli)
-    and five convlasso (backtracking) desk instances, 1,000 sweeps each."""
+    and five convlasso (backtracking) desk instances, 1,000 sweeps each (the
+    first ``sweeps`` of them)."""
     for s in range(5):
         A = synth_nmf(seed=s)["A"]
         problem, x0 = make_nmf_problem(A, r=3, s=2), init_nmf(A, r=3, s=2, seed=s)
         for schedule in ("static-c", "dynamic"):
-            solver.run(problem, x0, RunConfig(schedule=schedule, iters=1000, tol=0.0,
+            solver.run(problem, x0, RunConfig(schedule=schedule, iters=sweeps, tol=0.0,
                                               backtrack=False))
     for s in range(5):
         f = synth_convlasso(seed=s)["f"]
         problem = make_convlasso_problem(f, p=8, l=5, lam=0.05)
         x0 = init_convlasso(f, p=8, l=5, seed=s)
         for schedule in ("static-c", "dynamic"):
-            solver.run(problem, x0, RunConfig(schedule=schedule, iters=1000, tol=0.0))
+            solver.run(problem, x0, RunConfig(schedule=schedule, iters=sweeps, tol=0.0))
 
 
 def criterion_9(seed, workdir, sweeps=2000):

@@ -156,6 +156,13 @@ def test_extrapolate_rejects_negative_coeff():
         extrapolate(x, x, -0.1, 0)
 
 
+def test_extrapolate_rejects_a_nan_coeff():
+    # a NaN coefficient would turn the whole block into NaN
+    x = BlockVector([np.ones(2)])
+    with pytest.raises(ValueError, match="coefficient must be >= 0"):
+        extrapolate(x, x, float("nan"), 0)
+
+
 def test_norm_additivity_property():
     rng = np.random.default_rng(6)
     for _ in range(50):

@@ -31,6 +31,7 @@ NMF_DESK_DYNAMIC = 27
 BID_BACKTRACKING = 106
 BID_EXACT = 92
 CONVLASSO_BACKTRACKING = 54
+CONVLASSO_DYNAMIC = 56
 
 # np.fft calls per warm sweep on each transforming instance: the image-side
 # gradient's one inverse transform.  Kernel spectra and kernel-side
@@ -113,6 +114,12 @@ def test_bid_exact_sweep_stays_within_its_call_budget():
 
 def test_convlasso_backtracking_sweep_stays_within_its_call_budget():
     assert package_calls_per_sweep(*convlasso_instance()) <= CONVLASSO_BACKTRACKING
+
+
+def test_convlasso_dynamic_sweep_stays_within_its_call_budget():
+    # the dynamic schedule's sweeps form extrapolated points; plain PALM's
+    # extrapolation returns each block itself
+    assert package_calls_per_sweep(*convlasso_instance("dynamic")) <= CONVLASSO_DYNAMIC
 
 
 @pytest.mark.parametrize("make", [

@@ -10,6 +10,11 @@ once by the sum.  All four must satisfy the prox optimality inequality
 several magnitudes, repeated values and signed zeros, in 1-3 dimensions.
 The tolerances are rounding bounds set from the float64 unit roundoff and
 the input's size and magnitude, not fitted to the operators.
+
+Some maps and ``blockmodel.extrapolate`` form their results in place, in a
+buffer of their own: every map must leave its argument's bytes alone and
+return an array that shares no memory with it, and ``extrapolate`` too,
+except at a zero coefficient, where it returns the block itself.
 """
 
 import numpy as np
@@ -20,13 +25,24 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from ipalm.prox import prox_box01, prox_l1, prox_nonneg, prox_simplex  # noqa: E402
+import ipalm.prox  # noqa: E402
+from ipalm.blockmodel import BlockVector, extrapolate  # noqa: E402
+from ipalm.prox import (  # noqa: E402
+    prox_box01,
+    prox_filter_constraint,
+    prox_l0_nonneg_cols,
+    prox_l1,
+    prox_nonneg,
+    prox_simplex,
+)
 
 EPS = np.finfo(np.float64).eps
 
 REPEATED = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0])
 REAL = st.one_of(REPEATED, st.floats(-1e3, 1e3, allow_nan=False))
 SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5)
+# every map takes a matrix; a filter needs at least two entries
+MATRICES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=5)
 POSITIVE = st.floats(1e-3, 1e3)
 
 
@@ -113,3 +129,36 @@ def test_every_prox_satisfies_the_prox_optimality_inequality(data, p, t, lam):
         lhs = lam * float(np.abs(point).sum())
         rhs = lam * float(np.abs(q).sum()) + t * float(np.vdot(p - q, point - q))
         assert rhs <= lhs + (t + lam) * rounding(p, point, q)
+
+
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
+@given(p=arrays(MATRICES), w=POSITIVE, s=st.integers(0, 2))
+def test_every_map_leaves_its_argument_alone_and_returns_a_fresh_array(p, w, s):
+    before = p.tobytes()
+    calls = {
+        "prox_box01": lambda: prox_box01(p),
+        "prox_nonneg": lambda: prox_nonneg(p),
+        "prox_l0_nonneg_cols": lambda: prox_l0_nonneg_cols(p, s),
+        "prox_simplex": lambda: prox_simplex(p),
+        "prox_l1": lambda: prox_l1(p, w),
+        "prox_l1 w=0": lambda: prox_l1(p, 0.0),
+        "prox_filter_constraint": lambda: prox_filter_constraint(p),
+    }
+    maps = {name for name in vars(ipalm.prox) if name.startswith("prox_")}
+    assert maps <= {name.split()[0] for name in calls}, "a map of ipalm.prox is not covered"
+    for name, call in calls.items():
+        q = call()
+        assert p.tobytes() == before, f"{name} changed its argument"
+        assert not np.shares_memory(q, p), f"{name} returned its argument's memory"
+
+
+@settings(max_examples=300, deadline=None, database=None, print_blob=True)
+@given(data=st.data(), cur=arrays(), coeff=POSITIVE)
+def test_extrapolate_returns_a_fresh_array_unless_its_coefficient_is_zero(data, cur, coeff):
+    prev = data.draw(arrays(st.just(cur.shape)))
+    x_cur, x_prev = BlockVector([cur]), BlockVector([prev])
+    before = cur.tobytes(), prev.tobytes()
+    out = extrapolate(x_cur, x_prev, coeff, 0)
+    assert not np.shares_memory(out, cur) and not np.shares_memory(out, prev)
+    assert extrapolate(x_cur, x_prev, 0.0, 0) is x_cur[0]
+    assert (cur.tobytes(), prev.tobytes()) == before

@@ -3,9 +3,11 @@
 ``oracles.row_bits``, every final block, and every file a run writes with the
 wall-clock columns dropped), over a fast subset of its runs.  Beside them, the
 kernels' own bits: BID's edge penalty and ``edge_grad(value=True)`` on the
-small shapes that leave some direction's window empty or one pixel wide, and
-the image spectrum on even, odd and stacked inputs, so a kernel rewrite that
-keeps the trajectories' 64x64 bits but not a corner shape's fails by name.
+small shapes that leave some direction's window empty or one pixel wide, the
+image spectrum on even, odd and stacked inputs, and convlasso's oracles and
+proxes on an odd-by-odd image with one free filter of size 1 or 7, so a kernel
+rewrite that keeps the trajectories' bits but not a corner shape's fails by
+name.
 
 A change that moves a pinned trajectory on purpose re-pins the digests it
 moved, with old -> new and the reason in CHANGES.md; a change that claims
@@ -19,10 +21,13 @@ import platform
 
 import numpy as np
 import pytest
-from bitwise_digest import criterion_9, sha256_of
+from bitwise_digest import criterion_8, criterion_9, sha256_of
 from workloads import WORKLOADS, Context
 
 from ipalm import bid, imageops
+from ipalm.blockmodel import BlockVector
+from ipalm.convlasso import make_convlasso_problem
+from ipalm.prox import prox_filter_constraint
 
 PINNED_IN = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
@@ -36,6 +41,8 @@ PINS = {
     "bid-cli-exact 100": (1, "00baae179e33eba42f436560ca6c441790ab36ae8663c170b0284f9868f83b59"),
     "criterion-9 100 sweeps": (
         1, "09b2d7f92d4db7ed6be4b8c304c7703b703b49a159c7a33605bc6a7ead3c0913"),
+    "criterion-8 100 sweeps": (
+        20, "e48d7c95ac219af93fffeeb8375c80414bf8ae394ddb0e9a994909795c9d59c2"),
 }
 
 
@@ -54,6 +61,7 @@ RUNS = {
     **{f"{name} {WORKLOADS[name].instance_seeds(1)[0]}": _first_instance(name)
        for name in WORKLOADS},
     "criterion-9 100 sweeps": lambda workdir: criterion_9(None, workdir, sweeps=100),
+    "criterion-8 100 sweeps": lambda workdir: criterion_8(None, workdir, sweeps=100),
 }
 
 
@@ -76,6 +84,22 @@ SPECTRUM_PINS = {
     (64, 64): "71f8c2bfa4ab8c5b5ce291c715452a2313716a82edb99c4ff385b6d3478e7680",
     (63, 65): "925bf153f94a92da1512d4a5c8a3b3818f945958a1e73091f2f89717d8e12708",
     (7, 32, 32): "f4aa7a1ca69665c4602157b88a89c4c49e0b2634e39162f2c2e82a1bfc423ee2",
+}
+
+# (free filter size, oracle) -> sha256 of that oracle's output at the point
+# of ``convlasso_oracles``; a 1x1 filter has no zero-mean unit-ball projection
+CONVLASSO_PINS = {
+    (1, "eval_H"): "f151abcc71411702f0cbe2dd538bd9b79852c0a88ef6bfb40426525741b7ca66",
+    (1, "eval_F"): "26d4c7c4acec465c06b3755c53f89233dab68027955bd16246bd2ff0a7354098",
+    (1, "grad 0"): "791b6784e97426645fb7e16e7ec9f8e4a0419d1143d6cbb119a5f6f1fd3a5365",
+    (1, "grad 1"): "c286f36419995b5bf3d6edd65076b747911ebf6b8d1dbdf201dd3897fa5f37d2",
+    (1, "prox 1"): "ca2806d44c7461d4f2161b6446e17b000d25e3938c0bfbbaaa02a994bdc0e8d2",
+    (7, "eval_H"): "e3e6138902ddd8d19eb9ee00456db2b0241f62e236eebcf994a6cc74472bae16",
+    (7, "eval_F"): "b04261fb15e212fd7b8e15e3f0ab02f6e0d45581a66b5ecc85d279a4cfe144a6",
+    (7, "grad 0"): "f0e61a22ccde133b21c713ebd259ec1885e3331e89544ef190e793e43c4ce374",
+    (7, "grad 1"): "9451320c751604d932d5b1d6c1d70ae270204dc041513b9e2c6fa2d1defeafd6",
+    (7, "prox 0"): "59eff55d7815e90985d72b1d9dfc270b58bfb3919b1ce1097e44895069d4e943",
+    (7, "prox 1"): "3f66aedab3fe4c674937d034756824250ececcd4bcb93258840645714e985161",
 }
 
 pinned_environment = pytest.mark.skipif(
@@ -115,3 +139,33 @@ def test_image_spectrum_is_bitwise_the_pinned_one(shape):
     a = np.random.default_rng(sum(shape)).uniform(0, 1, shape)
     assert _sha256(imageops.image_spectrum(a)) == SPECTRUM_PINS[shape], \
         f"the {shape} image spectrum moved"
+
+
+def convlasso_oracles(l):
+    """Name -> call of each convlasso oracle on a 31x33 image with ``p=2``
+    and an ``l``-by-``l`` free filter: the smooth part, the objective (at the
+    point and with the filter zeroed, which is feasible for every ``l``),
+    both blocks' gradients with their values, and both blocks' proxes."""
+    rng = np.random.default_rng(l)
+    f = rng.uniform(0, 1, (31, 33))
+    problem = make_convlasso_problem(f, p=2, l=l, lam=0.05)
+    d = rng.normal(size=(1, l, l))
+    if l > 1:
+        d = prox_filter_constraint(d)
+    x = BlockVector([d, rng.normal(size=(1, 31, 33)) * 0.1])
+    q0, q1 = rng.normal(size=(1, l, l)), rng.normal(size=(1, 31, 33)) * 0.1
+    return {
+        "eval_H": lambda: [problem.eval_H(x)],
+        "eval_F": lambda: [problem.eval_F(x), problem.eval_F(x.with_block(0, np.zeros_like(d)))],
+        "grad 0": lambda: problem.partial_grad(0, x, value=True),
+        "grad 1": lambda: problem.partial_grad(1, x, value=True),
+        "prox 0": lambda: [problem.prox(0, 3.0, q0)],
+        "prox 1": lambda: [problem.prox(1, 3.0, q1)],
+    }
+
+
+@pinned_environment
+@pytest.mark.parametrize("l, oracle", list(CONVLASSO_PINS), ids=lambda v: str(v))
+def test_convlasso_oracle_is_bitwise_the_pinned_one(l, oracle):
+    digest = _sha256(*convlasso_oracles(l)[oracle]())
+    assert digest == CONVLASSO_PINS[l, oracle], f"convlasso's {oracle} at l={l} moved"

@@ -93,6 +93,12 @@ def test_l1_examples():
         prox_l1(x, -0.1)
 
 
+def test_l1_rejects_a_nan_threshold():
+    # a NaN threshold would turn every entry into NaN
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        prox_l1(np.array([1.0, -2.0, 0.5]), float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # sparse nonnegative columns
 

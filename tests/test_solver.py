@@ -281,6 +281,28 @@ def test_a_wrong_shape_prox_output_stops_the_sweep_at_that_block(backtracking):
     assert grads == [0]  # block 1's oracle never saw the bad block
 
 
+def _shipped_problem(name):
+    if name == "nmf":
+        A = synth_nmf(seed=6)["A"]
+        return make_nmf_problem(A, r=3, s=2), init_nmf(A, r=3, s=2, seed=6)
+    return _image_problem(name)
+
+
+@pytest.mark.parametrize("backtracking", [False, True], ids=["exact", "backtracking"])
+@pytest.mark.parametrize("name", ["nmf", "bid", "convlasso"])
+def test_a_sweep_leaves_both_iterates_bitwise_unchanged(name, backtracking):
+    problem, x0 = _shipped_problem(name)
+    # alpha != beta: each block forms both extrapolated points in place
+    kinds = block_kinds(problem, RunConfig(alpha_bar=0.4, beta_bar=0.2))
+    state = make_state(problem, x0, kinds, backtracking=backtracking)
+    for _ in range(2):  # the first sweep's x_prev is its x_cur, the second's is not
+        x_cur, x_prev = state.x_cur, state.x_prev
+        before = [b.tobytes() for b in x_cur + x_prev]
+        ipalm_iterate(state, problem)
+        assert state.x_prev is x_cur
+        assert [b.tobytes() for b in x_cur + x_prev] == before
+
+
 def _image_problem(name):
     if name == "bid":
         f = synth_bid(size=16, kernel=3, seed=6)["f"]
