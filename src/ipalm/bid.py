@@ -28,6 +28,7 @@ from .imageops import (  # noqa: F401
     centered_kernel_window,
     dir_grad,
     dir_grad_adjoint,
+    half_sq_norm,
     image_spectrum,
     kernel_spectrum,
     parseval_weights,
@@ -198,15 +199,9 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
         r_hat -= f_hat
         return u_hat, b_hat, r_hat
 
-    def _data(r_hat) -> float:
-        t = r_hat.real**2
-        t += r_hat.imag**2
-        t *= weights
-        return lam * float(np.add.reduce(t, None))
-
     def eval_H(x: BlockVector, above=None) -> float:
         # the data term first: above the bound, it decides without the edge term
-        data = _data(_spectra(x)[2])
+        data = lam * half_sq_norm(_spectra(x)[2], weights)
         if above is not None and data > above:
             return data
         return _edge_penalty(x[0], theta) + data
@@ -229,7 +224,7 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
                 return g
             g, edge = edge_grad(x[0], theta, value=True)
             g += data_grad
-            return g, edge + _data(r_hat)
+            return g, edge + lam * half_sq_norm(r_hat, weights)
         corr = centered_kernel_window(r_hat * np.conj(u_hat), x[1].shape, shape)
         peak = float(np.abs(corr).max())
         if not math.isfinite(lam * peak):
@@ -238,7 +233,7 @@ def make_bid_problem(f: np.ndarray, params: BidParams) -> ProblemSpec:
                 f"finite (lam {lam:.4g}, largest |correlation| {peak:.4g})"
             )
         g = lam * corr
-        return (g, _edge_penalty(x[0], theta) + _data(r_hat)) if value else g
+        return (g, _edge_penalty(x[0], theta) + lam * half_sq_norm(r_hat, weights)) if value else g
 
     def prox(i: int, t: float, p: np.ndarray) -> np.ndarray:
         if i == 0:

@@ -31,17 +31,7 @@ from . import bid as bid_mod
 from . import convlasso as cl_mod
 from . import nmf as nmf_mod
 from . import synthetic, verify
-from .config import (
-    FILE_KEYS,
-    SCHEDULES,
-    ConfigError,
-    RunConfig,
-    block_kinds,
-    config_defaults_help,
-    float_tuple,
-    int_tuple,
-    load_config,
-)
+from .config import FILE_KEYS, ConfigError, RunConfig, block_kinds, load_config
 from .imageops import read_pgm, write_pgm
 from .lipschitz import EstimationError
 from .solver import DivergenceError, run
@@ -60,33 +50,31 @@ def _seed(raw: str) -> int:
     return seed
 
 
+_SWEEP_KEYS = ("checkpoints", "jobs")
+
+
+def _add_flag(p: argparse.ArgumentParser, key: str) -> None:
+    """The flag that sets file key ``key``, as its RunConfig field declares
+    it.  Its default is a None sentinel, so that precedence is explicit flag,
+    then config file, then the field's default, which its help prints."""
+    f = FILE_KEYS[key]
+    shown = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+    p.add_argument("--" + key.replace("_", "-"), type=f.metadata["parse"], default=None,
+                   help=f"{f.metadata['help']} (default: {shown})", **f.metadata["flag"])
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    # defaults are None sentinels so that precedence is explicit flag, then
-    # config file, then the built-in RunConfig defaults
-    p.add_argument("--schedule", choices=SCHEDULES, default=None,
-                   help="parameter regime (default: static-c)")
-    p.add_argument("--alpha-bar", type=float, default=None,
-                   help="extrapolation bound/value (default 0)")
-    p.add_argument("--beta-bar", type=float, default=None,
-                   help="gradient-point bound/value (default 0)")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="descent margin (default 0)")
-    p.add_argument("--iters", type=int, default=None, help="iteration budget (default 1000)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative step-norm stop (default 1e-9)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for data and initialization (default 0)")
-    bt = p.add_mutually_exclusive_group()
-    bt.add_argument("--backtrack", dest="backtrack", action="store_true", default=None,
-                    help="estimate Lipschitz moduli by backtracking (default)")
-    bt.add_argument("--exact-lipschitz", dest="backtrack", action="store_false",
-                    help="use the problem's closed-form moduli")
-    p.add_argument("--step-scale", type=float_tuple, default=None,
-                   help="per-block step-parameter multipliers >= 1, e.g. 1,5 "
-                        "(default: all ones; bid presets 1,5)")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None,
-                   help=f"key=value config file; defaults: {config_defaults_help()}")
+    """One flag per file key but the sweep's own, ``checkpoints`` and ``jobs``."""
+    for key, field in FILE_KEYS.items():
+        if key == "backtrack":  # the one hand-written pair: two flags, one key
+            bt = p.add_mutually_exclusive_group()
+            bt.add_argument("--backtrack", dest="backtrack", action="store_true", default=None,
+                            help=f"{field.metadata['help']} (default: {field.default})")
+            bt.add_argument("--exact-lipschitz", dest="backtrack", action="store_false",
+                            help="use the problem's closed-form moduli")
+        elif key not in _SWEEP_KEYS:
+            _add_flag(p, key)
+    p.add_argument("--config", default=None, help="key=value config file; each flag beats its key")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -315,9 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bid", help="blind image deconvolution")
     _add_run_options(p)
     p.add_argument("--image", default=None, help="blurry PGM image")
-    p.add_argument("--kernel-size", type=int, default=31, help="odd kernel side length")
-    p.add_argument("--lam", type=float, default=1e6, help="data term weight")
-    p.add_argument("--theta", type=float, default=1e4, help="edge penalty shape")
+    p.add_argument("--kernel-size", type=int, default=bid_mod.BidParams.kernel_shape[0],
+                   help="odd kernel side length")
+    p.add_argument("--lam", type=float, default=bid_mod.BidParams.lam, help="data term weight")
+    p.add_argument("--theta", type=float, default=bid_mod.BidParams.theta,
+                   help="edge penalty shape")
     p.set_defaults(func=cmd_bid)
 
     p = sub.add_parser("convlasso", help="convolutional dictionary learning")
@@ -335,11 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha=beta settings")
     p.add_argument("--include-dynamic", action="store_true",
                    help="append a dynamic-schedule row")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="run cells on at most N worker processes (default 1)")
-    p.add_argument("--checkpoints", type=int_tuple, default=None,
-                   help="comma-separated checkpoint iteration counts "
-                        "(default 100,500,1000,5000)")
+    for key in _SWEEP_KEYS:
+        _add_flag(p, key)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="numerical verification battery")

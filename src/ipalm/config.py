@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .schedules import Dynamic, Static
@@ -12,6 +12,32 @@ SCHEDULES = ("static-nc", "static-c", "dynamic")
 
 class ConfigError(ValueError):
     """A configuration file or value could not be parsed."""
+
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return _BOOL_WORDS[word]
+
+
+def int_tuple(raw: str) -> tuple:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def float_tuple(raw: str) -> tuple:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+def _setting(default, parse, help: str, **flag):
+    """A RunConfig field that is also a file key and a CLI run flag, declared
+    once: ``parse`` reads the file value and the flag's argument, the flag's
+    help is ``help`` with ``default`` appended, and ``flag`` holds any other
+    ``add_argument`` options."""
+    return field(default=default, metadata={"parse": parse, "help": help, "flag": flag})
 
 
 @dataclass
@@ -26,24 +52,27 @@ class RunConfig:
       nonsmooth term is convex and ``c = 1`` elsewhere (the usual choice);
     * ``dynamic`` -- coefficients ``(k-1)/(k+2)`` with ``tau = L`` (heuristic).
 
-    ``backtrack`` picks where the moduli come from; the line search's own
-    constants are module constants of ``ipalm.lipschitz``, not settings of
-    a run.
+    ``backtrack`` picks where the moduli come from (false: every block takes
+    the problem's closed-form moduli); the line search's own constants are
+    module constants of ``ipalm.lipschitz``, not settings of a run.
     """
 
-    schedule: str = "static-c"
-    alpha_bar: float = 0.0
-    beta_bar: float = 0.0
-    epsilon: float = 0.0
-    iters: int = 1000
-    tol: float = 1e-9
-    seed: int = 0
-    backtrack: bool = True  # False: every block takes the problem's closed-form moduli
-    step_scale: Optional[tuple] = None  # per-block tau multipliers; None: all ones
-    constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights
-    checkpoints: tuple = (100, 500, 1000, 5000)
-    out: Optional[str] = None
-    jobs: int = 1
+    schedule: str = _setting("static-c", str, "parameter regime", choices=SCHEDULES)
+    alpha_bar: float = _setting(0.0, float, "extrapolation bound/value")
+    beta_bar: float = _setting(0.0, float, "gradient-point bound/value")
+    epsilon: float = _setting(0.0, float, "descent margin")
+    iters: int = _setting(1000, int, "iteration budget")
+    tol: float = _setting(1e-9, float, "relative step-norm stop")
+    seed: int = _setting(0, int, "seed for data and initialization")
+    backtrack: bool = _setting(True, _parse_bool, "estimate Lipschitz moduli by backtracking")
+    step_scale: Optional[tuple] = _setting(
+        None, float_tuple, "per-block step-parameter multipliers >= 1, e.g. 1,5; "
+        "None: all ones, bid presets 1,5")
+    constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights; no file key
+    checkpoints: tuple = _setting((100, 500, 1000, 5000), int_tuple,
+                                  "comma-separated checkpoint iteration counts")
+    out: Optional[str] = _setting(None, str, "output directory; None: no files, sweep: .")
+    jobs: int = _setting(1, int, "run cells on at most N worker processes", metavar="N")
 
     def __post_init__(self):
         if self.schedule not in SCHEDULES:
@@ -73,40 +102,9 @@ def block_kinds(problem, config: RunConfig) -> tuple:
     )
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    word = raw.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return _BOOL_WORDS[word]
-
-
-def int_tuple(raw: str) -> tuple:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def float_tuple(raw: str) -> tuple:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
-
-
-# keys settable from a config file, with their parsers; each CLI run flag
-# sets the key of the same name
-FILE_KEYS = {
-    "schedule": str,
-    "alpha_bar": float,
-    "beta_bar": float,
-    "epsilon": float,
-    "iters": int,
-    "tol": float,
-    "seed": int,
-    "backtrack": _parse_bool,
-    "step_scale": float_tuple,
-    "checkpoints": int_tuple,
-    "out": str,
-    "jobs": int,
-}
+# keys settable from a config file, the fields declared by _setting; each
+# CLI run flag sets the key of the same name
+FILE_KEYS = {f.name: f for f in fields(RunConfig) if f.metadata}
 
 
 def _read_file(path) -> dict:
@@ -123,7 +121,7 @@ def _read_file(path) -> dict:
                 known = ", ".join(sorted(FILE_KEYS))
                 raise ConfigError(f"line {lineno}: unknown key {key!r} (known: {known})")
             try:
-                values[key] = FILE_KEYS[key](raw)
+                values[key] = FILE_KEYS[key].metadata["parse"](raw)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return values
@@ -145,13 +143,3 @@ def load_config(path=None, **overrides) -> RunConfig:
         if value is not None:
             values[key] = value
     return RunConfig(**values)
-
-
-def config_defaults_help() -> str:
-    """One line per config key with its default, for CLI help output."""
-    default = RunConfig()
-    lines = []
-    for f in fields(RunConfig):
-        if f.name in FILE_KEYS:
-            lines.append(f"{f.name}={getattr(default, f.name)}")
-    return "; ".join(lines)

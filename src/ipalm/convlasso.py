@@ -25,6 +25,7 @@ from .imageops import (  # noqa: F401 -- benchmarks/tracing.py patches centered_
     centered_corr_kernel,
     centered_kernel_spectrum,
     centered_kernel_window,
+    half_sq_norm,
     image_spectrum,
     kernel_spectrum,
     parseval_weights,
@@ -81,14 +82,8 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
         r_hat += base_hat
         return d_hat, v_hat, r_hat
 
-    def _data(r_hat) -> float:
-        t = r_hat.real**2
-        t += r_hat.imag**2
-        t *= weights
-        return float(np.add.reduce(t, None))
-
     def eval_H(x: BlockVector, above=None) -> float:
-        return _data(_spectra(x)[2])
+        return half_sq_norm(_spectra(x)[2], weights)
 
     def eval_F(x: BlockVector) -> float:
         d_free, v_free = x[0], x[1]
@@ -109,7 +104,7 @@ def make_convlasso_problem(f: np.ndarray, p: int, l: int, lam: float) -> Problem
         else:
             c = np.conj(d_hat)
             g = np.fft.irfft2(np.multiply(r_hat, c, out=c), s=shape)
-        return (g, _data(r_hat)) if value else g
+        return (g, half_sq_norm(r_hat, weights)) if value else g
 
     def prox(i: int, t: float, q: np.ndarray) -> np.ndarray:
         if i == 0:

@@ -228,6 +228,15 @@ def parseval_weights(shape) -> np.ndarray:
     return weights
 
 
+def half_sq_norm(spec: np.ndarray, weights: np.ndarray) -> float:
+    """``0.5*||x||^2`` from the half spectrum ``spec`` of a real ``x`` and
+    ``weights = parseval_weights(x.shape)``, in place on one temporary."""
+    t = spec.real**2
+    t += spec.imag**2
+    t *= weights
+    return float(np.add.reduce(t, None))
+
+
 def centered_kernel_window(spec: np.ndarray, shape, image_shape) -> np.ndarray:
     """The centred ``shape`` window of ``irfft2(spec, s=image_shape)`` (or of
     a stack of them along leading axes), as the product of the half spectrum

@@ -9,6 +9,7 @@ indicator functions with closed-form projections.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -118,8 +119,11 @@ def init_nmf(A: np.ndarray, r: int, s: int = None, seed: int = 0) -> BlockVector
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """Comma-separated matrix, no header."""
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.float64))
+    """Comma-separated matrix, no header; a column loads as ``(m, 1)``, and an
+    empty file as no entries, with no warning, for the problem to reject."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def save_matrix_csv(path, M: np.ndarray) -> None:

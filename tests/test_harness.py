@@ -221,6 +221,30 @@ def test_every_run_flag_sets_the_file_key_of_the_same_name(tmp_path):
         assert by_flag == by_file
 
 
+@pytest.mark.parametrize("command", ["nmf", "bid", "convlasso", "sweep"])
+def test_run_help_names_each_file_key_flag_with_its_run_config_default(
+        command, capsys, monkeypatch):
+    import re
+
+    from ipalm.config import FILE_KEYS
+
+    monkeypatch.setenv("COLUMNS", "400")  # no help line wraps
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    default = RunConfig()
+    for key in FILE_KEYS:
+        flag = "--" + key.replace("_", "-")
+        if key in ("checkpoints", "jobs") and command != "sweep":
+            assert flag not in text
+            continue
+        value = getattr(default, key)
+        shown = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        # the flag's own help, up to the first default note after it
+        assert re.search(rf"{flag} [^()]*\(default: {re.escape(shown)}\)", text), key
+    assert "--exact-lipschitz" in text
+
+
 def test_bid_preset_scale_equals_explicit_step_scale_bitwise(tmp_path):
     from ipalm.bid import BidParams, init_bid, make_bid_problem
     from ipalm.solver import run
@@ -711,6 +735,20 @@ def test_cli_rejects_an_empty_data_file(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")
     rc = main(["nmf", "--data", str(path), "--iters", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "no entries" in err
+
+
+def test_cli_rejects_an_empty_data_file_with_no_warning(tmp_path, capsys):
+    import warnings
+
+    # loadtxt warns on an empty file; the warning stays inside the loader
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["nmf", "--data", str(path), "--iters", "2"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "no entries" in err

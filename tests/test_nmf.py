@@ -175,6 +175,17 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.array_equal(back, M)  # 17 significant digits survive the trip
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (1, 6), (4, 6)])
+def test_matrix_csv_round_trip_keeps_a_single_row_or_column(tmp_path, shape):
+    # a one-column file holds one value per line, as a one-row file's line does
+    M = np.random.default_rng(71).uniform(0, 1, shape)
+    path = tmp_path / "m.csv"
+    save_matrix_csv(path, M)
+    back = load_matrix_csv(path)
+    assert back.shape == shape
+    assert np.array_equal(back, M)
+
+
 def test_pgm_dir_loader_and_basis_dump(tmp_path):
     rng = np.random.default_rng(70)
     imgs = rng.uniform(0, 1, (3, 4, 5))
