@@ -71,7 +71,7 @@ class RunConfig:
     constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights; no file key
     checkpoints: tuple = _setting((100, 500, 1000, 5000), int_tuple,
                                   "comma-separated checkpoint iteration counts")
-    out: Optional[str] = _setting(None, str, "output directory; None: no files, sweep: .")
+    out: Optional[str] = _setting(None, str, "output directory; None: no files, or . for sweep")
     jobs: int = _setting(1, int, "run cells on at most N worker processes", metavar="N")
 
     def __post_init__(self):
