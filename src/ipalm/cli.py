@@ -110,8 +110,7 @@ def _write_checkpoints(labeled_traces, checkpoints, path) -> None:
     """Objective values at checkpoint iterations; cells for checkpoints the
     run never reached stay empty.  The wall-time column is informational
     only (hardware-dependent, never asserted against)."""
-    header = "setting," + ",".join(f"K{k}" for k in checkpoints) + ",time_s"
-    lines = [header]
+    lines = [",".join(["setting", *(f"K{k}" for k in checkpoints), "time_s"])]
     for label, trace in labeled_traces:
         cells = [label]
         for k in checkpoints:

@@ -59,7 +59,8 @@ def spectral_norm(M: np.ndarray) -> float:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    # the ufunc's own reduction: ndarray.all adds a Python-level layer per call
+    if not np.logical_and.reduce(np.isfinite(M), None):
         raise EstimationError("matrix has non-finite entries")
     return float(np.linalg.eigvalsh(M)[-1]) * SAFEGUARD
 

@@ -19,35 +19,15 @@ from .lipschitz import spectral_norm
 from .prox import prox_l0_nonneg_cols, prox_nonneg
 
 
-def nmf_objective(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
-    R = A - B @ C
-    return 0.5 * float(np.vdot(R, R).real)
-
-
-def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
-    """Exact partial moduli: ``||C C^T||_2`` for block B, ``||B^T B||_2`` for C;
-    0 at degenerate iterates, which the solver floors.
-
-    The Gram matrices are r-by-r, so one dense eigensolve is cheap and exact
-    also on the near-degenerate spectra that show up when factor columns
-    align during a run.
-    """
-    if block == 0:
-        gram = C @ C.T
-    elif block == 1:
-        gram = B.T @ B
-    else:
-        raise ValueError(f"block index must be 0 or 1, got {block}")
-    return spectral_norm(gram)
-
-
 def _feasible(B: np.ndarray, C: np.ndarray, s: int) -> bool:
     # fmin skips NaN entries as (B < 0).any() does, where min() would return
-    # NaN; initial=0 keeps a factor with no entries feasible
+    # NaN; initial=0 keeps a factor with no entries feasible.  Each column's
+    # nonzeros are counted by the ufuncs' reductions, without the methods'
+    # Python layers
     if (np.fmin.reduce(B, axis=None, initial=0.0) < 0
             or np.fmin.reduce(C, axis=None, initial=0.0) < 0):
         return False
-    return int((B != 0).sum(axis=0).max(initial=0)) <= s
+    return np.maximum.reduce(np.add.reduce(B != 0, 0), None, initial=0) <= s
 
 
 def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
@@ -69,17 +49,22 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
     if not 0 <= s <= m:
         raise DataError(f"sparsity level must lie in [0, {m}], got {s}")
 
+    # the smooth part is 0.5*||A - B C||_F^2, each oracle forming it inline
     def eval_H(x: BlockVector, above=None) -> float:
-        return nmf_objective(A, x[0], x[1])
+        R = A - x[0] @ x[1]
+        return 0.5 * float(np.vdot(R, R).real)
 
     def eval_F(x: BlockVector) -> float:
-        if not _feasible(x[0], x[1], s):
+        B, C = x[0], x[1]
+        if not _feasible(B, C, s):
             return float("inf")
-        return eval_H(x)
+        R = A - B @ C
+        return 0.5 * float(np.vdot(R, R).real)
 
     def partial_grad(i: int, x: BlockVector, value: bool = False):
         B, C = x[0], x[1]
-        E = B @ C - A  # exactly -(A - B C), so its squared norm is H's
+        E = B @ C
+        E -= A  # exactly -(A - B C), so its squared norm is H's
         g = E @ C.T if i == 0 else B.T @ E
         return (g, 0.5 * float(np.vdot(E, E).real)) if value else g
 
@@ -88,8 +73,16 @@ def make_nmf_problem(A: np.ndarray, r: int, s: int) -> ProblemSpec:
             return prox_l0_nonneg_cols(p, s)
         return prox_nonneg(p)
 
+    # exact partial moduli: ||C C^T||_2 for block B, ||B^T B||_2 for C, 0 at
+    # degenerate iterates, which the solver floors; the Gram matrices are
+    # r-by-r, so one dense eigensolve is cheap and exact also on the
+    # near-degenerate spectra of aligned factor columns
     def lipschitz(i: int, x: BlockVector) -> float:
-        return nmf_lipschitz(i, x[0], x[1])
+        if i == 0:
+            C = x[1]
+            return spectral_norm(C @ C.T)
+        B = x[0]
+        return spectral_norm(B.T @ B)
 
     return ProblemSpec(
         eval_F=eval_F,

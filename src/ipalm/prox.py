@@ -41,7 +41,7 @@ def prox_l0_nonneg_cols(P: np.ndarray, s: int) -> np.ndarray:
     out = np.maximum(P, 0.0)
     # stable argsort of the negated column: ties resolve to the lower index;
     # the rows past the first s of each column's order are zeroed in place
-    order = np.argsort(-out, axis=0, kind="stable")
+    order = np.negative(out).argsort(0, kind="stable")
     out[order[s:], np.arange(P.shape[1])] = 0.0
     return out
 

@@ -9,6 +9,8 @@ references do the same filter by filter on complete stacks,
 ``fourier_energy`` is the corner-padded reference for the convlasso moduli,
 ``prox_l0_nonneg_cols_ref`` and ``nmf_feasible_ref`` the gather-and-scatter
 projection and the elementwise sign test that the NMF oracles replace,
+``nmf_objective`` and ``nmf_lipschitz`` the smooth part and the exact moduli
+that NMF's closures form inline,
 ``padded_kernel_spectrum`` and ``irfft_kernel_window`` the full-size
 transforms that the DFT-factor kernel transforms replace;
 ``with_empty_memos`` evaluates any oracle from scratch, with every memo in
@@ -41,7 +43,7 @@ from ipalm.imageops import (
     phi_value,
     remember_last,
 )
-from ipalm.lipschitz import GROWTH, MAX_ROUNDS, MODULUS_FLOOR, SHRINK, START
+from ipalm.lipschitz import GROWTH, MAX_ROUNDS, MODULUS_FLOOR, SHRINK, START, spectral_norm
 from ipalm.schedules import Dynamic, ParameterDomainError
 
 
@@ -289,6 +291,24 @@ def nmf_feasible_ref(B: np.ndarray, C: np.ndarray, s: int) -> bool:
     if (B < 0).any() or (C < 0).any():
         return False
     return int((B != 0).sum(axis=0).max(initial=0)) <= s
+
+
+def nmf_objective(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """NMF's smooth part ``0.5*||A - B C||_F^2``."""
+    R = A - B @ C
+    return 0.5 * float(np.vdot(R, R).real)
+
+
+def nmf_lipschitz(block: int, B: np.ndarray, C: np.ndarray) -> float:
+    """NMF's exact partial moduli: ``||C C^T||_2`` for block B, ``||B^T B||_2``
+    for C, by ``spectral_norm`` of the Gram matrix."""
+    if block == 0:
+        gram = C @ C.T
+    elif block == 1:
+        gram = B.T @ B
+    else:
+        raise ValueError(f"block index must be 0 or 1, got {block}")
+    return spectral_norm(gram)
 
 
 def fourier_energy(stack: np.ndarray, shape) -> float:

@@ -26,8 +26,8 @@ from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(ipalm.__file__)) + os.sep
 
-NMF_DESK_EXACT = 28
-NMF_DESK_DYNAMIC = 27
+NMF_DESK_EXACT = 24
+NMF_DESK_DYNAMIC = 23
 BID_BACKTRACKING = 106
 BID_EXACT = 92
 CONVLASSO_BACKTRACKING = 54

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -572,6 +573,22 @@ def test_cli_sweep_reads_out_checkpoints_and_jobs_from_config(tmp_path, pool_wor
     lines = (tmp_path / "sw" / "sweep_checkpoints.csv").read_text().strip().split("\n")
     assert lines[0] == "setting,K3,time_s"
     assert lines[1].split(",")[1] != ""
+
+
+def test_cli_empty_checkpoint_list_writes_a_well_formed_table(tmp_path, pool_workers):
+    # from the sweep's flag and from a single run's config file; every row of
+    # the table has the header's two fields, the setting and its time
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("checkpoints=\n")
+    sweep, single = tmp_path / "sweep", tmp_path / "single"
+    assert main(["sweep", "--alphas", "0", "--iters", "2", "--checkpoints", "",
+                 "--out", str(sweep)]) == 0
+    assert main(["nmf", "--iters", "2", "--config", str(cfg), "--out", str(single)]) == 0
+    for table in (sweep / "sweep_checkpoints.csv", single / "nmf_checkpoints.csv"):
+        with open(table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["setting", "time_s"] and len(rows) == 2
+        assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
 
 
 @pytest.mark.parametrize("problem", ["bid", "convlasso"])

@@ -349,7 +349,8 @@ def test_exact_modulus_supports_descent_lemma_on_factorization_objective():
     # the quadratic upper bound with L = ||C C^T||_2 must hold between any
     # two points of the first factor block
     from ipalm.blockmodel import BlockVector
-    from ipalm.nmf import make_nmf_problem, nmf_lipschitz, nmf_objective
+    from ipalm.nmf import make_nmf_problem
+    from oracles import nmf_lipschitz, nmf_objective
 
     rng = np.random.default_rng(23)
     A = rng.uniform(0, 1, (5, 6))

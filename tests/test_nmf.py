@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import trace_column
+from oracles import nmf_lipschitz, nmf_objective, trace_column
 
 from ipalm.blockmodel import BlockVector
 from ipalm.config import RunConfig, block_kinds
@@ -11,8 +11,6 @@ from ipalm.nmf import (
     load_matrix_csv,
     load_pgm_dir,
     make_nmf_problem,
-    nmf_lipschitz,
-    nmf_objective,
     save_matrix_csv,
 )
 from ipalm.imageops import write_pgm

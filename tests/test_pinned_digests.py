@@ -4,10 +4,11 @@
 wall-clock columns dropped), over a fast subset of its runs.  Beside them, the
 kernels' own bits: BID's edge penalty and ``edge_grad(value=True)`` on the
 small shapes that leave some direction's window empty or one pixel wide, the
-image spectrum on even, odd and stacked inputs, and convlasso's oracles and
-proxes on an odd-by-odd image with one free filter of size 1 or 7, so a kernel
-rewrite that keeps the trajectories' bits but not a corner shape's fails by
-name.
+image spectrum on even, odd and stacked inputs, convlasso's oracles and
+proxes on an odd-by-odd image with one free filter of size 1 or 7, and NMF's
+oracles at feasible, infeasible and degenerate points with the column
+projection on its corner shapes, so a kernel rewrite that keeps the
+trajectories' bits but not a corner shape's fails by name.
 
 A change that moves a pinned trajectory on purpose re-pins the digests it
 moved, with old -> new and the reason in CHANGES.md; a change that claims
@@ -27,7 +28,8 @@ from workloads import WORKLOADS, Context
 from ipalm import bid, imageops
 from ipalm.blockmodel import BlockVector
 from ipalm.convlasso import make_convlasso_problem
-from ipalm.prox import prox_filter_constraint
+from ipalm.nmf import make_nmf_problem
+from ipalm.prox import prox_filter_constraint, prox_l0_nonneg_cols
 
 PINNED_IN = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
@@ -169,3 +171,101 @@ def convlasso_oracles(l):
 def test_convlasso_oracle_is_bitwise_the_pinned_one(l, oracle):
     digest = _sha256(*convlasso_oracles(l)[oracle]())
     assert digest == CONVLASSO_PINS[l, oracle], f"convlasso's {oracle} at l={l} moved"
+
+
+# oracle -> sha256 of that oracle's outputs at the points of ``nmf_oracles``
+NMF_PINS = {
+    "grad 0": "6bdea59e360126c72bfb8769e8f48a6524ae5abab9502c1086e094ac089a79b9",
+    "grad 0 value": "ecb77791454598f6130e85ad3e409ae2e8a0f42910eeb48f365d2b00d0fecfd7",
+    "grad 1": "5819ec679ef0b9d50f273825fb3094a5d41562f47cb943601ef6fa33edf2f40b",
+    "grad 1 value": "8f77a6e49b6ae9a90a26994539f32dbb0ae79c79036e30c5371e88344ed25252",
+    "eval_H": "c0dc17e95567fed88d63138d1228c4f6ffea31824e275bfc65eaf2836ec9c922",
+    "eval_F feasible": "32377f7f8409881459eec1b9a313dd4d4e9ff75b81b79fb55e21222d5215ed34",
+    "eval_F negative": "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd",
+    "eval_F nan": "74999fd28ab18ccca2bee199f260d19764603a3c78353d773d16d215eebe8e19",
+    "eval_F column over s": "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd",
+    "lipschitz 0": "42e8d4ba5ce3daf4622c767a8ee991cbbcb661cca361076db24c1a6dc162e80c",
+    "lipschitz 1": "2e1e9f7c0eccf6817c0c1429863c90c39e4d019f4c3f859bfded22ed25020c96",
+}
+
+# case -> sha256 of prox_l0_nonneg_cols on the inputs of ``l0_projection_cases``
+L0_PINS = {
+    "one column": "6ac1acb103773d0b932231e34eff65bac9d3d7b8307bf191169d480605deb558",
+    "one row": "337c50c6b239794df0f4a5d6ffe36d779a220cee063b3ae0b24ae6165d082cba",
+    "s = 0": "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
+    "s = m": "bf8f710cf7a4cb0320f17d3c80e5f153a1dea7df66e48be945ac6ce78cf35a36",
+    "ties at the cutoff": "fddc9e875b1536cbb6ef755877ba6546b4c8c804265b6d63c11dba4437f4e33c",
+    "signed zeros": "cd1f211a91dbd3b6a4e270e6ceaa3e2e02b3d7ae4d2a3e5910f0db9db52dd66c",
+}
+
+
+def nmf_oracles():
+    """Name -> call of each NMF oracle on a 20x30 problem with ``r=3, s=2``:
+    both blocks' gradients without and with their values, the smooth part,
+    the objective at the point and with its zeros negated (both feasible),
+    with a negative entry in C, with a NaN in place of a nonzero of B and
+    with a column of B over ``s``, and both moduli at the point and with the
+    other factor zero."""
+    rng = np.random.default_rng(35)
+    A = rng.uniform(0, 1, (20, 30))
+    problem = make_nmf_problem(A, r=3, s=2)
+    B = prox_l0_nonneg_cols(rng.uniform(0, 1, (20, 3)), 2)
+    C = rng.uniform(0, 1, (3, 30))
+    x = BlockVector([B, C])
+    signed = np.where(B == 0, -0.0, B)
+    negative = C.copy()
+    negative[1, 2] = -0.5
+    nan = B.copy()
+    nan[np.flatnonzero(B[:, 0])[0], 0] = np.nan
+    dense = B.copy()
+    dense[:, 1] = 0.25
+    return {
+        "grad 0": lambda: [problem.partial_grad(0, x)],
+        "grad 0 value": lambda: problem.partial_grad(0, x, value=True),
+        "grad 1": lambda: [problem.partial_grad(1, x)],
+        "grad 1 value": lambda: problem.partial_grad(1, x, value=True),
+        "eval_H": lambda: [problem.eval_H(x)],
+        "eval_F feasible": lambda: [problem.eval_F(x), problem.eval_F(x.with_block(0, signed))],
+        "eval_F negative": lambda: [problem.eval_F(x.with_block(1, negative))],
+        "eval_F nan": lambda: [problem.eval_F(x.with_block(0, nan))],
+        "eval_F column over s": lambda: [problem.eval_F(x.with_block(0, dense))],
+        "lipschitz 0": lambda: [problem.lipschitz(0, x),
+                                problem.lipschitz(0, x.with_block(1, np.zeros_like(C)))],
+        "lipschitz 1": lambda: [problem.lipschitz(1, x),
+                                problem.lipschitz(1, x.with_block(0, np.zeros_like(B)))],
+    }
+
+
+def l0_projection_cases():
+    """Case -> (input, sparsity levels) of the column projection: one column,
+    one row, ``s = 0`` and ``s = m`` on a mixed-sign matrix, ties at the
+    cutoff, and exact zeros of both signs."""
+    rng = np.random.default_rng(36)
+    mixed = rng.normal(size=(6, 4))
+    # columns longer than 16 rows, where numpy's unstable sorts stop using
+    # an insertion sort, so ties would come out in another order
+    ties = rng.integers(-1, 3, size=(40, 3)).astype(np.float64)
+    zeros = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+                      [-0.0, 1.0, -1.0], [-1.0, -0.0, 0.0]])
+    return {
+        "one column": (rng.normal(size=(6, 1)), range(7)),
+        "one row": (rng.normal(size=(1, 5)), range(2)),
+        "s = 0": (mixed, [0]),
+        "s = m": (mixed, [6]),
+        "ties at the cutoff": (ties, range(41)),
+        "signed zeros": (zeros, range(6)),
+    }
+
+
+@pinned_environment
+@pytest.mark.parametrize("oracle", list(NMF_PINS))
+def test_nmf_oracle_is_bitwise_the_pinned_one(oracle):
+    assert _sha256(*nmf_oracles()[oracle]()) == NMF_PINS[oracle], f"NMF's {oracle} moved"
+
+
+@pinned_environment
+@pytest.mark.parametrize("case", list(L0_PINS))
+def test_l0_projection_is_bitwise_the_pinned_one(case):
+    P, levels = l0_projection_cases()[case]
+    digest = _sha256(*(prox_l0_nonneg_cols(P, s) for s in levels))
+    assert digest == L0_PINS[case], f"the column projection on {case} moved"
