@@ -16,8 +16,6 @@ from .schedules import (
     ParameterDomainError,
     Static,
     delta_star,
-    descent_coefficients,
-    tau_for_delta,
 )
 from .solver import (
     DivergenceError,
@@ -48,13 +46,11 @@ __all__ = [
     "delta_star",
     "extrapolate",
     "ipalm_iterate",
-    "descent_coefficients",
     "load_config",
     "make_state",
     "run",
     "run_state",
     "spectral_norm",
-    "tau_for_delta",
 ]
 
 __version__ = "0.1.0"

@@ -123,15 +123,12 @@ def _write_checkpoints(labeled_traces, checkpoints, path) -> None:
 
 
 def _load_nmf(args, seed):
+    """The data matrix and, from ``--pgm-dir``, the image shape of a column."""
+    if args.pgm_dir:
+        return nmf_mod.load_pgm_dir(args.pgm_dir)
     if args.data:
-        A = nmf_mod.load_matrix_csv(args.data)
-        shape = None
-    elif args.pgm_dir:
-        A, shape = nmf_mod.load_pgm_dir(args.pgm_dir)
-    else:
-        A = synthetic.synth_nmf(seed=seed)["A"]
-        shape = None
-    return A, shape
+        return nmf_mod.load_matrix_csv(args.data), None
+    return synthetic.synth_nmf(seed=seed)["A"], None
 
 
 def cmd_nmf(args) -> int:
@@ -221,6 +218,10 @@ def cmd_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     cfg = _config_from_args(args)
+    if cfg.schedule == "dynamic":
+        raise ConfigError("sweep cells are static; --include-dynamic adds the dynamic row")
+    if (cfg.alpha_bar, cfg.beta_bar) != (RunConfig.alpha_bar, RunConfig.beta_bar):
+        raise ConfigError("sweep sets alpha_bar = beta_bar per cell from --alphas; set neither")
     alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     cells = [dataclasses.replace(cfg, alpha_bar=a, beta_bar=a) for a in alphas]
     if args.include_dynamic:
@@ -290,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nmf", help="column-sparse nonnegative matrix factorization")
     _add_run_options(p)
-    p.add_argument("--data", default=None, help="CSV data matrix (no header)")
-    p.add_argument("--pgm-dir", default=None, help="directory of PGM images as columns")
+    data = p.add_mutually_exclusive_group()
+    data.add_argument("--data", default=None, help="CSV data matrix (no header)")
+    data.add_argument("--pgm-dir", default=None, help="directory of PGM images as columns")
     p.add_argument("--rank", type=int, default=25, help="number of basis columns")
     sp = p.add_mutually_exclusive_group()
     sp.add_argument("--s-percent", type=float, default=33.0,

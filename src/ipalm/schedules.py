@@ -15,8 +15,8 @@ are supported:
   steps.  Empirically the fastest regime but not covered by the descent
   theory, so runs in this mode are flagged as heuristic.
 
-``delta_star`` and ``tau_for_delta`` are the checked doors to the static
-formula.
+``delta_star`` is the checked door to the static step weight; the step for
+a given weight is ``Static(...).rule(delta)(alpha, beta, L)``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ def _bound_error(subject: str, alpha_bar: float, eps: float, convex: bool):
 
 
 def _prox_factors(eps: float, convex: bool):
-    """The static rule's constants ``c``, ``c*(1-eps)`` and ``1+eps``."""
+    """The static rule's constants ``c``, ``c*(1-eps)`` and ``1+eps``: the one
+    home of the prox factor ``c``."""
     c = 2.0 if convex else 1.0
     return c, c * (1.0 - eps), 1.0 + eps
 
@@ -62,8 +63,8 @@ class Static:
             raise ParameterDomainError(f"beta_bar must be >= 0 and finite, got {self.beta_bar}")
         if not 0.0 <= self.eps < math.inf:
             raise ParameterDomainError(f"eps must be >= 0 and finite, got {self.eps}")
-        c = 2.0 if self.convex else 1.0
-        if not c * (1.0 - self.eps) - 2.0 * self.alpha_bar > 0.0:
+        c_eps = _prox_factors(self.eps, self.convex)[1]
+        if not c_eps - 2.0 * self.alpha_bar > 0.0:
             raise _bound_error("static {} schedule", self.alpha_bar, self.eps, self.convex)
 
     def coeffs(self, k: int):
@@ -72,8 +73,9 @@ class Static:
 
     def rule(self, delta=None):
         """The compiled step: ``delta`` is the instantaneous step weight
-        ``delta_star(alpha, beta, eps, L)`` unless pinned, and ``tau`` is
-        ``tau_for_delta`` of it.  The constants are formed once and bound."""
+        ``delta_star(alpha, beta, eps, L)`` unless pinned, and
+        ``tau = ((1+eps)*delta + (1+beta)*L) / (c - alpha)``.  The constants
+        are formed once and bound."""
         return partial(_static_step, *_prox_factors(self.eps, self.convex), delta)
 
 
@@ -121,47 +123,3 @@ def delta_star(
     if c_eps - 2.0 * alpha_bar <= 0.0:
         raise _bound_error("{} step weight", alpha_bar, eps, convex)
     return _static_step(c, c_eps, one_eps, None, alpha_bar, beta_bar, lambda_plus)[1]
-
-
-def tau_for_delta(
-    alpha: float,
-    beta: float,
-    delta: float,
-    L: float,
-    eps: float = 0.0,
-    convex: bool = False,
-) -> float:
-    """Step parameter ``tau = ((1+eps)*delta + (1+beta)*L) / (c - alpha)`` for
-    a given (possibly constant) step weight, prox factor ``c`` as in
-    ``delta_star``.
-    """
-    if L <= 0.0:
-        raise ParameterDomainError(f"L must be positive, got {L}")
-    return _static_step(*_prox_factors(eps, convex), delta, alpha, beta, L)[0]
-
-
-def descent_coefficients(
-    alpha: float,
-    beta: float,
-    delta: float,
-    tau: float,
-    L: float,
-    convex: bool = False,
-):
-    """Descent-coefficient pair ``(g, h)`` used by the verification battery.
-
-    ``g`` multiplies the incoming step measure, ``h`` the previous one, in
-    the Lyapunov decrease decomposition:
-
-    * ``g = tau*(c-alpha) - (1+beta)*L - delta``, prox factor ``c`` as in
-      ``delta_star`` (the tighter proximal bound for a convex block term
-      contributes the extra ``tau``)
-    * ``h = delta - tau*alpha - L*beta``
-
-    With ``delta_star``/``tau_for_delta`` parameters, ``g`` equals
-    ``eps*delta_star`` exactly and ``h`` is at least ``eps*delta_star``.
-    """
-    c = 2.0 if convex else 1.0
-    g = tau * (c - alpha) - (1.0 + beta) * L - delta
-    h = delta - tau * alpha - L * beta
-    return g, h

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
 from .prox import prox_box01, prox_l1, prox_nonneg
-from .schedules import delta_star, descent_coefficients, tau_for_delta
+from .schedules import Static, delta_star
 from .solver import SolverTrace
 
 # check_gradients: the central-difference step, and the relative and absolute
@@ -170,12 +170,13 @@ def check_prox_inequality(trials: int = 1000, seed: int = 0, dim_max: int = 10) 
 
 
 def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
-    """Randomized check of the step-rule identities.
+    """Randomized check of the step-rule identities on the compiled rule.
 
     Over random tuples (eps, coefficient bounds, instantaneous coefficients,
-    Lipschitz values), the descent coefficients built from the closed-form
-    step weight and step parameter must satisfy ``g == eps*delta`` exactly
-    (to roundoff) and ``h >= eps*delta``, for prox factors ``c`` 1 and 2 with
+    Lipschitz values), the descent coefficients built from the step weight
+    ``delta_star`` and the step of ``Static(...).rule(delta)``, the call every
+    pinned sweep makes, must satisfy ``g == eps*delta`` exactly (to roundoff)
+    and ``h >= eps*delta``, for prox factors ``c`` 1 and 2 with
     ``alpha_bar < c*(1-eps)/2``.  Boundary points are probed explicitly.
     """
     if n_points < 1:
@@ -194,9 +195,12 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
         alpha = alpha_bar if trial % 17 == 0 else float(rng.uniform(0.0, alpha_bar))
         beta = float(rng.uniform(0.0, beta_bar))
         L = float(rng.uniform(1e-3, 1.0) * lam)
+        kind = Static(alpha_bar, beta_bar, eps, convex=convex)
         delta = delta_star(alpha_bar, beta_bar, eps, lam, convex=convex)
-        tau = tau_for_delta(alpha, beta, delta, L, eps, convex=convex)
-        g, h = descent_coefficients(alpha, beta, delta, tau, L, convex=convex)
+        tau = kind.rule(delta)(alpha, beta, L)[0]
+        # g multiplies the incoming step measure, h the previous one
+        g = tau * (c - alpha) - (1.0 + beta) * L - delta
+        h = delta - tau * alpha - L * beta
         target = eps * delta
         ok_g = abs(g - target) <= 1e-12 * (1.0 + abs(delta))
         ok_h = h >= target - 1e-12

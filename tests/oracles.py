@@ -365,21 +365,12 @@ def delta_star_two_branch(alpha_bar, beta_bar, eps, lambda_plus, convex=False) -
 
 
 def tau_for_delta_two_branch(alpha, beta, delta, L, eps=0.0, convex=False) -> float:
-    """``schedules.tau_for_delta`` with one branch per convexity."""
+    """The static step ``tau`` for a given step weight ``delta``, as
+    ``Static(...).rule(delta)`` compiles it, with one branch per convexity."""
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
     num = (1.0 + eps) * delta + (1.0 + beta) * L
     return num / (2.0 - alpha) if convex else num / (1.0 - alpha)
-
-
-def descent_coefficients_two_branch(alpha, beta, delta, tau, L, convex=False):
-    """``schedules.descent_coefficients`` with one branch per convexity."""
-    if convex:
-        g = tau * (2.0 - alpha) - (1.0 + beta) * L - delta
-    else:
-        g = tau * (1.0 - alpha) - (1.0 + beta) * L - delta
-    h = delta - tau * alpha - L * beta
-    return g, h
 
 
 def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
@@ -393,8 +384,8 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
     ``y = x_i + alpha*(x_i - x_i_prev)`` and takes the gradient at
     ``z = x_i + beta*(x_i - x_i_prev)`` (a zero coefficient takes ``x_i``
     itself), with the blocks before ``i`` already updated.  Its step comes
-    from the two-branch rules: ``tau = tau_for_delta(delta)`` with the
-    pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
+    from the two-branch rules: ``tau = tau_for_delta_two_branch(delta)``
+    with the pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
     ``delta`` on a dynamic block, times the block's step scale.  The modulus
     is the floored closed form, or the line search of ``backtrack_L``'s
     documented policy: levels ``start*GROWTH**j`` from the block's start

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import (  # noqa: E402
     delta_star_two_branch,
-    descent_coefficients_two_branch,
     static_bound_two_branch,
     tau_for_delta_two_branch,
 )
@@ -25,8 +24,6 @@ from ipalm.schedules import (  # noqa: E402
     ParameterDomainError,
     Static,
     delta_star,
-    descent_coefficients,
-    tau_for_delta,
 )
 
 unit = st.floats(0.0, 1.0)
@@ -89,14 +86,7 @@ def test_one_formula_matches_the_two_branch_rules_bitwise(case, pinned):
     assert outcome(delta_star, ab, bb, eps, lam, convex=convex) == outcome(
         delta_star_two_branch, ab, bb, eps, lam, convex=convex)
 
-    delta = delta_star_two_branch(ab, bb, eps, L, convex=convex) if accepted else pinned
-    for d in (delta, pinned):
-        assert outcome(tau_for_delta, alpha, beta, d, L, eps, convex=convex) == outcome(
-            tau_for_delta_two_branch, alpha, beta, d, L, eps, convex=convex)
     if accepted:
-        tau = tau_for_delta_two_branch(alpha, beta, delta, L, eps, convex=convex)
-        assert outcome(descent_coefficients, alpha, beta, delta, tau, L, convex=convex) == (
-            outcome(descent_coefficients_two_branch, alpha, beta, delta, tau, L, convex=convex))
         # the solver's per-block call, at the bounds themselves as instantaneous
         # coefficients, unpinned and pinned
         assert outcome(kind.rule(), ab, bb, L) == (

@@ -640,6 +640,48 @@ def test_cli_sweep_dynamic_row(tmp_path):
     assert lines[2].startswith("dynamic,")
 
 
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["--schedule", "dynamic"], None, "--include-dynamic"),
+        (["--schedule", "dynamic", "--include-dynamic"], None, "--include-dynamic"),
+        ([], "schedule=dynamic\n", "--include-dynamic"),
+        (["--alpha-bar", "0.2"], None, "--alphas"),
+        (["--beta-bar", "0.1"], None, "--alphas"),
+        ([], "alpha_bar=0.3\n", "--alphas"),
+    ],
+    ids=["schedule-flag", "schedule-flag-with-dynamic-row", "schedule-file", "alpha-bar-flag",
+         "beta-bar-flag", "alpha-bar-file"],
+)
+def test_cli_sweep_rejects_a_setting_its_cells_would_overwrite(tmp_path, capsys, pool_workers,
+                                                               argv, config, named):
+    # each cell sets its own schedule and alpha_bar = beta_bar, so a run-wide
+    # value of either would be dropped without a word
+    out = tmp_path / "sw"
+    argv = ["sweep", "--problem", "nmf", "--alphas", "0,0.2", "--iters", "3",
+            "--checkpoints", "1,3", "--out", str(out)] + argv
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert pool_workers == [] and not out.exists()
+
+
+def test_cli_nmf_data_and_pgm_dir_exclude_each_other(tmp_path, capsys):
+    data = tmp_path / "A.csv"
+    data.write_text("1,2\n3,4\n5,6\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["nmf", "--data", str(data), "--pgm-dir", str(tmp_path), "--rank", "1",
+              "--s-count", "1", "--iters", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     rc1 = main(["verify", "--seed", "7", "--trials", "40", "--points", "150",

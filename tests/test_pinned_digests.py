@@ -8,7 +8,8 @@ image spectrum on even, odd and stacked inputs, convlasso's oracles and
 proxes on an odd-by-odd image with one free filter of size 1 or 7, and NMF's
 oracles at feasible, infeasible and degenerate points with the column
 projection on its corner shapes, so a kernel rewrite that keeps the
-trajectories' bits but not a corner shape's fails by name.
+trajectories' bits but not a corner shape's fails by name.  Last, the seven
+CSV reports of ``ipalm verify --seed 0`` at its default sizes.
 
 A change that moves a pinned trajectory on purpose re-pins the digests it
 moved, with old -> new and the reason in CHANGES.md; a change that claims
@@ -30,6 +31,7 @@ from ipalm.blockmodel import BlockVector
 from ipalm.convlasso import make_convlasso_problem
 from ipalm.nmf import make_nmf_problem
 from ipalm.prox import prox_filter_constraint, prox_l0_nonneg_cols
+from ipalm.verify import run_battery
 
 PINNED_IN = {"python": "3.11.7", "numpy": "2.4.6", "machine": "x86_64"}
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
@@ -269,3 +271,19 @@ def test_l0_projection_is_bitwise_the_pinned_one(case):
     P, levels = l0_projection_cases()[case]
     digest = _sha256(*(prox_l0_nonneg_cols(P, s) for s in levels))
     assert digest == L0_PINS[case], f"the column projection on {case} moved"
+
+
+# sha256 over the CSV reports that run_battery(seed=0) writes at its default
+# sizes, each file's name and then its bytes, in name order
+VERIFY_PIN = (7, "75b7d5d3c494791ec23e32560ff6f349538252b053b8f72a1c433df6ed7b6857")
+
+
+@pinned_environment
+def test_verify_reports_are_bitwise_the_pinned_ones(tmp_path):
+    run_battery(seed=0, out_dir=tmp_path)
+    paths = sorted(tmp_path.iterdir())
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert (len(paths), h.hexdigest()) == VERIFY_PIN, "the verify reports moved"

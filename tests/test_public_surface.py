@@ -25,7 +25,6 @@ PUBLIC = [
     "backtrack_L",
     "block_kinds",
     "delta_star",
-    "descent_coefficients",
     "extrapolate",
     "ipalm_iterate",
     "load_config",
@@ -33,7 +32,6 @@ PUBLIC = [
     "run",
     "run_state",
     "spectral_norm",
-    "tau_for_delta",
 ]
 
 

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import tau_for_delta_two_branch
 
 from ipalm.schedules import (
     Dynamic,
     ParameterDomainError,
     Static,
     delta_star,
-    descent_coefficients,
-    tau_for_delta,
 )
 
 
@@ -59,13 +58,8 @@ def test_tau_step_with_a_pinned_delta_is_tau_for_delta(kind):
     for delta in (0.0, 0.37, 12.5):
         tau, got = kind.rule(delta)(0.2, 0.3, 1.7)
         assert got is delta
-        assert tau.hex() == tau_for_delta(0.2, 0.3, delta, 1.7, 0.1, convex=kind.convex).hex()
-
-
-def test_tau_for_delta_rejects_a_nonpositive_modulus():
-    for L in (0.0, -1.0):
-        with pytest.raises(ParameterDomainError, match="L must be positive"):
-            tau_for_delta(0.1, 0.1, 1.0, L)
+        want = tau_for_delta_two_branch(0.2, 0.3, delta, 1.7, 0.1, convex=kind.convex)
+        assert tau.hex() == want.hex()
 
 
 def test_tau_step_dynamic():
@@ -83,30 +77,6 @@ def test_dynamic_coeff_values_and_monotonicity():
     vals = np.array([coeff(int(k))[0] for k in ks])
     assert (np.diff(vals) > 0).all()
     assert vals[-1] < 1.0
-
-
-def test_descent_coefficients_boundary_of_descent():
-    g, h = descent_coefficients(0.0, 0.0, 0.0, 2.0, 2.0)
-    assert g == 0.0 and h == 0.0
-
-
-def test_descent_coefficients_identity_and_inequality_random_grid():
-    rng = np.random.default_rng(7)
-    for trial in range(10000):
-        eps = (0.0, 0.01, 0.1)[trial % 3]
-        convex = bool(trial % 2)
-        limit = (1.0 - eps) if convex else 0.5 * (1.0 - eps)
-        abar = rng.uniform(0.0, 0.999) * limit
-        bbar = rng.uniform(0.0, 2.0)
-        lam = rng.uniform(0.1, 10.0)
-        alpha = rng.uniform(0.0, abar)
-        beta = rng.uniform(0.0, bbar)
-        L = rng.uniform(1e-3, 1.0) * lam
-        delta = delta_star(abar, bbar, eps, lam, convex=convex)
-        tau = tau_for_delta(alpha, beta, delta, L, eps, convex=convex)
-        g, h = descent_coefficients(alpha, beta, delta, tau, L, convex=convex)
-        assert abs(g - eps * delta) <= 1e-12 * (1.0 + abs(delta))
-        assert h >= eps * delta - 1e-12
 
 
 def test_tau_monotone_in_alpha_and_beta():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ipalm.blockmodel import BlockVector, ProblemSpec
 from ipalm.config import RunConfig
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.nmf import init_nmf, make_nmf_problem
+from ipalm import schedules
 from ipalm.schedules import delta_star
 from ipalm.solver import run
 from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
@@ -23,6 +25,18 @@ from ipalm.verify import (
 def test_step_rule_battery_clean():
     report = check_step_rule_identities(n_points=2000, seed=1)
     assert report.ok, report.violations[:3]
+
+
+def test_step_rule_battery_checks_the_compiled_rule(monkeypatch):
+    # a compiled rule that binds the other block's prox factor: the battery
+    # must see the step every pinned sweep takes, not a formula of its own
+    def wrong_factor_rule(self, delta=None):
+        factors = schedules._prox_factors(self.eps, not self.convex)
+        return functools.partial(schedules._static_step, *factors, delta)
+
+    monkeypatch.setattr(schedules.Static, "rule", wrong_factor_rule)
+    report = check_step_rule_identities(n_points=200, seed=0)
+    assert len(report.violations) == len(report.rows) == 200
 
 
 def test_prox_inequality_battery_clean():
