@@ -68,7 +68,6 @@ class RunConfig:
     step_scale: Optional[tuple] = _setting(
         None, float_tuple, "per-block step-parameter multipliers >= 1, e.g. 1,5; "
         "None: all ones, bid presets 1,5")
-    constant_delta: Optional[tuple] = None  # pins the Lyapunov step weights; no file key
     checkpoints: tuple = _setting((100, 500, 1000, 5000), int_tuple,
                                   "comma-separated checkpoint iteration counts")
     out: Optional[str] = _setting(None, str, "output directory; None: no files, or . for sweep")

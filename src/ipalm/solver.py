@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,10 +33,15 @@ from .config import block_kinds
 from .lipschitz import MODULUS_FLOOR, START, backtrack_L
 from .schedules import Dynamic, Static
 
-TRACE_COLUMNS = (
-    "k,F,Psi,delta1,delta2,L1,L2,tau1,tau2,alpha1,alpha2,beta1,beta2,"
-    "step_norm,seconds"
-)
+
+def _trace_columns(nb: int) -> str:
+    """The trace CSV's header for ``nb`` blocks: each per-block group
+    expands to one column per block."""
+    groups = [f"{g}{i + 1}" for g in ("delta", "L", "tau", "alpha", "beta") for i in range(nb)]
+    return ",".join(["k", "F", "Psi", *groups, "step_norm", "seconds"])
+
+
+TRACE_COLUMNS = _trace_columns(2)
 
 
 class DivergenceError(RuntimeError):
@@ -87,22 +92,6 @@ class SolverTrace:
     def __getitem__(self, k: int) -> TraceRow:
         return self.rows[k]
 
-    def block_delta_matrix(self) -> np.ndarray:
-        """(iterations+1) x num_blocks matrix of half squared block steps."""
-        return np.array([r.block_deltas for r in self.rows])
-
-    def psi_values(self, deltas: Sequence[float]) -> np.ndarray:
-        """Lyapunov values recomputed with the given constant step weights."""
-        d = np.asarray(deltas, dtype=np.float64)
-        return np.array([r.F + float(d @ np.asarray(r.block_deltas)) for r in self.rows])
-
-    def max_block_L(self) -> np.ndarray:
-        """Per-block maximum of the recorded Lipschitz moduli."""
-        vals = [r.L for r in self.rows if r.L is not None]
-        if not vals:
-            raise ValueError("trace holds no Lipschitz records")
-        return np.max(np.array(vals), axis=0)
-
     def to_csv(self, path) -> None:
         """Write the trace in the fixed column layout, 17 significant digits.
 
@@ -110,12 +99,7 @@ class SolverTrace:
         blocks the header is ``TRACE_COLUMNS``.
         """
         nb = len(self.rows[0].block_deltas) if self.rows else 2
-        cols = ["k", "F", "Psi"]
-        for g in ("delta", "L", "tau", "alpha", "beta"):
-            cols += [f"{g}{i + 1}" for i in range(nb)]
-        cols += ["step_norm", "seconds"]
-        header = ",".join(cols)
-        lines = [header]
+        lines = [_trace_columns(nb)]
         for r in self.rows:
             cells = [str(r.k), _fmt(r.F), _fmt(r.Psi)]
             for group in (r.delta, r.L, r.tau, r.alpha, r.beta):
@@ -366,7 +350,6 @@ def run(problem: ProblemSpec, x0: BlockVector, config) -> SolverState:
         block_kinds(problem, config),
         backtracking=config.backtrack,
         step_scale=config.step_scale,
-        constant_delta=config.constant_delta,
     )
     run_state(state, problem, config.iters, config.tol)
     return state

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
 from .prox import prox_box01, prox_l1, prox_nonneg
 from .schedules import Static, delta_star
-from .solver import SolverTrace
+from .solver import SolverTrace, make_state, run_state
 
 # check_gradients: the central-difference step, and the relative and absolute
 # tolerances a direction passes within; check_c1_descent: the slack relative
@@ -214,22 +214,24 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
     return report
 
 
-def check_c1_descent(trace: SolverTrace, deltas: Sequence[float], rho1: float) -> Report:
-    """Sufficient-decrease check on a recorded run.
-
-    With the Lyapunov values rebuilt from constant step weights, asserts
+def check_c1_descent(trace: SolverTrace, rho1: float, name: str = "c1_descent") -> Report:
+    """Sufficient-decrease check on a recorded run, on the Lyapunov values
+    ``Psi`` its rows carry: asserts
 
         Psi(k) - Psi(k+1) >= rho1 * (2*D(k+1) + 2*D(k)) - C1_SLACK*(1+|Psi(k)|)
 
     for every consecutive pair, where ``D(k)`` is the half squared step into
     iterate ``k`` (the squared distance between consecutive two-iterate
-    states is exactly ``2*D(k+1) + 2*D(k)``).  With zero weights this
-    reduces to monotonicity of the objective values.
+    states is exactly ``2*D(k+1) + 2*D(k)``).  ``rho1`` is the rate the
+    run's step weights certify; with zero weights ``Psi`` is the objective
+    and the check, at ``rho1 = 0``, its monotonicity.  A trace without
+    ``Psi`` (a dynamic run) raises ``ValueError``.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    psi = trace.psi_values(deltas)
-    d_tot = trace.block_delta_matrix().sum(axis=1)
-    report = Report("c1_descent")
+    psi = [r.Psi for r in trace.rows]
+    if None in psi:
+        raise ValueError(f"{name}: the trace records no Lyapunov values (a dynamic run)")
+    d_tot = np.array([r.block_deltas for r in trace.rows]).sum(axis=1)
+    report = Report(name)
     for k in range(len(psi) - 1):
         drop = psi[k] - psi[k + 1]
         need = rho1 * (2.0 * d_tot[k + 1] + 2.0 * d_tot[k])
@@ -239,8 +241,41 @@ def check_c1_descent(trace: SolverTrace, deltas: Sequence[float], rho1: float) -
     return report
 
 
+def pinned_weight_run(problem: ProblemSpec, x0, iters: int, step_scale=None):
+    """Search for constant step weights that certify a static run of
+    ``problem`` from ``x0``; returns ``(trace, rho1, bound_ok)`` of the last
+    run made.
+
+    Every run is static-c at ``eps = 0.05`` with ``alpha_bar = beta_bar =
+    0.2``, exact moduli, each block's prox factor from ``problem.convex``,
+    ``iters`` sweeps and no early stop.  The first run takes per-sweep
+    weights; each later one pins the weights ``delta_star`` builds on 1.5
+    times the largest moduli the run before it realized.  The search stops
+    at the first run whose moduli stay within the bound its weights were
+    built on, or after 6 runs; ``bound_ok`` says which.  The trace's rows
+    carry the weights it ran with, and ``rho1 = 0.5*eps*min(weights)`` is
+    the decrease rate they certify.
+    """
+    eps, inertia = 0.05, 0.2
+    kinds = [Static(inertia, inertia, eps, convex=bool(c)) for c in problem.convex]
+    deltas = bound = None
+    for rounds_left in reversed(range(6)):
+        state = make_state(problem, x0, kinds, step_scale=step_scale, constant_delta=deltas)
+        trace = run_state(state, problem, iters, 0.0)
+        realized = np.max([r.L for r in trace.rows[1:]], axis=0)
+        bound_ok = bound is not None and bool((realized <= bound).all())
+        if bound_ok or not rounds_left:
+            return trace, 0.5 * eps * min(deltas), bound_ok
+        bound = 1.5 * realized
+        deltas = tuple(
+            delta_star(inertia, inertia, eps, float(lam), convex=bool(c))
+            for lam, c in zip(bound, problem.convex)
+        )
+
+
 def check_gradients(
-    problem: ProblemSpec, x: BlockVector, n_dirs: int = 20, seed: int = 0
+    problem: ProblemSpec, x: BlockVector, n_dirs: int = 20, seed: int = 0,
+    name: str = "gradients",
 ) -> Report:
     """Central finite differences of the smooth part against the partial
     gradients, along random unit directions per block.  A direction passes
@@ -250,7 +285,7 @@ def check_gradients(
     ``partial_grad(i, x, value=True)`` returns the same gradient and
     ``eval_H(x)`` to 1e-12 relative."""
     rng = np.random.default_rng(seed)
-    report = Report("gradients")
+    report = Report(name)
     h_x = problem.eval_H(x)
     for i in range(problem.num_blocks):
         grad = problem.partial_grad(i, x)
@@ -276,31 +311,22 @@ def check_gradients(
 def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=None):
     """Run every standalone check on self-built instances; returns reports.
 
-    The C1 check runs on a short sparse-NMF desk trajectory solved in the
-    constant-step-weight mode; dynamic-schedule traces are never asserted
-    against C1 (no step weights exist there).
+    The C1 check runs on short sparse-NMF and blind-deconvolution desk
+    trajectories, each the last run of `pinned_weight_run`; dynamic-schedule
+    traces are never asserted against C1 (no step weights exist there).
     """
     from . import bid, convlasso, nmf, synthetic
-    from .config import RunConfig
-    from .solver import run
 
     reports = [
         check_step_rule_identities(n_points=points, seed=seed),
         check_prox_inequality(trials=trials, seed=seed),
     ]
 
-    def renamed(report, name):
-        report.name = name
-        for row in report.rows:
-            row.check = name
-        return report
-
     rng = np.random.default_rng(seed)
     inst = synthetic.synth_nmf(seed=seed)
     nmf_problem = nmf.make_nmf_problem(inst["A"], r=3, s=2)
     nmf_x0 = nmf.init_nmf(inst["A"], r=3, s=2, seed=seed)
-    reports.append(renamed(check_gradients(nmf_problem, nmf_x0, seed=seed),
-                           "gradients_nmf"))
+    reports.append(check_gradients(nmf_problem, nmf_x0, seed=seed, name="gradients_nmf"))
 
     bid_inst = synthetic.synth_bid(size=16, kernel=3, seed=seed)
     bid_params = bid.BidParams(lam=1e6, theta=1e4, kernel_shape=(3, 3))
@@ -308,44 +334,24 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
     u0 = np.clip(bid_inst["f"] + 0.05 * rng.standard_normal(bid_inst["f"].shape), 0.0, 1.0)
     b0 = rng.uniform(0.1, 1.0, (3, 3))
     b0 /= b0.sum()
-    reports.append(renamed(check_gradients(bid_problem, BlockVector([u0, b0]), seed=seed),
-                           "gradients_bid"))
+    reports.append(check_gradients(bid_problem, BlockVector([u0, b0]), seed=seed,
+                                   name="gradients_bid"))
 
     cl_inst = synthetic.synth_convlasso(seed=seed)
     cl_problem = convlasso.make_convlasso_problem(cl_inst["f"], p=4, l=3, lam=0.05)
     cl_x0 = convlasso.init_convlasso(cl_inst["f"], p=4, l=3, seed=seed)
     cl_x = BlockVector([cl_x0[0], 0.1 * rng.standard_normal(cl_x0[1].shape)])
-    reports.append(renamed(check_gradients(cl_problem, cl_x, seed=seed),
-                           "gradients_convlasso"))
+    reports.append(check_gradients(cl_problem, cl_x, seed=seed, name="gradients_convlasso"))
 
-    def c1_for(problem, x0, convex_flags, iters, step_scale=None):
-        eps, abar, bbar = 0.05, 0.2, 0.2
-        lam_plus = None
-        deltas = None
-        for _ in range(6):
-            trace = run(problem, x0, RunConfig(
-                schedule="static-c", alpha_bar=abar, beta_bar=bbar, epsilon=eps,
-                iters=iters, tol=0.0, backtrack=False, constant_delta=deltas,
-                step_scale=step_scale)).trace
-            realized = trace.max_block_L()
-            if lam_plus is not None and (realized <= lam_plus).all():
-                break
-            lam_plus = 1.5 * realized
-            deltas = tuple(
-                delta_star(abar, bbar, eps, float(l), convex=c)
-                for l, c in zip(lam_plus, convex_flags)
-            )
-        return check_c1_descent(trace, deltas, 0.5 * eps * min(deltas))
-
-    reports.append(renamed(c1_for(nmf_problem, nmf_x0, (False, True), iters=300),
-                           "c1_descent_nmf"))
+    trace, rho1, _ = pinned_weight_run(nmf_problem, nmf_x0, iters=300)
+    reports.append(check_c1_descent(trace, rho1, name="c1_descent_nmf"))
     bid_desk = synthetic.synth_bid(size=32, kernel=5, seed=seed)
     bid_desk_params = bid.BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5))
-    bid_c1_problem = bid.make_bid_problem(bid_desk["f"], bid_desk_params)
-    reports.append(renamed(
-        c1_for(bid_c1_problem, bid.init_bid(bid_desk["f"], bid_desk_params), (True, True),
-               iters=200, step_scale=(1.0, bid_desk_params.kernel_step_scale)),
-        "c1_descent_bid"))
+    trace, rho1, _ = pinned_weight_run(
+        bid.make_bid_problem(bid_desk["f"], bid_desk_params),
+        bid.init_bid(bid_desk["f"], bid_desk_params), iters=200,
+        step_scale=(1.0, bid_desk_params.kernel_step_scale))
+    reports.append(check_c1_descent(trace, rho1, name="c1_descent_bid"))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

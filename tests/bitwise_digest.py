@@ -4,7 +4,8 @@ every iterate bitwise the same.
     PYTHONPATH=src python tests/bitwise_digest.py [--workload W ...] [--seed S ...]
 
 prints one line per workload and seed: the workload, the seed, the number of
-solves and a sha256.  Run it in two checkouts and compare the lines.
+solves (for ``verify``, of reports) and a sha256.  Run it in two checkouts and
+compare the lines.
 
 The workloads are the benchmark's (``benchmarks/workloads.py``), run untraced,
 one solve after another, and acceptance criteria 8 and 9 (their runs as
@@ -12,7 +13,10 @@ one solve after another, and acceptance criteria 8 and 9 (their runs as
 covers ``oracles.row_bits`` of every trace row and the bytes of every final
 block of every run, and every file the runs write (bid-cli-exact's instances
 and outputs), with the wall-clock columns ``seconds`` and ``time_s`` of its
-CSV files dropped.  A solve that raises stops the script.
+CSV files dropped.  The ``verify`` entry hashes the CSV reports that
+``ipalm.verify.run_battery(seed)`` writes at its default sizes, each file's
+name and then its bytes, in name order, as ``tests/test_pinned_digests.py``
+pins them at seed 0.  A solve that raises stops the script.
 """
 
 import argparse
@@ -32,6 +36,7 @@ from ipalm.config import RunConfig, block_kinds  # noqa: E402
 from ipalm.convlasso import init_convlasso, make_convlasso_problem  # noqa: E402
 from ipalm.nmf import init_nmf, make_nmf_problem  # noqa: E402
 from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf  # noqa: E402
+from ipalm.verify import run_battery  # noqa: E402
 from oracles import row_bits  # noqa: E402
 from workloads import WORKLOADS, Context  # noqa: E402
 
@@ -120,15 +125,29 @@ def sha256_of(runs):
     return len(states), h.hexdigest()
 
 
+def verify_reports(seed):
+    """(number of reports, sha256) of the CSV reports of ``run_battery(seed)``."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        run_battery(seed=seed, out_dir=workdir)
+        names = sorted(os.listdir(workdir))
+        for fname in names:
+            with open(os.path.join(workdir, fname), "rb") as fh:
+                h.update(fname.encode() + fh.read())
+    return len(names), h.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", nargs="+", choices=list(RUNS), default=list(RUNS))
+    names = [*RUNS, "verify"]
+    parser.add_argument("--workload", nargs="+", choices=names, default=names)
     parser.add_argument("--seed", nargs="+", type=int, default=[1])
     args = parser.parse_args(argv)
     for name in args.workload:
-        for seed in args.seed if name in WORKLOADS else ["-"]:
-            solves, sha = sha256_of(functools.partial(RUNS[name], seed))
-            print(f"{name} {seed} {solves} {sha}", flush=True)
+        for seed in args.seed if name in WORKLOADS or name == "verify" else ["-"]:
+            count, sha = (verify_reports(seed) if name == "verify"
+                          else sha256_of(functools.partial(RUNS[name], seed)))
+            print(f"{name} {seed} {count} {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,14 @@ from ipalm.prox import (
     prox_nonneg,
     prox_simplex,
 )
-from ipalm.schedules import delta_star
 from ipalm.solver import make_state, run, run_state
 from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
-from ipalm.verify import check_gradients, check_step_rule_identities, check_prox_inequality
+from ipalm.verify import (
+    check_gradients,
+    check_prox_inequality,
+    check_step_rule_identities,
+    pinned_weight_run,
+)
 
 
 def _report(num, name, ok, detail=""):
@@ -75,29 +79,12 @@ def test_criterion_3_sufficient_decrease():
     inst = synth_nmf(m=20, n=30, r=3, s=2, seed=0)
     problem = make_nmf_problem(inst["A"], r=3, s=2)
     x0 = init_nmf(inst["A"], r=3, s=2, seed=0)
-    eps, abar, bbar = 0.05, 0.2, 0.2
-
     # the constant step weights need per-block upper bounds on the moduli
-    # realized along the run; iterate the calibration until they hold
-    lam_plus = None
-    deltas = None
-    for _ in range(6):
-        trace = run(problem, x0, RunConfig(
-            schedule="static-c", alpha_bar=abar, beta_bar=bbar, epsilon=eps,
-            iters=2000, tol=0.0, backtrack=False, constant_delta=deltas)).trace
-        realized = trace.max_block_L()
-        if lam_plus is not None and (realized <= lam_plus).all():
-            break
-        lam_plus = 1.5 * realized
-        deltas = (
-            delta_star(abar, bbar, eps, float(lam_plus[0]), convex=False),
-            delta_star(abar, bbar, eps, float(lam_plus[1]), convex=True),
-        )
-    bound_ok = (trace.max_block_L() <= lam_plus).all()
+    # realized along the run; the search calibrates them until they hold
+    trace, rho1, bound_ok = pinned_weight_run(problem, x0, iters=2000)
 
-    rho1 = 0.5 * eps * min(deltas)
-    psi = trace.psi_values(deltas)
-    d_tot = trace.block_delta_matrix().sum(axis=1)
+    psi = np.array([r.Psi for r in trace.rows])
+    d_tot = np.array([r.block_deltas for r in trace.rows]).sum(axis=1)
     usq = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]  # ||u^{k+1} - u^k||^2
     drops = psi[:-1] - psi[1:]
     violations = int((drops < rho1 * usq - 1e-8 * (1.0 + np.abs(psi[:-1]))).sum())

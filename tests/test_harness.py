@@ -58,8 +58,7 @@ def test_every_run_config_field_is_a_file_key():
 
     from ipalm.config import FILE_KEYS
 
-    # constant_delta is set from code only: it is derived from a run's moduli
-    assert {f.name for f in fields(RunConfig)} == set(FILE_KEYS) | {"constant_delta"}
+    assert [f.name for f in fields(RunConfig)] == list(FILE_KEYS)
 
 
 @pytest.mark.parametrize("key", ["bt_growth", "bt_shrink", "bt_max_rounds", "bt_l0"])

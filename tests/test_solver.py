@@ -708,7 +708,7 @@ def test_square_summable_steps_on_bid_desk_instance(monkeypatch):
                        step_scale=(1.0, 5.0))
     monkeypatch.setattr("ipalm.lipschitz.SHRINK", 0.9)
     trace = run_state(state, problem, 2500, 1e-9)
-    d_tot = trace.block_delta_matrix().sum(axis=1)
+    d_tot = np.array([r.block_deltas for r in trace.rows]).sum(axis=1)
     running = 2.0 * d_tot[1:] + 2.0 * d_tot[:-1]
     assert np.isfinite(running.sum())
     assert trace_column(trace, "step_norm")[1:].min() < 1e-6

@@ -18,6 +18,7 @@ from ipalm.verify import (
     check_gradients,
     check_step_rule_identities,
     check_prox_inequality,
+    pinned_weight_run,
     run_battery,
 )
 
@@ -131,80 +132,68 @@ def test_gradient_check_holds_partial_grad_to_the_value_contract():
         assert "eval_H=" in report.violations[0].detail
 
 
-def _c1_setup(seed, lipschitz_scale=1.0, iters=200):
+def _nmf_desk(seed):
     inst = synth_nmf(seed=seed)
-    base = make_nmf_problem(inst["A"], r=3, s=2)
-    problem = ProblemSpec(
-        eval_F=base.eval_F,
-        eval_H=base.eval_H,
-        partial_grad=base.partial_grad,
-        prox=base.prox,
-        convex=base.convex,
-        lipschitz=lambda i, x: lipschitz_scale * base.lipschitz(i, x),
-        name=base.name,
-    )
-    x0 = init_nmf(inst["A"], r=3, s=2, seed=seed)
-    eps, abar, bbar = 0.05, 0.2, 0.2
-    lam_plus = None
-    for _ in range(5):
-        deltas = None
-        if lam_plus is not None:
-            deltas = (
-                delta_star(abar, bbar, eps, float(lam_plus[0]), convex=False),
-                delta_star(abar, bbar, eps, float(lam_plus[1]), convex=True),
-            )
-        trace = run(problem, x0, RunConfig(
-            schedule="static-c", alpha_bar=abar, beta_bar=bbar, epsilon=eps,
-            iters=iters, tol=0.0, backtrack=False, constant_delta=deltas)).trace
-        realized = trace.max_block_L()
-        if lam_plus is not None and (realized <= lam_plus).all():
-            break
-        lam_plus = 1.5 * realized
-    rho1 = 0.5 * eps * min(deltas)
-    return trace, deltas, rho1
+    return (make_nmf_problem(inst["A"], r=3, s=2),
+            init_nmf(inst["A"], r=3, s=2, seed=seed))
 
 
 def test_c1_descent_clean_on_static_run():
-    trace, deltas, rho1 = _c1_setup(seed=4)
-    assert check_c1_descent(trace, deltas, rho1).ok
+    trace, rho1, bound_ok = pinned_weight_run(*_nmf_desk(4), iters=200)
+    assert bound_ok
+    assert check_c1_descent(trace, rho1).ok
+
+
+def test_pinned_weight_run_returns_the_run_its_weights_were_checked_on():
+    # on seed 2 the search uses all 6 runs without the bound holding: the
+    # last run's B-block modulus reaches 397.6 against a bound of 396.9.
+    # The trace returned is that last run, its rows carry the weights behind
+    # rho1, and bound_ok reports the miss
+    trace, rho1, bound_ok = pinned_weight_run(*_nmf_desk(2), iters=300)
+    weights = trace.rows[-1].delta
+    assert all(r.delta == weights for r in trace.rows[1:])
+    assert rho1 == 0.5 * 0.05 * min(weights)
+    assert not bound_ok
+    realized = max(r.L[0] for r in trace.rows[1:])
+    assert delta_star(0.2, 0.2, 0.05, realized) > weights[0]
+    assert check_c1_descent(trace, rho1).ok
 
 
 def test_c1_descent_zero_weights_reduce_to_monotone_objective():
-    inst = synth_nmf(seed=5)
-    problem = make_nmf_problem(inst["A"], r=3, s=2)
-    x0 = init_nmf(inst["A"], r=3, s=2, seed=5)
+    problem, x0 = _nmf_desk(5)
     trace = run(problem, x0, RunConfig(schedule="static-c", iters=100, tol=0.0,
                                        backtrack=False)).trace
-    assert check_c1_descent(trace, (0.0, 0.0), 0.0).ok
+    assert all(r.Psi == r.F for r in trace.rows)
+    assert check_c1_descent(trace, 0.0).ok
+
+
+def test_c1_descent_rejects_a_trace_without_lyapunov_values():
+    problem, x0 = _nmf_desk(5)
+    trace = run(problem, x0, RunConfig(schedule="dynamic", iters=5, backtrack=False)).trace
+    with pytest.raises(ValueError, match="c1_descent: the trace records no Lyapunov"):
+        check_c1_descent(trace, 0.0)
 
 
 def test_c1_descent_detects_understepped_run():
     # an 8x underestimated modulus makes tau far too small (overshooting
-    # steps, wildly oscillating objective); checking that trace against
-    # weights built from its own recorded moduli must flag violations
+    # steps, wildly oscillating objective); the Psi the run recorded, at
+    # the rate weights built on its own largest moduli would certify, fails
+    # the decrease at nearly every sweep
     inst = synth_nmf(seed=6)
     base = make_nmf_problem(inst["A"], r=3, s=2)
-    broken = ProblemSpec(
-        eval_F=base.eval_F,
-        eval_H=base.eval_H,
-        partial_grad=base.partial_grad,
-        prox=base.prox,
-        convex=base.convex,
-        lipschitz=lambda i, x: 0.125 * base.lipschitz(i, x),
-        name="understepped",
-    )
+    broken = dataclasses.replace(
+        base, lipschitz=lambda i, x: 0.125 * base.lipschitz(i, x), name="understepped")
     x0 = init_nmf(inst["A"], r=3, s=2, seed=6)
     eps, abar, bbar = 0.05, 0.2, 0.2
     trace = run(broken, x0, RunConfig(schedule="static-c", alpha_bar=abar,
                                       beta_bar=bbar, epsilon=eps, iters=200,
                                       tol=0.0, backtrack=False)).trace
-    lam_plus = trace.max_block_L()
-    deltas = (
-        delta_star(abar, bbar, eps, float(lam_plus[0]), convex=False),
-        delta_star(abar, bbar, eps, float(lam_plus[1]), convex=True),
-    )
-    report = check_c1_descent(trace, deltas, 0.5 * eps * min(deltas))
-    assert not report.ok
+    lam_plus = np.max([r.L for r in trace.rows[1:]], axis=0)
+    rho1 = 0.5 * eps * min(
+        delta_star(abar, bbar, eps, float(lam), convex=c)
+        for lam, c in zip(lam_plus, base.convex))
+    report = check_c1_descent(trace, rho1)
+    assert len(report.violations) > 0.9 * len(report.rows)
 
 
 def test_battery_deterministic_and_serializable(tmp_path):
