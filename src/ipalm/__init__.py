@@ -11,12 +11,7 @@ from .blockmodel import (
 )
 from .config import ConfigError, RunConfig, block_kinds, load_config
 from .lipschitz import EstimationError, backtrack_L, spectral_norm
-from .schedules import (
-    Dynamic,
-    ParameterDomainError,
-    Static,
-    delta_star,
-)
+from .schedules import Dynamic, ParameterDomainError, Static
 from .solver import (
     DivergenceError,
     SolverState,
@@ -43,7 +38,6 @@ __all__ = [
     "Static",
     "backtrack_L",
     "block_kinds",
-    "delta_star",
     "extrapolate",
     "ipalm_iterate",
     "load_config",

@@ -10,12 +10,12 @@ proximal map to ``y_i - grad/tau``.  With ``alpha = beta = 0`` the sweep is
 exactly the non-inertial alternating proximal-gradient method.
 
 `make_state` checks every setting once and compiles the run's plan: per
-block, its schedule kind, its compiled step rule (``kind.rule`` of the
-pinned step weight, which checks nothing) and its step scale.  A sweep then
-does per block only the kind's coefficients (``kind.coeffs(k)``), the
-extrapolation, the oracles, the rule, the prox with its shape and
-finiteness checks, and the block's half squared step; the trace row is
-assembled once, after the last block.
+block, its schedule kind, its compiled step rule (``kind.rule()``, which
+checks nothing; a pinned step weight is the kind's own) and its step
+scale.  A sweep then does per block only the kind's coefficients
+(``kind.coeffs(k)``), the extrapolation, the oracles, the rule, the prox
+with its shape and finiteness checks, and the block's half squared step;
+the trace row is assembled once, after the last block.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class SolverTrace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, k: int) -> TraceRow:
-        return self.rows[k]
-
     def to_csv(self, path) -> None:
         """Write the trace in the fixed column layout, 17 significant digits.
 
@@ -121,7 +118,7 @@ class SolverState:
     x_cur: BlockVector
     x_prev: BlockVector
     k: int
-    plan: tuple  # per block: (schedule kind, its kind.rule(delta), step scale >= 1)
+    plan: tuple  # per block: (schedule kind, its kind.rule(), step scale >= 1)
     # None: exact moduli; else the level each block's next line search starts at
     backtrack: Optional[list]
     trace: SolverTrace = field(default_factory=SolverTrace)
@@ -253,7 +250,6 @@ def make_state(
     kinds,
     backtracking: bool = False,
     step_scale=None,
-    constant_delta=None,
 ) -> SolverState:
     """Assemble a fresh solver state with the first step inertia-free
     (the predecessor of the starting point is the starting point itself).
@@ -263,9 +259,9 @@ def make_state(
     every block: descent-lemma backtracking, each block's first line search
     starting at ``lipschitz.START``, or the problem's closed-form
     ``lipschitz``, floored at ``MODULUS_FLOOR``.  Every setting is checked
-    here, and each block's step is compiled once for the run from its kind,
-    its step scale and its pinned delta; a rejection names the problem and
-    comes before ``F_0``.  A dynamic run's initial row carries no Lyapunov
+    here, and each block's step is compiled once for the run from its kind
+    and its step scale; a rejection names the problem and comes before
+    ``F_0``.  A dynamic run's initial row carries no Lyapunov
     value, like every later row.
     """
     nb = problem.num_blocks
@@ -278,10 +274,8 @@ def make_state(
         )
     kinds = tuple(kinds) if isinstance(kinds, (tuple, list)) else (kinds,) * nb
     step_scale = (1.0,) * nb if step_scale is None else tuple(step_scale)
-    constant_delta = None if constant_delta is None else tuple(constant_delta)
-    per_block = {"kinds": kinds, "step_scale": step_scale, "constant_delta": constant_delta}
-    for name, value in per_block.items():
-        if value is not None and len(value) != nb:
+    for name, value in {"kinds": kinds, "step_scale": step_scale}.items():
+        if len(value) != nb:
             raise ValueError(
                 f"{problem.name}: {name} needs one entry per block ({nb}), got {value}"
             )
@@ -294,24 +288,11 @@ def make_state(
     if not all(1.0 <= c < math.inf for c in step_scale):
         raise ValueError(f"{problem.name}: step_scale must be >= 1 and finite, got {step_scale}")
     heuristic = any(isinstance(kd, Dynamic) for kd in kinds)
-    if constant_delta is not None and heuristic:
-        raise ValueError(
-            f"{problem.name}: constant_delta needs static schedules; the dynamic "
-            f"schedule sets no step weights"
-        )
-    if constant_delta is not None and not all(0.0 <= d < math.inf for d in constant_delta):
-        raise ValueError(
-            f"{problem.name}: constant_delta must be >= 0 and finite, got {constant_delta}"
-        )
-    pinned = constant_delta or (None,) * nb
     state = SolverState(
         x_cur=x0,
         x_prev=x0,
         k=0,
-        plan=tuple(
-            (kind, kind.rule(delta), scale)
-            for kind, delta, scale in zip(kinds, pinned, step_scale)
-        ),
+        plan=tuple((kind, kind.rule(), scale) for kind, scale in zip(kinds, step_scale)),
         backtrack=[START] * nb if backtracking else None,
     )
     state.trace.rows.append(initial_trace_row(problem, x0, heuristic))

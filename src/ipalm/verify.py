@@ -3,7 +3,8 @@
 Each check runs standalone, is deterministic under a fixed seed, and
 produces a row-structured report that serializes to CSV
 (``check,trial,status,detail``).  The battery is independent of any
-application: it builds its own random quadratics and desk instances.
+application: it builds its own random quadratics and desk instances.  The
+step-rule and decrease checks run static kinds pinned by ``Static.pin``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .blockmodel import BlockVector, ProblemSpec
 from .prox import prox_box01, prox_l1, prox_nonneg
-from .schedules import Static, delta_star
+from .schedules import Static
 from .solver import SolverTrace, make_state, run_state
 
 # check_gradients: the central-difference step, and the relative and absolute
@@ -174,10 +175,10 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
 
     Over random tuples (eps, coefficient bounds, instantaneous coefficients,
     Lipschitz values), the descent coefficients built from the step weight
-    ``delta_star`` and the step of ``Static(...).rule(delta)``, the call every
-    pinned sweep makes, must satisfy ``g == eps*delta`` exactly (to roundoff)
-    and ``h >= eps*delta``, for prox factors ``c`` 1 and 2 with
-    ``alpha_bar < c*(1-eps)/2``.  Boundary points are probed explicitly.
+    of ``Static(...).pin(lambda_plus)`` and the step of its ``rule()``, the
+    call every pinned sweep makes, must satisfy ``g == eps*delta`` exactly
+    (to roundoff) and ``h >= eps*delta``, for prox factors ``c`` 1 and 2
+    with ``alpha_bar < c*(1-eps)/2``.  Boundary points are probed explicitly.
     """
     if n_points < 1:
         raise ValueError(f"step-rule grid points must be at least 1, got {n_points}")
@@ -195,9 +196,9 @@ def check_step_rule_identities(n_points: int = 10000, seed: int = 0) -> Report:
         alpha = alpha_bar if trial % 17 == 0 else float(rng.uniform(0.0, alpha_bar))
         beta = float(rng.uniform(0.0, beta_bar))
         L = float(rng.uniform(1e-3, 1.0) * lam)
-        kind = Static(alpha_bar, beta_bar, eps, convex=convex)
-        delta = delta_star(alpha_bar, beta_bar, eps, lam, convex=convex)
-        tau = kind.rule(delta)(alpha, beta, L)[0]
+        kind = Static(alpha_bar, beta_bar, eps, convex=convex).pin(lam)
+        delta = kind.delta
+        tau = kind.rule()(alpha, beta, L)[0]
         # g multiplies the incoming step measure, h the previous one
         g = tau * (c - alpha) - (1.0 + beta) * L - delta
         h = delta - tau * alpha - L * beta
@@ -225,7 +226,8 @@ def check_c1_descent(trace: SolverTrace, rho1: float, name: str = "c1_descent") 
     states is exactly ``2*D(k+1) + 2*D(k)``).  ``rho1`` is the rate the
     run's step weights certify; with zero weights ``Psi`` is the objective
     and the check, at ``rho1 = 0``, its monotonicity.  A trace without
-    ``Psi`` (a dynamic run) raises ``ValueError``.
+    ``Psi`` (a dynamic run) raises ``ValueError``.  Each row's detail
+    gives the drop and the needed decrease to 17 digits.
     """
     psi = [r.Psi for r in trace.rows]
     if None in psi:
@@ -236,8 +238,7 @@ def check_c1_descent(trace: SolverTrace, rho1: float, name: str = "c1_descent") 
         drop = psi[k] - psi[k + 1]
         need = rho1 * (2.0 * d_tot[k + 1] + 2.0 * d_tot[k])
         ok = drop >= need - C1_SLACK * (1.0 + abs(psi[k]))
-        detail = "" if ok else f"drop={drop:.6e} needed={need:.6e}"
-        report.add(k, ok, detail)
+        report.add(k, ok, f"drop={drop:.17g} needed={need:.17g}")
     return report
 
 
@@ -249,7 +250,7 @@ def pinned_weight_run(problem: ProblemSpec, x0, iters: int, step_scale=None):
     Every run is static-c at ``eps = 0.05`` with ``alpha_bar = beta_bar =
     0.2``, exact moduli, each block's prox factor from ``problem.convex``,
     ``iters`` sweeps and no early stop.  The first run takes per-sweep
-    weights; each later one pins the weights ``delta_star`` builds on 1.5
+    weights; each later one runs kinds that ``Static.pin`` pins to 1.5
     times the largest moduli the run before it realized.  The search stops
     at the first run whose moduli stay within the bound its weights were
     built on, or after 6 runs; ``bound_ok`` says which.  The trace's rows
@@ -258,19 +259,16 @@ def pinned_weight_run(problem: ProblemSpec, x0, iters: int, step_scale=None):
     """
     eps, inertia = 0.05, 0.2
     kinds = [Static(inertia, inertia, eps, convex=bool(c)) for c in problem.convex]
-    deltas = bound = None
+    pinned, bound = kinds, None
     for rounds_left in reversed(range(6)):
-        state = make_state(problem, x0, kinds, step_scale=step_scale, constant_delta=deltas)
+        state = make_state(problem, x0, pinned, step_scale=step_scale)
         trace = run_state(state, problem, iters, 0.0)
         realized = np.max([r.L for r in trace.rows[1:]], axis=0)
         bound_ok = bound is not None and bool((realized <= bound).all())
         if bound_ok or not rounds_left:
-            return trace, 0.5 * eps * min(deltas), bound_ok
+            return trace, 0.5 * eps * min(kind.delta for kind in pinned), bound_ok
         bound = 1.5 * realized
-        deltas = tuple(
-            delta_star(inertia, inertia, eps, float(lam), convex=bool(c))
-            for lam, c in zip(bound, problem.convex)
-        )
+        pinned = [kind.pin(float(lam)) for kind, lam in zip(kinds, bound)]
 
 
 def check_gradients(
@@ -312,8 +310,10 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
     """Run every standalone check on self-built instances; returns reports.
 
     The C1 check runs on short sparse-NMF and blind-deconvolution desk
-    trajectories, each the last run of `pinned_weight_run`; dynamic-schedule
-    traces are never asserted against C1 (no step weights exist there).
+    trajectories, each the last run of `pinned_weight_run`; each C1 report
+    ends in a ``bound`` row, a violation when the search ended on moduli
+    above the bound its weights were built on.  Dynamic-schedule traces are
+    never asserted against C1 (no step weights exist there).
     """
     from . import bid, convlasso, nmf, synthetic
 
@@ -343,15 +343,20 @@ def run_battery(seed: int = 0, trials: int = 1000, points: int = 10000, out_dir=
     cl_x = BlockVector([cl_x0[0], 0.1 * rng.standard_normal(cl_x0[1].shape)])
     reports.append(check_gradients(cl_problem, cl_x, seed=seed, name="gradients_convlasso"))
 
-    trace, rho1, _ = pinned_weight_run(nmf_problem, nmf_x0, iters=300)
-    reports.append(check_c1_descent(trace, rho1, name="c1_descent_nmf"))
     bid_desk = synthetic.synth_bid(size=32, kernel=5, seed=seed)
     bid_desk_params = bid.BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5))
-    trace, rho1, _ = pinned_weight_run(
-        bid.make_bid_problem(bid_desk["f"], bid_desk_params),
-        bid.init_bid(bid_desk["f"], bid_desk_params), iters=200,
-        step_scale=(1.0, bid_desk_params.kernel_step_scale))
-    reports.append(check_c1_descent(trace, rho1, name="c1_descent_bid"))
+    c1_runs = {
+        "c1_descent_nmf": (nmf_problem, nmf_x0, 300),
+        "c1_descent_bid": (bid.make_bid_problem(bid_desk["f"], bid_desk_params),
+                           bid.init_bid(bid_desk["f"], bid_desk_params), 200,
+                           (1.0, bid_desk_params.kernel_step_scale)),
+    }
+    for name, run in c1_runs.items():
+        trace, rho1, bound_ok = pinned_weight_run(*run)
+        report = check_c1_descent(trace, rho1, name=name)
+        report.add("bound", bound_ok, "" if bound_ok else
+                   "the realized moduli exceed the bound the weights were built on")
+        reports.append(report)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -9,14 +9,17 @@ compare the lines.
 
 The workloads are the benchmark's (``benchmarks/workloads.py``), run untraced,
 one solve after another, and acceptance criteria 8 and 9 (their runs as
-``tests/test_acceptance.py`` sets them up; the seed does not apply).  A digest
-covers ``oracles.row_bits`` of every trace row and the bytes of every final
-block of every run, and every file the runs write (bid-cli-exact's instances
-and outputs), with the wall-clock columns ``seconds`` and ``time_s`` of its
-CSV files dropped.  The ``verify`` entry hashes the CSV reports that
-``ipalm.verify.run_battery(seed)`` writes at its default sizes, each file's
-name and then its bytes, in name order, as ``tests/test_pinned_digests.py``
-pins them at seed 0.  A solve that raises stops the script.
+``tests/test_acceptance.py`` sets them up; the seed does not apply).  The
+``pinned`` entry is every run of ``ipalm.verify.pinned_weight_run``'s searches
+on the battery's two C1 instances at the seed, then on criterion 3's instance
+(which takes no seed).  A digest covers ``oracles.row_bits`` of every trace
+row and the bytes of every final block of every run, and every file the runs
+write (bid-cli-exact's instances and outputs), with the wall-clock columns
+``seconds`` and ``time_s`` of its CSV files dropped.  The ``verify`` entry
+hashes the CSV reports that ``ipalm.verify.run_battery(seed)`` writes at its
+default sizes, each file's name and then its bytes, in name order, as
+``tests/test_pinned_digests.py`` pins them at seed 0.  A solve that raises
+stops the script.
 """
 
 import argparse
@@ -31,12 +34,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(HERE, os.pardir, "benchmarks")]
 
 import ipalm.solver as solver  # noqa: E402
+import ipalm.verify as verify  # noqa: E402
 from ipalm.bid import BidParams, init_bid, make_bid_problem  # noqa: E402
 from ipalm.config import RunConfig, block_kinds  # noqa: E402
 from ipalm.convlasso import init_convlasso, make_convlasso_problem  # noqa: E402
 from ipalm.nmf import init_nmf, make_nmf_problem  # noqa: E402
 from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf  # noqa: E402
-from ipalm.verify import run_battery  # noqa: E402
 from oracles import row_bits  # noqa: E402
 from workloads import WORKLOADS, Context  # noqa: E402
 
@@ -74,6 +77,26 @@ def criterion_9(seed, workdir, sweeps=2000):
     solver.run_state(state, problem, sweeps, 0.0)
 
 
+def nmf_search(seed, workdir):
+    """The weight search on the battery's sparse-NMF C1 instance: 300 sweeps."""
+    A = synth_nmf(seed=seed)["A"]
+    verify.pinned_weight_run(make_nmf_problem(A, r=3, s=2), init_nmf(A, r=3, s=2, seed=seed),
+                             iters=300)
+
+
+def pinned(seed, workdir):
+    """Every pinned-weight run: the battery's NMF and BID C1 searches at
+    ``seed``, then criterion 3's 2,000-sweep search on a 20x30 NMF instance."""
+    nmf_search(seed, workdir)
+    f = synth_bid(size=32, kernel=5, seed=seed)["f"]
+    params = BidParams(lam=1e6, theta=1e4, kernel_shape=(5, 5))
+    verify.pinned_weight_run(make_bid_problem(f, params), init_bid(f, params), iters=200,
+                             step_scale=(1.0, params.kernel_step_scale))
+    A = synth_nmf(m=20, n=30, r=3, s=2, seed=0)["A"]
+    verify.pinned_weight_run(make_nmf_problem(A, r=3, s=2), init_nmf(A, r=3, s=2, seed=0),
+                             iters=2000)
+
+
 def workload(name):
     def runs(seed, workdir):
         for job in WORKLOADS[name].jobs(Context(seed, workdir)):
@@ -83,7 +106,8 @@ def workload(name):
 
 
 RUNS = {**{name: workload(name) for name in WORKLOADS},
-        "criterion-8": criterion_8, "criterion-9": criterion_9}
+        "criterion-8": criterion_8, "criterion-9": criterion_9, "pinned": pinned}
+SEEDED = {*WORKLOADS, "pinned", "verify"}
 
 
 def _file_bytes(path):
@@ -108,11 +132,13 @@ def sha256_of(runs):
 
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
-        solver.run_state = recording  # `solver.run` and the workloads call it by this name
+        # `solver.run` and the workloads call it by this name, and `verify`
+        # binds it at import
+        solver.run_state = verify.run_state = recording
         try:
             runs(workdir)
         finally:
-            solver.run_state = run_state
+            solver.run_state = verify.run_state = run_state
         for state in states:
             for row in state.trace.rows:
                 h.update(repr(row_bits(row)).encode())
@@ -129,7 +155,7 @@ def verify_reports(seed):
     """(number of reports, sha256) of the CSV reports of ``run_battery(seed)``."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
-        run_battery(seed=seed, out_dir=workdir)
+        verify.run_battery(seed=seed, out_dir=workdir)
         names = sorted(os.listdir(workdir))
         for fname in names:
             with open(os.path.join(workdir, fname), "rb") as fh:
@@ -144,7 +170,7 @@ def main(argv=None):
     parser.add_argument("--seed", nargs="+", type=int, default=[1])
     args = parser.parse_args(argv)
     for name in args.workload:
-        for seed in args.seed if name in WORKLOADS or name == "verify" else ["-"]:
+        for seed in args.seed if name in SEEDED else ["-"]:
             count, sha = (verify_reports(seed) if name == "verify"
                           else sha256_of(functools.partial(RUNS[name], seed)))
             print(f"{name} {seed} {count} {sha}", flush=True)

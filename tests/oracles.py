@@ -350,7 +350,8 @@ def static_bound_two_branch(alpha_bar: float, eps: float, convex: bool) -> bool:
 
 
 def delta_star_two_branch(alpha_bar, beta_bar, eps, lambda_plus, convex=False) -> float:
-    """``schedules.delta_star`` with one branch per convexity."""
+    """The weight ``Static(...).pin(lambda_plus)`` pins, with one branch per
+    convexity."""
     if lambda_plus <= 0.0:
         raise ParameterDomainError(f"lambda_plus must be positive, got {lambda_plus}")
     if convex:
@@ -366,15 +367,15 @@ def delta_star_two_branch(alpha_bar, beta_bar, eps, lambda_plus, convex=False) -
 
 def tau_for_delta_two_branch(alpha, beta, delta, L, eps=0.0, convex=False) -> float:
     """The static step ``tau`` for a given step weight ``delta``, as
-    ``Static(...).rule(delta)`` compiles it, with one branch per convexity."""
+    ``Static(..., delta=delta).rule()`` compiles it, with one branch per
+    convexity."""
     if L <= 0.0:
         raise ParameterDomainError(f"L must be positive, got {L}")
     num = (1.0 + eps) * delta + (1.0 + beta) * L
     return num / (2.0 - alpha) if convex else num / (1.0 - alpha)
 
 
-def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
-              constant_delta=None, tol=0.0):
+def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None, tol=0.0):
     """The iPALM sweep of Pock & Sabach written plainly: the trace rows, as
     ``row_bits`` of every `TraceRow` field but ``seconds``, and the final
     blocks, of ``make_state(...)`` driven by ``run_state(..., iters, tol)``.
@@ -385,7 +386,7 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
     ``z = x_i + beta*(x_i - x_i_prev)`` (a zero coefficient takes ``x_i``
     itself), with the blocks before ``i`` already updated.  Its step comes
     from the two-branch rules: ``tau = tau_for_delta_two_branch(delta)``
-    with the pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
+    with the kind's pinned ``delta`` or ``delta_star`` at the modulus, ``tau = L`` and no
     ``delta`` on a dynamic block, times the block's step scale.  The modulus
     is the floored closed form, or the line search of ``backtrack_L``'s
     documented policy: levels ``start*GROWTH**j`` from the block's start
@@ -427,7 +428,7 @@ def ipalm_ref(problem, x0, kinds, iters, backtracking=False, step_scale=None,
                     tau, delta = L, math.nan
                 else:
                     delta = (delta_star_two_branch(alpha, beta, kind.eps, L, kind.convex)
-                             if constant_delta is None else constant_delta[i])
+                             if kind.delta is None else kind.delta)
                     tau = tau_for_delta_two_branch(alpha, beta, delta, L, kind.eps, kind.convex)
                 tau *= scale[i]
                 cand = np.asarray(problem.prox(i, tau, y - grad / tau), dtype=np.float64)

@@ -327,6 +327,26 @@ def test_make_problem_validates_observation():
         make_bid_problem(np.ones((2, 2)), params)  # kernel larger than image
 
 
+def test_objective_is_infinite_off_the_box_and_off_the_simplex():
+    inst = synth_bid(size=8, kernel=3, seed=5)
+    params = BidParams(kernel_shape=(3, 3))
+    problem = make_bid_problem(inst["f"], params)
+    u, b = init_bid(inst["f"], params)
+    assert np.isfinite(problem.eval_F(BlockVector([u, b])))
+    for bad_u in (u - 0.5, u + 0.5):
+        assert problem.eval_F(BlockVector([bad_u, b])) == np.inf
+    negative = b.copy()
+    negative[0, 0], negative[1, 1] = -0.1, negative[1, 1] + 0.1  # still sums to one
+    for bad_b in (negative, 1.01 * b):
+        assert problem.eval_F(BlockVector([u, bad_b])) == np.inf
+
+
+def test_modulus_rejects_a_block_index_other_than_0_or_1():
+    params = BidParams(kernel_shape=(3, 3))
+    with pytest.raises(ValueError, match="block index must be 0 or 1, got 2"):
+        bid_lipschitz(2, np.ones((8, 8)), np.full((3, 3), 1.0 / 9.0), params)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_make_problem_rejects_non_finite_observation(bad):
     f = np.full((8, 8), 0.5)

@@ -211,6 +211,15 @@ def test_moduli_match_corner_padded_fourier_energy(shape):
         assert abs(problem.lipschitz(1, x) - ref) <= 1e-12 * ref
 
 
+def test_make_problem_rejects_one_filter_and_an_even_filter_size():
+    f = np.full((8, 8), 0.5)
+    with pytest.raises(ValueError, match="need at least 2 filters .* got 1"):
+        make_convlasso_problem(f, p=1, l=3, lam=0.2)
+    for l in (0, 4):
+        with pytest.raises(ValueError, match=f"filter size must be odd, got {l}"):
+            make_convlasso_problem(f, p=3, l=l, lam=0.2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 def test_make_problem_rejects_non_finite_image(bad):
     f = np.full((8, 8), 0.5)

@@ -4,7 +4,8 @@ written plainly, on random block quadratic problems.
 A problem has 1-4 vector blocks coupled by ``H(x) = 0.5*||sum_i A_i x_i - b||^2``,
 each with an l1, [0, 1] box, nonnegativity or l0 term.  A run draws each
 block's schedule kind (static, convex or not, with ``eps``; or dynamic) and
-step scale, a pinned or per-sweep ``delta``, exact or backtracking moduli,
+step scale, each static kind's pinned or per-sweep ``delta``, exact or
+backtracking moduli,
 the sweep budget and ``tol``.  Every field of every trace row but
 ``seconds`` -- ``k``, ``F``, ``Psi``, ``delta``, ``L``, ``tau``, ``alpha``,
 ``beta``, ``block_deltas`` and ``step_norm`` -- must equal the reference's
@@ -76,7 +77,8 @@ def kinds_of(draw, nb):
         bound = (2.0 if convex else 1.0) * (1.0 - eps) / 2.0
         alpha_bar = bound * draw(st.sampled_from([0.0, 0.3, 0.6, 0.95]))
         beta_bar = draw(st.sampled_from([0.0, alpha_bar, 0.25, 1.0]))
-        kinds.append(Static(alpha_bar, beta_bar, eps, convex=convex))
+        delta = draw(st.one_of(st.none(), st.floats(0.0, 10.0)))  # pinned or not
+        kinds.append(Static(alpha_bar, beta_bar, eps, convex=convex, delta=delta))
     return tuple(kinds)
 
 
@@ -88,16 +90,12 @@ def runs(draw):
     A = [rng.standard_normal((5, n)) * draw(st.sampled_from([0.1, 1.0, 10.0])) for n in sizes]
     x0 = BlockVector([rng.uniform(0.0, 1.0, n) for n in sizes])
     terms = [draw(st.sampled_from(sorted(TERMS))) for _ in range(nb)]
-    kinds = draw(kinds_of(nb))
-    static = not any(isinstance(kd, Dynamic) for kd in kinds)
-    pinned = static and draw(st.booleans())
     return dict(
         problem=quadratic_problem(A, rng.standard_normal(5), terms),
         x0=x0,
-        kinds=kinds,
+        kinds=draw(kinds_of(nb)),
         backtracking=draw(st.booleans()),
         step_scale=tuple(draw(st.sampled_from([1.0, 1.5, 5.0])) for _ in range(nb)),
-        constant_delta=tuple(draw(st.floats(0.0, 10.0)) for _ in range(nb)) if pinned else None,
         iters=draw(st.integers(1, 4)),
         tol=draw(st.sampled_from([0.0, 1e-3, 0.3])),
     )

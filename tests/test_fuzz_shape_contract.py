@@ -9,8 +9,8 @@ term, and every oracle call logged.  Three checks:
   exact moduli and with backtracking; that prox call is the last oracle call,
   and the trace and the iterate stay those of the sweep before;
 * `make_state` rejects an ``x0`` with one block too many or too few;
-* `make_state` rejects a ``kinds``, ``step_scale`` or ``constant_delta``
-  tuple of the wrong length;
+* `make_state` rejects a ``kinds`` or ``step_scale`` tuple of the wrong
+  length;
 
 the last two before any oracle call, ``eval_F`` included.
 """
@@ -146,13 +146,13 @@ def test_make_state_rejects_an_x0_with_the_wrong_block_count_before_any_oracle(
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(drawn=problems(), data=st.data(), field=st.sampled_from(
-    ["kinds", "step_scale", "constant_delta"]))
+    ["kinds", "step_scale"]))
 def test_make_state_rejects_a_per_block_tuple_of_the_wrong_length_before_any_oracle(
         drawn, data, field):
     problem, log, x0, kinds = drawn
     nb = problem.num_blocks
     length = data.draw(st.sampled_from([0, nb - 1, nb + 1, nb + 3]).filter(lambda n: n != nb))
-    entry = {"kinds": kinds[0], "step_scale": 1.5, "constant_delta": 0.5}[field]
+    entry = {"kinds": kinds[0], "step_scale": 1.5}[field]
     options = {"kinds": kinds, field: (entry,) * length}
     message = f"{problem.name}: {field} needs one entry per block ({nb})"
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,10 +1,11 @@
 """Property test: the static step rules of `ipalm.schedules`, each written
 once in the prox factor ``c``, give bit for bit the values of the two-branch
 rules they replace, and accept and reject the same coefficient bounds,
-including ``alpha_bar`` exactly at ``(1-eps)/2`` and at ``1-eps``; the rule
-the solver compiles per block, ``kind.rule(delta)``, gives the bits of the
-two-branch rules at the kind's own coefficients ``kind.coeffs(k)`` and at
-any below them."""
+including ``alpha_bar`` exactly at ``(1-eps)/2`` and at ``1-eps``; the
+weight ``Static.pin`` pins is the two-branch one, and the rule the solver
+compiles per block, ``kind.rule()``, unpinned or pinned, gives the bits of
+the two-branch rules at the kind's own coefficients ``kind.coeffs(k)`` and
+at any below them."""
 
 import math
 
@@ -19,12 +20,7 @@ from oracles import (  # noqa: E402
     tau_for_delta_two_branch,
 )
 
-from ipalm.schedules import (  # noqa: E402
-    Dynamic,
-    ParameterDomainError,
-    Static,
-    delta_star,
-)
+from ipalm.schedules import Dynamic, ParameterDomainError, Static  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
 
@@ -83,7 +79,10 @@ def test_one_formula_matches_the_two_branch_rules_bitwise(case, pinned):
         kind = None
     assert (kind is not None) == accepted
 
-    assert outcome(delta_star, ab, bb, eps, lam, convex=convex) == outcome(
+    def pinned_weight():
+        return Static(ab, bb, eps, convex=convex).pin(lam).delta
+
+    assert outcome(pinned_weight) == outcome(
         delta_star_two_branch, ab, bb, eps, lam, convex=convex)
 
     if accepted:
@@ -93,7 +92,7 @@ def test_one_formula_matches_the_two_branch_rules_bitwise(case, pinned):
             tau_for_delta_two_branch(ab, bb, delta_star_two_branch(ab, bb, eps, L, convex),
                                      L, eps, convex).hex(),
             delta_star_two_branch(ab, bb, eps, L, convex).hex())
-        assert outcome(kind.rule(pinned), alpha, beta, L)[0] == outcome(
+        assert outcome(Static(ab, bb, eps, convex, pinned).rule(), alpha, beta, L)[0] == outcome(
             tau_for_delta_two_branch, alpha, beta, pinned, L, eps, convex=convex)
 
 
@@ -111,13 +110,13 @@ def test_the_compiled_rule_gives_the_bits_of_tau_step_and_the_two_branch_rules(
         case, pinned, scale, L):
     ab, bb, eps, convex = case["alpha_bar"], case["beta_bar"], case["eps"], case["convex"]
     # the dynamic rule: tau = L, scaled by the solver, and no step weight
-    tau, delta = Dynamic().rule(pinned)(case["alpha"], case["beta"], L)
+    tau, delta = Dynamic().rule()(case["alpha"], case["beta"], L)
     assert (tau * scale).hex() == (L * scale).hex() and math.isnan(delta)
     assert tau.hex() == L.hex()
     if not static_bound_two_branch(ab, eps, convex):
         return
-    kind = Static(ab, bb, eps, convex=convex)
-    rule = kind.rule(pinned)
+    kind = Static(ab, bb, eps, convex=convex, delta=pinned)
+    rule = kind.rule()
     # the solver's call, at the kind's own coefficients, and any below them
     for alpha, beta in (kind.coeffs(1), (case["alpha"], case["beta"])):
         got = rule(alpha, beta, L)

@@ -82,6 +82,14 @@ def test_config_reports_bad_value(tmp_path):
     path.write_text("iters=five\n")
     with pytest.raises(ConfigError, match="line 1"):
         load_config(path)
+    path.write_text("iters=5\nbacktrack=maybe\n")
+    with pytest.raises(ConfigError, match="line 2.*not a boolean: 'maybe'"):
+        load_config(path)
+
+
+def test_load_config_rejects_an_unknown_override():
+    with pytest.raises(ConfigError, match="unknown key 'warp'"):
+        load_config(None, iters=5, warp=1)
 
 
 def test_config_rejects_unknown_schedule():
@@ -378,6 +386,11 @@ def test_cli_single_run_checkpoint_label_names_each_coefficient(tmp_path):
     assert rc == 0
     lines = (out / "nmf_checkpoints.csv").read_text().strip().split("\n")
     assert lines[1].startswith("static-c alpha=0.3 beta=0.2,")
+    rc = main(["nmf", "--rank", "3", "--s-count", "2", "--iters", "2", "--exact-lipschitz",
+               "--schedule", "dynamic", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "nmf_checkpoints.csv").read_text().strip().split("\n")
+    assert lines[1].startswith("dynamic,")
 
 
 def test_cli_dynamic_run_prints_the_trace_mode_note(capsys):

@@ -197,6 +197,12 @@ def test_pgm_dir_loader_and_basis_dump(tmp_path):
     assert len(paths) == 2 and all((out / f"basis_{i:03d}.pgm").exists() for i in range(2))
 
 
+def test_pgm_dir_loader_rejects_a_directory_without_pgm_images(tmp_path):
+    (tmp_path / "notes.txt").write_text("not an image\n")
+    with pytest.raises(DataError, match="no .pgm files found"):
+        load_pgm_dir(tmp_path)
+
+
 def test_pgm_dir_loader_rejects_mixed_shapes(tmp_path):
     write_pgm(tmp_path / "a.pgm", np.ones((3, 3)))
     write_pgm(tmp_path / "b.pgm", np.ones((2, 2)))

@@ -1,7 +1,8 @@
 """Pinned trajectories: sha256 digests of exact output, as
 ``tests/bitwise_digest.py`` computes them (``sha256_of``: every trace row by
 ``oracles.row_bits``, every final block, and every file a run writes with the
-wall-clock columns dropped), over a fast subset of its runs.  Beside them, the
+wall-clock columns dropped), over a fast subset of its runs, the seed-0
+sparse-NMF weight search of ``ipalm verify`` among them.  Beside them, the
 kernels' own bits: BID's edge penalty and ``edge_grad(value=True)`` on the
 small shapes that leave some direction's window empty or one pixel wide, the
 image spectrum on even, odd and stacked inputs, convlasso's oracles and
@@ -23,7 +24,7 @@ import platform
 
 import numpy as np
 import pytest
-from bitwise_digest import criterion_8, criterion_9, sha256_of
+from bitwise_digest import criterion_8, criterion_9, nmf_search, sha256_of
 from workloads import WORKLOADS, Context
 
 from ipalm import bid, imageops
@@ -47,6 +48,8 @@ PINS = {
         1, "09b2d7f92d4db7ed6be4b8c304c7703b703b49a159c7a33605bc6a7ead3c0913"),
     "criterion-8 100 sweeps": (
         20, "e48d7c95ac219af93fffeeb8375c80414bf8ae394ddb0e9a994909795c9d59c2"),
+    "pinned-weight search nmf 0": (
+        5, "d28e0eb5fd58dd36adce10e597df6c377744517d133b7e6a9e0ef09b44056fd4"),
 }
 
 
@@ -66,6 +69,7 @@ RUNS = {
        for name in WORKLOADS},
     "criterion-9 100 sweeps": lambda workdir: criterion_9(None, workdir, sweeps=100),
     "criterion-8 100 sweeps": lambda workdir: criterion_8(None, workdir, sweeps=100),
+    "pinned-weight search nmf 0": lambda workdir: nmf_search(0, workdir),
 }
 
 
@@ -275,7 +279,7 @@ def test_l0_projection_is_bitwise_the_pinned_one(case):
 
 # sha256 over the CSV reports that run_battery(seed=0) writes at its default
 # sizes, each file's name and then its bytes, in name order
-VERIFY_PIN = (7, "75b7d5d3c494791ec23e32560ff6f349538252b053b8f72a1c433df6ed7b6857")
+VERIFY_PIN = (7, "fc3a461cba4e180a73b3ec0fb7bacd63cfe12a023c242d9785730ae973458c73")
 
 
 @pinned_environment

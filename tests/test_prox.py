@@ -116,6 +116,11 @@ def test_l0_edge_cases():
     assert np.array_equal(prox_l0_nonneg_cols(P, 0), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         prox_l0_nonneg_cols(P, 3)
+    with pytest.raises(ValueError, match="sparsity level must be >= 0, got -1"):
+        prox_l0_nonneg_cols(P, -1)
+    for not_a_matrix in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            prox_l0_nonneg_cols(not_a_matrix, 1)
     # all-negative column projects to zero
     out = prox_l0_nonneg_cols(np.array([[-1.0], [-2.0]]), 1)
     assert np.array_equal(out, np.zeros((2, 1)))
@@ -189,6 +194,11 @@ def test_simplex_rejects_non_finite_input_with_value_error(bad):
 def test_simplex_projects_entries_beyond_unit_spacing(p, want):
     # from 2**52 up a unit step is below the float spacing of the entries
     assert np.array_equal(prox_simplex(np.array(p)), want)
+
+
+def test_simplex_rejects_an_empty_input():
+    with pytest.raises(ValueError, match="cannot project an empty vector"):
+        prox_simplex(np.array([]))
 
 
 def test_simplex_keeps_shape():

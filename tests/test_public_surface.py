@@ -24,7 +24,6 @@ PUBLIC = [
     "Static",
     "backtrack_L",
     "block_kinds",
-    "delta_star",
     "extrapolate",
     "ipalm_iterate",
     "load_config",

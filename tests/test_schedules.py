@@ -1,36 +1,54 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from oracles import tau_for_delta_two_branch
 
-from ipalm.schedules import (
-    Dynamic,
-    ParameterDomainError,
-    Static,
-    delta_star,
-)
+from ipalm.schedules import Dynamic, ParameterDomainError, Static
+
+# delta_star is the paper's Lyapunov step weight, the value `Static.pin` pins
 
 
 def test_delta_star_zero_inertia():
-    assert delta_star(0.0, 0.0, 0.3, 1.0) == 0.0
-    assert delta_star(0.0, 0.0, 0.0, 5.0, convex=True) == 0.0
+    assert Static(0.0, 0.0, 0.3).pin(1.0).delta == 0.0
+    assert Static(0.0, 0.0, 0.0, convex=True).pin(5.0).delta == 0.0
 
 
 def test_delta_star_hand_values():
     # (0.2+0.2)/(1-0-0.4) = 2/3
-    assert delta_star(0.2, 0.2, 0.0, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert Static(0.2, 0.2).pin(1.0).delta == pytest.approx(2.0 / 3.0, rel=1e-15)
     # convex: (0.4+0.8)/(2*(1-0.4)) = 1.0
-    assert delta_star(0.4, 0.4, 0.0, 1.0, convex=True) == pytest.approx(1.0, rel=1e-15)
+    assert Static(0.4, 0.4, convex=True).pin(1.0).delta == pytest.approx(1.0, rel=1e-15)
+    # pin keeps every other field, and a pinned kind pins again
+    kind = Static(0.2, 0.3, 0.05, convex=True)
+    pinned = kind.pin(2.0)
+    assert pinned == Static(0.2, 0.3, 0.05, convex=True, delta=pinned.delta)
+    assert pinned.pin(4.0) == kind.pin(4.0)
 
 
 def test_delta_star_domain_errors_name_the_bound():
-    with pytest.raises(ParameterDomainError, match=r"alpha_bar < \(1-eps\)/2"):
-        delta_star(0.5, 0.1, 0.0, 1.0)
-    with pytest.raises(ParameterDomainError, match="alpha_bar < 1-eps"):
-        delta_star(1.0, 0.1, 0.0, 1.0, convex=True)
-    with pytest.raises(ParameterDomainError):
-        delta_star(0.1, 0.1, 0.0, 0.0)
+    with pytest.raises(ParameterDomainError, match=r"static nonconvex schedule needs "
+                                                   r"alpha_bar < \(1-eps\)/2"):
+        Static(0.5, 0.1)
+    with pytest.raises(ParameterDomainError,
+                       match="static convex schedule needs alpha_bar < 1-eps"):
+        Static(0.9, 0.1, eps=0.1, convex=True)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ParameterDomainError, match="lambda_plus must be positive"):
+            Static(0.1, 0.1).pin(bad)
+
+
+@pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+def test_static_rejects_a_negative_or_non_finite_delta(bad):
+    # a negative step weight gives a negative tau: unchecked, -5 on both
+    # blocks made F rise at each of three sweeps on a desk NMF instance
+    for convex in (False, True):
+        with pytest.raises(ParameterDomainError, match="delta must be >= 0 and finite"):
+            Static(0.0, 0.0, convex=convex, delta=bad)
+    # an unbounded modulus bound gives no finite weight
+    with pytest.raises(ParameterDomainError, match="delta must be >= 0 and finite"):
+        Static(0.2, 0.2).pin(math.inf)
 
 
 def test_tau_step_closed_forms():
@@ -55,9 +73,9 @@ def test_tau_step_closed_forms_match_general_formula_on_grid():
 
 @pytest.mark.parametrize("kind", [Static(0.3, 0.4, 0.1), Static(0.3, 0.4, 0.1, convex=True)])
 def test_tau_step_with_a_pinned_delta_is_tau_for_delta(kind):
-    for delta in (0.0, 0.37, 12.5):
-        tau, got = kind.rule(delta)(0.2, 0.3, 1.7)
-        assert got is delta
+    for delta in (0.0, 0.37, 12.5, np.float64(3.25)):
+        tau, got = dataclasses.replace(kind, delta=delta).rule()(0.2, 0.3, 1.7)
+        assert got is delta  # kept as given, type included
         want = tau_for_delta_two_branch(0.2, 0.3, delta, 1.7, 0.1, convex=kind.convex)
         assert tau.hex() == want.hex()
 
@@ -66,6 +84,8 @@ def test_tau_step_dynamic():
     tau, delta = Dynamic().rule()(0.7, 0.7, 2.5)
     assert tau == 2.5
     assert math.isnan(delta)
+    with pytest.raises(TypeError):  # a dynamic kind has no weight to pin
+        Dynamic(delta=1.0)
 
 
 def test_dynamic_coeff_values_and_monotonicity():

@@ -128,8 +128,6 @@ def test_per_block_tuples_must_match_the_block_count():
     for bad in ((1.0,), (1.0, 1.0, 9.0)):
         with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale needs one entry"):
             make_state(problem, x0, kinds, step_scale=bad)
-        with pytest.raises(ValueError, match=r"nmf\(.*\): constant_delta needs one entry"):
-            make_state(problem, x0, kinds, constant_delta=bad)
     with pytest.raises(ValueError, match=r"nmf\(.*\): kinds needs one entry per block \(2\)"):
         make_state(problem, x0, (kinds,) * 3)
     with pytest.raises(ValueError, match=r"nmf\(.*\): step_scale needs one entry"):
@@ -139,17 +137,6 @@ def test_per_block_tuples_must_match_the_block_count():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be >= 1 and finite"):
             make_state(problem, x0, kinds, step_scale=(1.0, bad))
-
-
-@pytest.mark.parametrize("bad", [(-5.0, -5.0), (1.0, math.nan), (math.inf, 1.0)])
-def test_make_state_rejects_negative_or_non_finite_constant_delta(bad):
-    # a negative step weight gives a negative tau: unchecked, (-5, -5) made F
-    # rise at each of three sweeps on this instance
-    inst = synth_nmf(seed=3)
-    problem = _unevaluated(make_nmf_problem(inst["A"], r=3, s=2))
-    x0 = init_nmf(inst["A"], r=3, s=2, seed=3)
-    with pytest.raises(ValueError, match=r"nmf\(.*\): constant_delta must be >= 0 and finite"):
-        make_state(problem, x0, Static(0.0, 0.0), constant_delta=bad)
 
 
 def _unevaluated(problem):
@@ -233,13 +220,6 @@ def test_make_state_takes_a_list_or_float32_x0_as_its_block_vector(tol):
 
     assert result(list(x0)) == result(x0)
     assert result(x0_f32) == result(BlockVector(x0_f32))
-
-
-def test_make_state_rejects_constant_delta_with_a_dynamic_block_naming_the_problem():
-    problem = _unevaluated(one_block_quadratic())
-    x0 = BlockVector([np.ones(2)])
-    with pytest.raises(ValueError, match="quadratic: constant_delta needs static"):
-        make_state(problem, x0, Dynamic(), constant_delta=(1.0,))
 
 
 def test_make_state_gives_each_block_its_own_default_line_search():
@@ -515,16 +495,15 @@ def test_a_non_finite_prox_output_stops_the_sweep_at_that_block(bad_block, value
     assert [b.tobytes() for b in state.x_cur] == before
 
 
-@pytest.mark.parametrize("kinds, pinned", [
-    ((Static(0.3, 0.1), Static(0.5, 0.2, convex=True)), None),
-    ((Static(0.3, 0.1), Static(0.5, 0.2, convex=True)), (2, 0.75)),
-    ((Dynamic(), Static(0.2, 0.2)), None),
+@pytest.mark.parametrize("kinds", [
+    (Static(0.3, 0.1), Static(0.5, 0.2, convex=True)),
+    (Static(0.3, 0.1, delta=2), Static(0.5, 0.2, convex=True, delta=0.75)),
+    (Dynamic(), Static(0.2, 0.2)),
 ], ids=["static", "pinned", "dynamic"])
-def test_a_state_pickles_with_its_compiled_plan_and_resumes_bitwise(kinds, pinned):
+def test_a_state_pickles_with_its_compiled_plan_and_resumes_bitwise(kinds):
     inst = synth_nmf(seed=12)
     problem = make_nmf_problem(inst["A"], r=3, s=2)
-    state = make_state(problem, init_nmf(inst["A"], r=3, s=2, seed=12), kinds,
-                       constant_delta=pinned)
+    state = make_state(problem, init_nmf(inst["A"], r=3, s=2, seed=12), kinds)
     run_state(state, problem, iters=2, tol=0.0)
     copy = pickle.loads(pickle.dumps(state))
     for s in (state, copy):

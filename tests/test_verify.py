@@ -9,8 +9,8 @@ from ipalm.blockmodel import BlockVector, ProblemSpec
 from ipalm.config import RunConfig
 from ipalm.convlasso import init_convlasso, make_convlasso_problem
 from ipalm.nmf import init_nmf, make_nmf_problem
-from ipalm import schedules
-from ipalm.schedules import delta_star
+from ipalm import schedules, verify
+from ipalm.schedules import Static
 from ipalm.solver import run
 from ipalm.synthetic import synth_bid, synth_convlasso, synth_nmf
 from ipalm.verify import (
@@ -31,9 +31,9 @@ def test_step_rule_battery_clean():
 def test_step_rule_battery_checks_the_compiled_rule(monkeypatch):
     # a compiled rule that binds the other block's prox factor: the battery
     # must see the step every pinned sweep takes, not a formula of its own
-    def wrong_factor_rule(self, delta=None):
+    def wrong_factor_rule(self):
         factors = schedules._prox_factors(self.eps, not self.convex)
-        return functools.partial(schedules._static_step, *factors, delta)
+        return functools.partial(schedules._static_step, *factors, self.delta)
 
     monkeypatch.setattr(schedules.Static, "rule", wrong_factor_rule)
     report = check_step_rule_identities(n_points=200, seed=0)
@@ -43,6 +43,17 @@ def test_step_rule_battery_checks_the_compiled_rule(monkeypatch):
 def test_prox_inequality_battery_clean():
     report = check_prox_inequality(trials=300, seed=1)
     assert report.ok, [r.detail for r in report.violations[:3]]
+
+
+def test_prox_inequality_flags_a_prox_that_ignores_its_term(monkeypatch):
+    # the l1 prox replaced by the identity, a plain gradient step: the l1
+    # term's value lifts some trials over the general bound and others over
+    # the convex one only
+    monkeypatch.setattr(verify, "prox_l1", lambda p, threshold: p)
+    report = check_prox_inequality(trials=300, seed=0)
+    assert report.violations
+    assert all(r.detail.endswith("kind=l1)") for r in report.violations)
+    assert {r.detail.split(" bound")[0] for r in report.violations} == {"general", "convex"}
 
 
 @pytest.mark.parametrize("check, count", [
@@ -141,7 +152,13 @@ def _nmf_desk(seed):
 def test_c1_descent_clean_on_static_run():
     trace, rho1, bound_ok = pinned_weight_run(*_nmf_desk(4), iters=200)
     assert bound_ok
-    assert check_c1_descent(trace, rho1).ok
+    report = check_c1_descent(trace, rho1)
+    assert report.ok
+    # every row records its drop and needed decrease, to the last bit
+    psi = [r.Psi for r in trace.rows]
+    for k, row in enumerate(report.rows):
+        drop, need = (float(part.split("=")[1]) for part in row.detail.split())
+        assert drop == psi[k] - psi[k + 1] and need >= 0.0
 
 
 def test_pinned_weight_run_returns_the_run_its_weights_were_checked_on():
@@ -155,7 +172,7 @@ def test_pinned_weight_run_returns_the_run_its_weights_were_checked_on():
     assert rho1 == 0.5 * 0.05 * min(weights)
     assert not bound_ok
     realized = max(r.L[0] for r in trace.rows[1:])
-    assert delta_star(0.2, 0.2, 0.05, realized) > weights[0]
+    assert Static(0.2, 0.2, 0.05).pin(realized).delta > weights[0]
     assert check_c1_descent(trace, rho1).ok
 
 
@@ -190,7 +207,7 @@ def test_c1_descent_detects_understepped_run():
                                       tol=0.0, backtrack=False)).trace
     lam_plus = np.max([r.L for r in trace.rows[1:]], axis=0)
     rho1 = 0.5 * eps * min(
-        delta_star(abar, bbar, eps, float(lam), convex=c)
+        Static(abar, bbar, eps, convex=c).pin(float(lam)).delta
         for lam, c in zip(lam_plus, base.convex))
     report = check_c1_descent(trace, rho1)
     assert len(report.violations) > 0.9 * len(report.rows)
@@ -208,6 +225,17 @@ def test_battery_deterministic_and_serializable(tmp_path):
         f1 = (tmp_path / "a" / f"{name}.csv").read_bytes()
         f2 = (tmp_path / "b" / f"{name}.csv").read_bytes()
         assert f1 == f2
+
+
+def test_battery_reports_a_weight_search_that_ended_on_an_unmet_bound():
+    # seed 2: the NMF search ends with the B-block modulus at 397.6, above
+    # the 396.9 its weights were built on; every C1 row still holds
+    reports = {r.name: r for r in run_battery(seed=2, trials=1, points=1)}
+    for name in ("c1_descent_nmf", "c1_descent_bid"):
+        assert reports[name].rows[-1].trial == "bound"
+    assert [(r.trial, r.status) for r in reports["c1_descent_nmf"].violations] == [
+        ("bound", "violation")]
+    assert reports["c1_descent_bid"].ok
 
 
 def test_report_csv_layout(tmp_path):
